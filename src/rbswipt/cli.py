@@ -15,7 +15,6 @@ from pathlib import Path
 from .config import (
     PRESETS,
     ConfigError,
-    get_path,
     get_preset,
     parse_config,
     parse_quantity,
@@ -24,7 +23,7 @@ from .config import (
     SCHEMA,
 )
 from .figures import FIGURE_IDS, reproduce_figure
-from .model import STATUS_UNSTABLE, evaluate_operating_point
+from .model import FIELD_UNITS, STATUS_UNSTABLE, evaluate_operating_point
 from .output import Column, operating_point_report, write_curve_file
 from .sweep import Axis, OptimizationError, SweepSpec, find_optimum, run_sweep
 
@@ -41,6 +40,13 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _schema_entry(path: str) -> tuple:
+    section, _, key = path.partition(".")
+    if section not in SCHEMA or key not in SCHEMA[section]:
+        raise ConfigError(f"unknown parameter path {path!r}")
+    return SCHEMA[section][key]
+
+
 def _load_config(args):
     cfg = get_preset(args.preset)
     if getattr(args, "config", None):
@@ -50,10 +56,7 @@ def _load_config(args):
         if "=" not in item:
             raise ConfigError(f"--set expects path=value, got {item!r}")
         path, value = (p.strip() for p in item.split("=", 1))
-        section, _, key = path.partition(".")
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown parameter path {path!r}")
-        kind = SCHEMA[section][key][0]
+        kind = _schema_entry(path)[0]
         set_path(cfg, path, parse_quantity(value, kind))
     if getattr(args, "p_in", None) is not None:
         cfg["link"]["p_in"] = parse_quantity(args.p_in, "power")
@@ -61,19 +64,48 @@ def _load_config(args):
     return cfg
 
 
-def _parse_axis(text: str) -> Axis:
-    """Axis syntax: path:lo:hi[:count[:spacing]] with lo/hi in SI units."""
+def _axis_arg(text: str) -> tuple:
+    """argparse type of --axis: path:lo:hi[:count[:spacing]], lo/hi in SI
+    units.  Text that does not parse is a usage error (exit 2)."""
     parts = text.split(":")
-    if len(parts) < 3:
-        raise ConfigError(
-            f"axis must be path:lo:hi[:count[:spacing]], got {text!r}")
-    path, lo, hi = parts[0], float(parts[1]), float(parts[2])
-    count = int(parts[3]) if len(parts) > 3 else 121
+    try:
+        if not 3 <= len(parts) <= 5:
+            raise ValueError
+        lo, hi = float(parts[1]), float(parts[2])
+        count = int(parts[3]) if len(parts) > 3 else 121
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected PATH:LO:HI[:COUNT[:SPACING]], got {text!r}") from None
     spacing = parts[4] if len(parts) > 4 else "linear"
-    return Axis(path, lo, hi, count, spacing)
+    return parts[0], lo, hi, count, spacing
 
 
-def _cfg_spec(args, axes: list[Axis]) -> SweepSpec:
+def _axis(parsed: tuple) -> Axis:
+    """Axis from parsed --axis text, with every grid value checked against
+    the swept key's SCHEMA range (exit 3 otherwise)."""
+    _, _, check, bounds = _schema_entry(parsed[0])
+    try:
+        axis = Axis(*parsed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    for v in axis.values():
+        if not check(v):
+            raise ConfigError(
+                f"axis {axis.path}: value {v!r} out of range ({bounds})")
+    return axis
+
+
+def _check_fields(names) -> None:
+    for name in names:
+        if name not in FIELD_UNITS:
+            raise ConfigError(
+                f"unknown quantity {name!r}; known: {', '.join(FIELD_UNITS)}")
+
+
+def _cfg_spec(args) -> SweepSpec:
+    axes = [_axis(a) for a in args.axis]
+    if len(axes) > 2:
+        raise ConfigError("at most two axes are supported")
     cfg = _load_config(args)
     preset = get_preset(args.preset)
     overrides = []
@@ -96,17 +128,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axes = [_parse_axis(a) for a in args.axis]
-    if len(axes) > 2:
-        raise ConfigError("at most two axes are supported")
-    spec = _cfg_spec(args, axes)
-    result = run_sweep(spec, workers=args.workers)
     quantities = args.quantity or ["p_beam"]
+    _check_fields(quantities)
+    spec = _cfg_spec(args)
+    result = run_sweep(spec)
     columns = [Column(spec.axis1.path, "", [])]
     if spec.axis2 is not None:
         columns.append(Column(spec.axis2.path, "", []))
     for q in quantities:
-        columns.append(Column(q, "", []))
+        columns.append(Column(q, FIELD_UNITS[q], []))
     columns.append(Column("status", "", []))
     n2 = len(result.axis2_values) if result.axis2_values else 1
     for idx, p in enumerate(result.points):
@@ -128,7 +158,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    spec = _cfg_spec(args, [_parse_axis(a) for a in args.axis])
+    _check_fields([args.objective])
+    spec = _cfg_spec(args)
     params, value = find_optimum(spec, args.objective, args.sense)
     for path, v in params.items():
         print(f"{path} = {v!r}")
@@ -138,7 +169,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_reproduce_figure(args) -> int:
     out = _out_dir(args)
-    reproduce_figure(args.id, out, points=args.points, workers=args.workers)
+    reproduce_figure(args.id, out, points=args.points)
     print(f"wrote {out / f'fig{args.id}.csv'} and "
           f"{out / f'fig{args.id}.plot.json'}")
     return EXIT_OK
@@ -184,18 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     common(p)
-    p.add_argument("--axis", action="append", required=True,
+    p.add_argument("--axis", action="append", required=True, type=_axis_arg,
                    metavar="PATH:LO:HI[:COUNT[:SPACING]]",
                    help="swept axis (SI units); repeat for a 2-D grid")
     p.add_argument("--quantity", action="append",
                    help="operating-point fields to emit (default p_beam)")
     p.add_argument("--output", default="sweep.csv")
-    p.add_argument("--workers", type=int, default=0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="grid + golden-section design search")
     common(p)
-    p.add_argument("--axis", action="append", required=True,
+    p.add_argument("--axis", action="append", required=True, type=_axis_arg,
                    metavar="PATH:LO:HI[:COUNT[:SPACING]]")
     p.add_argument("--objective", default="p_beam")
     p.add_argument("--sense", choices=("max", "min"), default="max")
@@ -206,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, config=False)
     p.add_argument("id", choices=FIGURE_IDS)
     p.add_argument("--points", type=int, default=121)
-    p.add_argument("--workers", type=int, default=0)
     p.set_defaults(func=cmd_reproduce_figure)
 
     p = sub.add_parser("presets", help="list available presets")

@@ -11,7 +11,6 @@ dotted parameter paths such as ``"geometry.fr2"``.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 
@@ -181,7 +180,7 @@ def parse_config(text: str, base: Config | None = None) -> Config:
     Keys missing from the text are filled from `base` (a preset); unknown
     sections or keys are rejected with the offending line number.
     """
-    cfg: Config = copy.deepcopy(base) if base is not None else {}
+    cfg: Config = copy_config(base) if base is not None else {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -255,6 +254,11 @@ def serialize_config(cfg: Config) -> str:
 def config_digest(cfg: Config) -> str:
     """Stable hex digest of the resolved configuration."""
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
+
+
+def copy_config(cfg: Config) -> Config:
+    """Complete copy of a Config: its values are floats, so two levels."""
+    return {section: dict(keys) for section, keys in cfg.items()}
 
 
 def get_path(cfg: Config, path: str) -> float:
@@ -354,7 +358,7 @@ def get_preset(name: str) -> Config:
     if name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return copy.deepcopy(PRESETS[name]())
+    return PRESETS[name]()
 
 
 PRESETS = {

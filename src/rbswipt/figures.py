@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import STATUS_OK
+from .model import FIELD_UNITS, STATUS_OK
 from .output import Column, write_curve_file, write_plot_description
 from .sweep import Axis, Curve, SweepSpec, reduce_max, run_sweep
 
@@ -99,14 +99,9 @@ _AXIS_LABELS = {
     "receiver.mu": ("mu", ""),
 }
 
-_QTY_UNITS = {
-    "spot_radius": "m", "p_beam": "W", "eta_b": "", "c_tilde": "bit/s/Hz",
-    "p_e_out": "W", "eta_e": "",
-}
-
 
 def reproduce_figure(figure_id: str, out_dir: Path,
-                     points: int = 121, workers: int = 0) -> dict:
+                     points: int = 121) -> dict:
     """Run the named scenario and emit <out_dir>/fig<id>.csv plus
     fig<id>.plot.json.  Returns {series label: SweepResult}."""
     out_dir = Path(out_dir)
@@ -118,7 +113,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
     series_meta = []
     config = None
     for label, spec, quantities, reduce_d3 in _series_sweeps(figure_id, points):
-        result = run_sweep(spec, workers=workers)
+        result = run_sweep(spec)
         results[label] = result
         config = config or result.config
         if reduce_d3:
@@ -136,7 +131,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
             x_path = curves[0].x_path
         for curve in curves:
             name = f"{curve.quantity}[{label}]"
-            columns.append(Column(name, _QTY_UNITS[curve.quantity], curve.y))
+            columns.append(Column(name, FIELD_UNITS[curve.quantity], curve.y))
             series_meta.append({"label": f"{curve.quantity}, {label}",
                                 "column": name})
         columns.append(Column(f"status[{label}]", "",

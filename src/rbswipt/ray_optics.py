@@ -191,17 +191,27 @@ class ResonatorGeometry:
 
 
 def one_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:
-    """Single-pass matrix from reflector M1 to reflector M2 inclusive."""
-    return compose(
-        retro_reflector(g.fr1),
-        free_space(g.d1),
-        free_space(g.d2),
-        thin_lens(g.f1),
-        free_space(g.lt),
-        thin_lens(g.f2),
-        free_space(g.d3),
-        retro_reflector(g.fr2),
-    )
+    """Single-pass matrix from reflector M1 to reflector M2 inclusive: the
+    compose() of retro_reflector(fr1), free_space(d1), free_space(d2),
+    thin_lens(f1), free_space(lt), thin_lens(f2), free_space(d3) and
+    retro_reflector(fr2), bit for bit and with their ValueErrors, multiplied
+    on floats without building the element matrices."""
+    if not all(map(math.isfinite, (g.d1, g.d2, g.lt, g.d3))):
+        raise ValueError(f"free-space distances must be finite in {g}")
+    if g.fr1 == 0 or g.fr2 == 0:
+        raise ValueError("effective curvature factor must be nonzero")
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for ma, mb, mc, md in (
+            (-1.0, 0.0, 0.0 if math.isinf(g.fr1) else 1.0 / g.fr1, -1.0),
+            (1.0, g.d1, 0.0, 1.0), (1.0, g.d2, 0.0, 1.0),
+            (1.0, 0.0, 0.0 if math.isinf(g.f1) else -1.0 / g.f1, 1.0),
+            (1.0, g.lt, 0.0, 1.0),
+            (1.0, 0.0, 0.0 if math.isinf(g.f2) else -1.0 / g.f2, 1.0),
+            (1.0, g.d3, 0.0, 1.0),
+            (-1.0, 0.0, 0.0 if math.isinf(g.fr2) else 1.0 / g.fr2, -1.0)):
+        a, b, c, d = (ma * a + mb * c, ma * b + mb * d,
+                      mc * a + md * c, mc * b + md * d)
+    return RayTransferMatrix(a, b, c, d)
 
 
 def round_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:

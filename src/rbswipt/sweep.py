@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .config import Config, config_digest, get_preset, set_path
+from .config import Config, config_digest, copy_config, get_preset, set_path
 from .model import (
     STATUS_OK,
     STATUS_SUB_THRESHOLD,
@@ -104,32 +103,21 @@ class Curve:
     statuses: list[str] = field(default_factory=list)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 0,
+def run_sweep(spec: SweepSpec,
               evaluate_fn=evaluate_operating_point) -> SweepResult:
-    """Evaluate the model at every grid point.
-
-    Output ordering is by grid index regardless of evaluation order;
-    `workers > 0` evaluates points concurrently (the model is pure).
-    """
+    """Evaluate the model at every grid point, axis1-major."""
     base = spec.resolved_config()
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
 
-    def cell(values):
-        import copy
-        cfg = copy.deepcopy(base)
-        v1, v2 = values
+    def cell(v1, v2):
+        cfg = copy_config(base)
         set_path(cfg, spec.axis1.path, v1)
         if v2 is not None:
             set_path(cfg, spec.axis2.path, v2)
         return evaluate_fn(cfg)
 
-    cells = [(v1, v2) for v1 in a1 for v2 in (a2 or [None])]
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(cell, cells))
-    else:
-        points = [cell(c) for c in cells]
+    points = [cell(v1, v2) for v1 in a1 for v2 in a2 or (None,)]
     return SweepResult(spec=spec, config=base, axis1_values=a1,
                        axis2_values=a2, points=points)
 
@@ -205,11 +193,8 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
                   spec.axis2.path: result.axis2_values[j]}
         return params, sign * best
 
-    base = spec.resolved_config()
-
     def f(x: float) -> float:
-        import copy
-        cfg = copy.deepcopy(base)
+        cfg = copy_config(result.config)
         set_path(cfg, spec.axis1.path, x)
         return score(evaluate_fn(cfg))
 

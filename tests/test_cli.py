@@ -60,6 +60,47 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").exists()
 
 
+    def test_units_from_field_table(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "sweep", "--out-dir", str(tmp_path),
+                         "--axis", "link.p_in:50:150:3",
+                         "--quantity", "p_beam", "--quantity", "c_tilde")
+        assert code == 0
+        assert ("# columns: link.p_in [], p_beam [W], c_tilde [bit/s/Hz], "
+                "status []") in (tmp_path / "sweep.csv").read_text()
+
+
+BAD_INPUT = [
+    (2, ["sweep", "--axis", "link.p_in:1:abc"]),
+    (2, ["sweep", "--axis", "link.p_in:1"]),
+    (2, ["sweep", "--axis", "link.p_in:1:2:3.5"]),
+    (3, ["sweep", "--axis", "receiver.mu:0:1.5:5"]),
+    (3, ["sweep", "--axis", "geometry.r2:0.5:1.2:5"]),
+    (3, ["sweep", "--axis", "gain.l:-1e-6:3e-6:5"]),
+    (3, ["sweep", "--axis", "link.p_in:5:1"]),
+    (3, ["sweep", "--axis", "link.nope:1:5"]),
+    (3, ["sweep", "--axis", "link.p_in:1:5:1"]),
+    (3, ["sweep", "--axis", "link.p_in:0:5:3:log"]),
+    (3, ["sweep", "--axis", "link.p_in:1:5", "--quantity", "nope"]),
+    (3, ["optimize", "--axis", "geometry.r2:0.8:0.99:5",
+         "--objective", "nope"]),
+    (3, ["optimize", "--axis", "geometry.r2:0.8:1.2:5"]),
+]
+
+
+@pytest.mark.parametrize("code,argv", BAD_INPUT,
+                         ids=[" ".join(a[1:]) for _, a in BAD_INPUT])
+def test_bad_sweep_input_exit_code(capsys, tmp_path, code, argv):
+    try:
+        got = run_cli(argv + ["--out-dir", str(tmp_path)])
+    except SystemExit as e:
+        got = e.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    assert err.strip()
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestOptimize:
     def test_reports_argmax(self, capsys):
         code, out, _ = run(capsys, "optimize",

@@ -7,6 +7,7 @@ from rbswipt.config import (
     build_gain,
     build_geometry,
     config_digest,
+    copy_config,
     get_path,
     get_preset,
     parse_config,
@@ -111,6 +112,15 @@ class TestPaths:
         set_path(cfg, "geometry.f2", 60e-3)
         assert "tim_magnification" not in cfg["geometry"]
         set_path(cfg, "geometry.tim_magnification", 10.0)
+        assert "f2" not in cfg["geometry"]
+
+
+    def test_copy_config_is_independent(self):
+        cfg = get_preset("paper-2022")
+        copied = copy_config(cfg)
+        assert copied == cfg
+        set_path(copied, "geometry.f2", 60e-3)
+        assert "tim_magnification" in cfg["geometry"]
         assert "f2" not in cfg["geometry"]
 
 

@@ -175,6 +175,30 @@ class TestOneTrip:
             assert round_trip_matrix(g).det() == pytest.approx(1.0, rel=1e-9)
 
 
+    def test_bit_identical_to_compose(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            f1 = rng.choice((-1, 1)) * rng.uniform(1e-3, 0.1)
+            g = ResonatorGeometry(
+                d1=rng.uniform(1e-3, 0.1), d2=rng.uniform(1e-3, 0.1),
+                d3=rng.uniform(0.5, 20.0), f1=f1,
+                f2=rng.choice((-1, 1)) * rng.uniform(1e-3, 0.2),
+                lt=rng.choice((math.nan, rng.uniform(-0.1, 0.3))),
+                fr1=rng.choice((math.inf, rng.uniform(1.0, 50.0))),
+                fr2=rng.choice((math.inf, rng.uniform(1.0, 50.0))),
+                r1=0.999, r2=0.9, lambda_beam=LAMBDA)
+            expected = compose(
+                retro_reflector(g.fr1), free_space(g.d1), free_space(g.d2),
+                thin_lens(g.f1), free_space(g.lt), thin_lens(g.f2),
+                free_space(g.d3), retro_reflector(g.fr2))
+            # repr also tells -0.0 from 0.0
+            assert repr(one_trip_matrix(g)) == repr(expected)
+
+    def test_rejects_infinite_spacing(self):
+        with pytest.raises(ValueError):
+            one_trip_matrix(baseline_geometry(d3=math.inf))
+
+
 class TestSpotRadius:
     def test_zero_b_gives_zero(self):
         m = RayTransferMatrix(2.0, 0.0, 1.0, 0.5)  # det = 1, B = 0

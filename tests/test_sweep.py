@@ -64,9 +64,30 @@ class TestRunSweep:
             set_path(cfg, "link.p_in", result.axis2_values[j])
             assert result.point(i, j) == evaluate_operating_point(cfg)
 
-    def test_parallel_equals_serial(self):
-        spec = mu_spec(count=7)
-        assert run_sweep(spec).points == run_sweep(spec, workers=4).points
+    def test_geometry_grid_with_unstable_cells(self):
+        # every cell sets the geometry, and fr2 = 10 m leaves part of the
+        # grid unstable
+        spec = SweepSpec(scenario="paper-2022",
+                         axis1=Axis("geometry.tim_magnification", 1.0, 14.0, 7),
+                         axis2=Axis("geometry.d3", 2.0, 10.0, 6),
+                         overrides=(("geometry.fr2", 10.0),))
+        result = run_sweep(spec)
+        assert {"ok", "unstable"} <= set(result.statuses())
+        for i, m in enumerate(result.axis1_values):
+            for j, d3 in enumerate(result.axis2_values):
+                cfg = get_preset("paper-2022")
+                set_path(cfg, "geometry.fr2", 10.0)
+                set_path(cfg, "geometry.tim_magnification", m)
+                set_path(cfg, "geometry.d3", d3)
+                assert result.point(i, j) == evaluate_operating_point(cfg)
+
+    def test_cells_leave_base_config_untouched(self):
+        # setting f2 pops tim_magnification from the cell's geometry section
+        spec = SweepSpec(scenario="paper-2022",
+                         axis1=Axis("geometry.f2", 0.02, 0.07, 4))
+        result = run_sweep(spec)
+        assert result.config == spec.resolved_config()
+        assert "f2" not in result.config["geometry"]
 
     def test_unstable_points_are_statuses_not_errors(self):
         # fr2 = 10 m leaves part of the distance range unstable at M = 12
