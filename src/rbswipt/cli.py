@@ -47,11 +47,17 @@ def _schema_entry(path: str) -> tuple:
     return SCHEMA[section][key]
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file: {e}") from None
+
+
 def _load_config(args):
     cfg = get_preset(args.preset)
     if getattr(args, "config", None):
-        text = Path(args.config).read_text()
-        cfg = parse_config(text, base=cfg)
+        cfg = parse_config(_read_config(args.config), base=cfg)
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects path=value, got {item!r}")
@@ -95,6 +101,18 @@ def _axis(parsed: tuple) -> Axis:
     return axis
 
 
+def _points_arg(text: str) -> int:
+    """argparse type of --points: an integer >= 2 (exit 2 otherwise)."""
+    try:
+        points = int(text)
+    except ValueError:
+        points = 0
+    if points < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 2, got {text!r}")
+    return points
+
+
 def _check_fields(names) -> None:
     for name in names:
         if name not in FIELD_UNITS:
@@ -131,7 +149,7 @@ def cmd_sweep(args) -> int:
     quantities = args.quantity or ["p_beam"]
     _check_fields(quantities)
     spec = _cfg_spec(args)
-    result = run_sweep(spec)
+    result = run_sweep(spec, quantities=(*quantities, "status"))
     columns = [Column(spec.axis1.path, "", [])]
     if spec.axis2 is not None:
         columns.append(Column(spec.axis2.path, "", []))
@@ -183,7 +201,7 @@ def cmd_presets(args) -> int:
 
 def cmd_validate(args) -> int:
     if args.config:
-        parse_config(Path(args.config).read_text(), base=get_preset(args.preset))
+        parse_config(_read_config(args.config), base=get_preset(args.preset))
         print(f"{args.config}: ok")
     else:
         for name in sorted(PRESETS):
@@ -235,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit curve data for a named figure scenario")
     common(p, config=False)
     p.add_argument("id", choices=FIGURE_IDS)
-    p.add_argument("--points", type=int, default=121)
+    p.add_argument("--points", type=_points_arg, default=121)
     p.set_defaults(func=cmd_reproduce_figure)
 
     p = sub.add_parser("presets", help="list available presets")

@@ -54,11 +54,11 @@ _CANONICAL_UNIT = {
 
 
 def _positive(v):
-    return v > 0
+    return v > 0 and math.isfinite(v)
 
 
 def _nonneg(v):
-    return v >= 0
+    return v >= 0 and math.isfinite(v)
 
 
 def _unit_open(v):
@@ -88,34 +88,34 @@ def _exponent(v):
 # section -> key -> (kind, optional?, range check, description of the range)
 SCHEMA = {
     "geometry": {
-        "d1": ("length", False, _positive, "> 0"),
-        "d2": ("length", False, _positive, "> 0"),
-        "d3": ("length", False, _positive, "> 0"),
+        "d1": ("length", False, _positive, "finite > 0"),
+        "d2": ("length", False, _positive, "finite > 0"),
+        "d3": ("length", False, _positive, "finite > 0"),
         "lt": ("length", True, _finite, "finite"),
         "f1": ("length", False, _nonzero, "nonzero"),
         "f2": ("length", True, _nonzero, "nonzero"),
-        "tim_magnification": ("dimensionless", True, _positive, "> 0"),
+        "tim_magnification": ("dimensionless", True, _positive, "finite > 0"),
         "fr1": ("length", True, _pos_or_inf, "> 0 or inf"),
         "fr2": ("length", True, _pos_or_inf, "> 0 or inf"),
         "r1": ("dimensionless", False, _unit_open, "in (0, 1]"),
         "r2": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "lambda_beam": ("length", False, _positive, "> 0"),
+        "lambda_beam": ("length", False, _positive, "finite > 0"),
     },
     "gain": {
-        "g0": ("inv_length", False, _positive, "> 0"),
-        "n0": ("inv_volume", False, _positive, "> 0"),
-        "gamma_conf": ("dimensionless", False, _positive, "> 0"),
-        "alpha": ("inv_time", False, _positive, "> 0"),
-        "beta": ("vol_rate", False, _positive, "> 0"),
-        "auger": ("vol2_rate", False, _positive, "> 0"),
-        "l": ("length", False, _positive, "> 0"),
-        "a_s": ("area", False, _positive, "> 0"),
-        "a": ("length", False, _positive, "> 0"),
+        "g0": ("inv_length", False, _positive, "finite > 0"),
+        "n0": ("inv_volume", False, _positive, "finite > 0"),
+        "gamma_conf": ("dimensionless", False, _positive, "finite > 0"),
+        "alpha": ("inv_time", False, _positive, "finite > 0"),
+        "beta": ("vol_rate", False, _positive, "finite > 0"),
+        "auger": ("vol2_rate", False, _positive, "finite > 0"),
+        "l": ("length", False, _positive, "finite > 0"),
+        "a_s": ("area", False, _positive, "finite > 0"),
+        "a": ("length", False, _positive, "finite > 0"),
     },
     "pump": {
         "eta_pc": ("dimensionless", False, _unit_open, "in (0, 1]"),
         "eta_pa": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "lambda_pump": ("length", False, _positive, "> 0"),
+        "lambda_pump": ("length", False, _positive, "finite > 0"),
     },
     "losses": {
         "vc": ("dimensionless", False, _unit_open, "in (0, 1]"),
@@ -123,16 +123,16 @@ SCHEMA = {
     },
     "receiver": {
         "mu": ("dimensionless", False, _unit_closed, "in [0, 1]"),
-        "eta_p": ("dimensionless", False, _positive, "> 0"),
+        "eta_p": ("dimensionless", False, _positive, "finite > 0"),
         "p_pth": ("power", False, _finite, "finite"),
-        "nu": ("responsivity", False, _positive, "> 0"),
-        "b_x": ("frequency", False, _positive, "> 0"),
-        "i_bg": ("current", False, _nonneg, ">= 0"),
-        "r_l": ("resistance", False, _positive, "> 0"),
-        "t_bg": ("temperature", False, _positive, "> 0"),
+        "nu": ("responsivity", False, _positive, "finite > 0"),
+        "b_x": ("frequency", False, _positive, "finite > 0"),
+        "i_bg": ("current", False, _nonneg, "finite >= 0"),
+        "r_l": ("resistance", False, _positive, "finite > 0"),
+        "t_bg": ("temperature", False, _positive, "finite > 0"),
     },
     "link": {
-        "p_in": ("power", False, _nonneg, ">= 0"),
+        "p_in": ("power", False, _nonneg, "finite >= 0"),
     },
 }
 

@@ -113,7 +113,9 @@ def reproduce_figure(figure_id: str, out_dir: Path,
     series_meta = []
     config = None
     for label, spec, quantities, reduce_d3 in _series_sweeps(figure_id, points):
-        result = run_sweep(spec)
+        # a non-reduced series also writes each point's status
+        result = run_sweep(spec, quantities=quantities if reduce_d3
+                           else (*quantities, "status"))
         results[label] = result
         config = config or result.config
         if reduce_d3:

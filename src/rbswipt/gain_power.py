@@ -194,12 +194,20 @@ def evaluate_link(geometry: ResonatorGeometry, gain: GainModel,
     """Evaluate the transmitter-side chain at one input power.
 
     Pipeline: one-trip matrix -> spot radius -> diffraction survival ->
-    overall loss -> saturation gain -> threshold carrier density -> carrier
-    lifetime -> threshold power and slope efficiency -> beam power.
-    Raises UnstableResonatorError for unstable geometries.
+    evaluate_gain.  Raises UnstableResonatorError for unstable geometries.
     """
     w = spot_radius_on_gain(one_trip_matrix(geometry), geometry.lambda_beam)
-    losses = LossModel(vc=vc, vd=diffraction_survival(gain.a, w))
+    return evaluate_gain(geometry, gain, pump, vc, p_in, w,
+                         diffraction_survival(gain.a, w), loss_exponent)
+
+
+def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
+                  pump: PumpModel, vc: float, p_in: float, w: float,
+                  vd: float, loss_exponent: int = 1) -> PowerResult:
+    """The gain chain for spot radius w and diffraction survival vd:
+    overall loss -> saturation gain -> threshold carrier density -> carrier
+    lifetime -> threshold power and slope efficiency -> beam power."""
+    losses = LossModel(vc=vc, vd=vd)
     v = losses.v
     g = saturation_gain(geometry.r1, geometry.r2, v, gain.l, gain.gamma_conf)
     n_th = gain.n0 * math.exp(g / gain.g0)

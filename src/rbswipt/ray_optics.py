@@ -242,8 +242,9 @@ def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
 
         w_g = (-lam^2 * B * D / (pi^2 * A * C)) ** (1/4)
 
-    Raises DegenerateCavityError when A*C = 0 and UnstableResonatorError
-    when the radicand is negative.  B = 0 yields w_g = 0, which callers
+    Raises DegenerateCavityError when A*C = 0, UnstableResonatorError
+    when the radicand is negative and ValueError when it is not finite
+    (the matrix product overflowed).  B = 0 yields w_g = 0, which callers
     should treat as an unphysical degenerate mode.
     """
     if lam <= 0:
@@ -254,6 +255,8 @@ def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
     radicand = -(lam * lam) * m.b * m.d / (math.pi * math.pi * ac)
     if radicand < 0:
         raise UnstableResonatorError(m, radicand)
+    if not math.isfinite(radicand):
+        raise ValueError(f"spot-radius radicand {radicand} for matrix {m}")
     return radicand ** 0.25
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from .config import Config, config_digest, copy_config, get_preset, set_path
 from .model import (
     STATUS_OK,
+    STATUS_STABLE,
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
@@ -16,7 +17,7 @@ from .model import (
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # statuses whose operating point carries usable numbers
-_EVALUATED = (STATUS_OK, STATUS_SUB_THRESHOLD)
+_EVALUATED = (STATUS_OK, STATUS_SUB_THRESHOLD, STATUS_STABLE)
 
 
 class OptimizationError(Exception):
@@ -103,9 +104,13 @@ class Curve:
     statuses: list[str] = field(default_factory=list)
 
 
-def run_sweep(spec: SweepSpec,
-              evaluate_fn=evaluate_operating_point) -> SweepResult:
-    """Evaluate the model at every grid point, axis1-major."""
+def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
+              quantities=None) -> SweepResult:
+    """Evaluate the model at every grid point, axis1-major.
+
+    `quantities` names what the caller reads of each point and is passed
+    to every `evaluate_fn(cfg, quantities)` call; None evaluates every
+    stage."""
     base = spec.resolved_config()
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
@@ -115,7 +120,7 @@ def run_sweep(spec: SweepSpec,
         set_path(cfg, spec.axis1.path, v1)
         if v2 is not None:
             set_path(cfg, spec.axis2.path, v2)
-        return evaluate_fn(cfg)
+        return evaluate_fn(cfg, quantities)
 
     points = [cell(v1, v2) for v1 in a1 for v2 in a2 or (None,)]
     return SweepResult(spec=spec, config=base, axis1_values=a1,
@@ -168,7 +173,8 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     sign = 1.0 if sense == "max" else -1.0
-    result = run_sweep(spec, evaluate_fn=evaluate_fn)
+    quantities = (objective,)
+    result = run_sweep(spec, evaluate_fn=evaluate_fn, quantities=quantities)
 
     def score(p: OperatingPoint) -> float:
         if p.status not in _EVALUATED or getattr(p, objective) is None:
@@ -196,7 +202,7 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
     def f(x: float) -> float:
         cfg = copy_config(result.config)
         set_path(cfg, spec.axis1.path, x)
-        return score(evaluate_fn(cfg))
+        return score(evaluate_fn(cfg, quantities))
 
     lo = a1[max(best_idx - 1, 0)]
     hi = a1[min(best_idx + 1, len(a1) - 1)]

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from rbswipt.cli import run_cli
+from rbswipt.config import _CANONICAL_UNIT, SCHEMA, get_preset
+from rbswipt.model import FIELD_UNITS
 
 
 def run(capsys, *argv):
@@ -101,6 +104,58 @@ def test_bad_sweep_input_exit_code(capsys, tmp_path, code, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE = [
+    ("geometry.d3", ["evaluate", "--set", "geometry.d3=inf m"]),
+    ("geometry.d1", ["evaluate", "--set", "geometry.d1=inf m"]),
+    ("link.p_in", ["evaluate", "--set", "link.p_in=inf W"]),
+    ("link.p_in", ["evaluate", "--p-in", "inf W"]),
+    ("gain.l", ["evaluate", "--set", "gain.l=inf m"]),
+    ("gain.l", ["evaluate", "--set", "gain.l=nan m"]),
+    ("geometry.tim_magnification",
+     ["evaluate", "--set", "geometry.tim_magnification=inf"]),
+    ("receiver.b_x", ["evaluate", "--set", "receiver.b_x=inf Hz"]),
+    ("geometry.d3", ["sweep", "--axis", "geometry.d3:2:inf:3"]),
+    ("link.p_in", ["sweep", "--axis", "link.p_in:1:inf:3"]),
+    ("gain.l", ["optimize", "--axis", "geometry.r2:0.8:0.99:5",
+                "--set", "gain.l=inf m"]),
+    ("gain.l", ["evaluate", "--config", "{dir}/inf.cfg"]),
+    ("gain.l", ["validate", "--config", "{dir}/inf.cfg"]),
+]
+
+
+@pytest.mark.parametrize("key,argv", NON_FINITE,
+                         ids=[" ".join(a) for _, a in NON_FINITE])
+def test_non_finite_value_exit_code(capsys, tmp_path, key, argv):
+    (tmp_path / "inf.cfg").write_text("[gain]\nl = inf m\n")
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code = run_cli(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--set", "geometry.tim_magnification=1e308"],
+    ["sweep", "--axis", "geometry.tim_magnification:24:1e308:2",
+     "--quantity", "c_tilde"],
+])
+def test_overflowing_settings_exit_code(capsys, tmp_path, argv):
+    code = run_cli(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric domain" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ideal_retro_reflector_accepted(capsys):
+    # fr2 = inf (a flat M2) passes SCHEMA; with the preset's flat M1 the
+    # cavity is then unstable, which is exit 4, not a config error
+    code = run_cli(["evaluate", "--set", "geometry.fr2=inf m"])
+    assert code == 4
+    assert "status: unstable" in capsys.readouterr().out
+
+
 class TestOptimize:
     def test_reports_argmax(self, capsys):
         code, out, _ = run(capsys, "optimize",
@@ -155,3 +210,119 @@ class TestPresetsAndValidate:
         bad.write_text("[link]\np_in = 120 parsec\n")
         code, _, err = run(capsys, "validate", "--config", str(bad))
         assert code == 3
+
+
+# -- random argv: every input ends in a documented exit code ----------------
+
+PATHS = [f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys]
+PRESET = get_preset("paper-2022")
+BAD_NUMBERS = ("inf", "-inf", "nan", "-1", "0", "abc", "1e308", "")
+WRONG_UNITS = ("parsec", "W", "m", "Hz", "cm^-1")
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def _number(rng, path):
+    section, _, key = path.partition(".")
+    if rng.random() < 0.4:
+        return rng.choice(BAD_NUMBERS)
+    base = PRESET.get(section, {}).get(key, 0.06)
+    return repr(base * rng.choice((1.0, 1.0, 0.5, 2.0, 0.01, 100.0)))
+
+
+def _value(rng, path):
+    section, _, key = path.partition(".")
+    unit = _CANONICAL_UNIT[SCHEMA[section][key][0]] if path in PATHS else "m"
+    unit = rng.choice((unit, unit, unit, "", rng.choice(WRONG_UNITS)))
+    return f"{_number(rng, path)} {unit}".strip()
+
+
+def _path(rng):
+    return rng.choice(PATHS) if rng.random() < 0.9 else \
+        rng.choice(("gain.nope", "nope.l", "link", ""))
+
+
+def _axis(rng):
+    path = _path(rng)
+    parts = [path, _number(rng, path), _number(rng, path)]
+    parts.append(str(rng.choice((2, 3, 5, 5, 1, 0, -2))))
+    if rng.random() < 0.3:
+        parts.append(rng.choice(("linear", "log", "cubic")))
+    if rng.random() < 0.15:
+        parts = parts[:rng.randrange(len(parts))] or ["x"]
+    return ":".join(parts)
+
+
+def _quantity(rng):
+    return rng.choice((*FIELD_UNITS, "status", "nope", ""))
+
+
+def _config_file(rng, directory, index):
+    lines = []
+    for _ in range(rng.randrange(4)):
+        path = _path(rng)
+        section, _, key = path.partition(".")
+        lines += [f"[{section}]", f"{key} = {_value(rng, path)}"]
+    if rng.random() < 0.1:
+        lines.append("not a key value line")
+    path = directory / f"random{index}.cfg"
+    if rng.random() < 0.9:
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def random_argv(rng, directory, index):
+    command = rng.choice(("evaluate", "sweep", "optimize",
+                          "reproduce-figure", "presets", "validate"))
+    argv = [command]
+    if command == "presets":
+        return argv + (["--extra"] if rng.random() < 0.2 else [])
+    if rng.random() < 0.2:
+        argv += ["--preset", rng.choice(("paper-2022", "nope"))]
+    argv += ["--out-dir", str(directory / "out")]
+    if command == "reproduce-figure":
+        return argv + [rng.choice(("5a", "5b", "6", "7", "8", "9", "10",
+                                   "99")),
+                       "--points", rng.choice(("2", "3", "5", "1", "0",
+                                               "-1", "abc"))]
+    if rng.random() < 0.3:
+        argv += ["--config", _config_file(rng, directory, index)]
+    if command == "validate":
+        return argv
+    for _ in range(rng.randrange(3)):
+        path = _path(rng)
+        argv += ["--set", f"{path}={_value(rng, path)}"
+                 if rng.random() < 0.9 else path]
+    if command == "evaluate":
+        if rng.random() < 0.3:
+            argv += ["--p-in", _value(rng, "link.p_in")]
+        return argv
+    for _ in range(rng.choice((1, 1, 1, 2, 2, 3, 0))):
+        argv += ["--axis", _axis(rng)]
+    if command == "sweep":
+        for _ in range(rng.randrange(3)):
+            argv += ["--quantity", _quantity(rng)]
+    else:
+        if rng.random() < 0.8:
+            argv += ["--objective", _quantity(rng)]
+        if rng.random() < 0.3:
+            argv += ["--sense", rng.choice(("max", "min", "best"))]
+    return argv
+
+
+def test_random_argv_exit_codes(capsys, tmp_path):
+    rng = random.Random(20211)
+    failures, seen = [], set()
+    for index in range(200):
+        argv = random_argv(rng, tmp_path, index)
+        try:
+            code = run_cli(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:      # an uncaught error is the failure
+            code = f"{type(e).__name__}: {e}"
+        err = capsys.readouterr().err
+        seen.add(code)
+        if code not in EXIT_CODES or "Traceback" in err:
+            failures.append(f"{argv}: {code}")
+    assert failures == []
+    assert {0, 2, 3} <= seen      # the draws reach past argument parsing

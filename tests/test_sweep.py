@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from rbswipt.config import get_path, get_preset, set_path
-from rbswipt.model import OperatingPoint, evaluate_operating_point
+from rbswipt import figures, sweep
+from rbswipt.config import ConfigError, get_path, get_preset, set_path
+from rbswipt.model import FIELD_UNITS, OperatingPoint, evaluate_operating_point
 from rbswipt.output import Column, write_curve_file
 from rbswipt.sweep import (
     Axis,
@@ -160,7 +161,7 @@ class TestReduceMax:
 
 
 def quadratic_stub(vertex, path="receiver.mu"):
-    def evaluate(cfg):
+    def evaluate(cfg, quantities=None):
         x = get_path(cfg, path)
         return OperatingPoint(status="ok", p_in=0.0,
                               p_beam=-(x - vertex) ** 2)
@@ -179,7 +180,7 @@ class TestFindOptimum:
 
     def test_minimize(self):
         vertex = 0.25
-        def stub(cfg):
+        def stub(cfg, quantities=None):
             x = get_path(cfg, "receiver.mu")
             return OperatingPoint(status="ok", p_in=0.0,
                                   p_beam=(x - vertex) ** 2)
@@ -210,7 +211,7 @@ class TestFindOptimum:
             pytest.approx(e_params["geometry.r2"], abs=1e-4)
 
     def test_no_stable_point_raises(self):
-        def never(cfg):
+        def never(cfg, quantities=None):
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(scenario="paper-2022",
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
@@ -241,3 +242,77 @@ class TestDeterminism:
                 if line and not line.startswith("#")]
         parsed = [float(r) for r in rows[1:]]
         assert parsed == values
+
+
+def unpruned(cfg, quantities=None):
+    return evaluate_operating_point(cfg)
+
+
+class TestPruning:
+    """Evaluating only the stages a caller reads changes no number."""
+
+    def test_stages_follow_the_quantities(self):
+        cfg = get_preset("paper-2022")
+        full = evaluate_operating_point(cfg)
+        spot = evaluate_operating_point(cfg, ("spot_radius",))
+        gain = evaluate_operating_point(cfg, ("p_beam", "status"))
+        assert spot == OperatingPoint("stable", full.p_in, full.spot_radius)
+        receiver = ("p_pv_in", "p_apd_in", "p_e_out_raw", "p_e_out", "eta_e",
+                    "i_d", "n_thermal_sq", "n_shot_sq", "n_total_sq",
+                    "c_tilde")
+        assert gain == full._replace(**dict.fromkeys(receiver))
+        assert evaluate_operating_point(cfg, FIELD_UNITS) == full
+        assert evaluate_operating_point(cfg, None) == full
+
+    @pytest.mark.parametrize("quantities", [None, ("spot_radius",)])
+    def test_overflowing_matrix_is_an_error_at_every_depth(self, quantities):
+        cfg = get_preset("paper-2022")
+        set_path(cfg, "geometry.tim_magnification", 1e308)
+        with pytest.raises(ConfigError, match="numeric domain"):
+            evaluate_operating_point(cfg, quantities)
+
+    def test_fig5a_spot_only_grids(self):
+        statuses = set()
+        for _, spec, quantities, reduced in figures._series_sweeps("5a", 25):
+            assert quantities == ("spot_radius",) and reduced
+            pruned = run_sweep(spec, quantities=quantities)
+            full = run_sweep(spec)
+            statuses.update(pruned.statuses())
+            for p, f in zip(pruned.points, full.points, strict=True):
+                assert repr(p.spot_radius) == repr(f.spot_radius)
+                assert (p.status == "unstable") == (f.status == "unstable")
+        assert statuses == {"stable", "unstable"}
+
+    def test_figures_byte_identical_without_pruning(self, tmp_path,
+                                                    monkeypatch):
+        for fid in figures.FIGURE_IDS:
+            figures.reproduce_figure(fid, tmp_path / "pruned", points=9)
+        monkeypatch.setattr(
+            figures, "run_sweep",
+            lambda spec, quantities=None: sweep.run_sweep(spec))
+        for fid in figures.FIGURE_IDS:
+            figures.reproduce_figure(fid, tmp_path / "full", points=9)
+        names = sorted(f.name for f in (tmp_path / "full").iterdir())
+        assert len(names) == 2 * len(figures.FIGURE_IDS)
+        for name in names:
+            assert (tmp_path / "pruned" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("objective", ["p_beam", "p_e_out", "c_tilde"])
+    def test_find_optimum_identical_without_pruning(self, objective):
+        spec = SweepSpec(scenario="paper-2022",
+                         axis1=Axis("geometry.r2", 0.80, 0.99, 39),
+                         overrides=(("gain.l", 0.15e-6),
+                                    ("receiver.mu", 0.5)))
+        assert find_optimum(spec, objective) == \
+            find_optimum(spec, objective, evaluate_fn=unpruned)
+
+
+class TestOperatingPoint:
+    def test_fields_follow_the_unit_table(self):
+        assert OperatingPoint._fields == ("status", *FIELD_UNITS, "detail")
+
+    def test_immutable(self):
+        op = evaluate_operating_point(get_preset("paper-2022"))
+        with pytest.raises(AttributeError):
+            op.p_beam = 0.0
