@@ -2,13 +2,7 @@
 gain power model, PV/APD receiver, and parameter-sweep design search."""
 
 from .config import ConfigError, get_preset, parse_config, serialize_config
-from .gain_power import (
-    GainModel,
-    LossModel,
-    PowerResult,
-    PumpModel,
-    evaluate_link,
-)
+from .gain_power import GainModel, PowerResult, PumpModel, evaluate_gain
 from .model import OperatingPoint, evaluate_operating_point
 from .ray_optics import (
     DegenerateCavityError,

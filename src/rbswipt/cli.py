@@ -18,9 +18,10 @@ from .config import (
     get_preset,
     parse_config,
     parse_quantity,
+    path_unit,
+    schema_entry,
     set_path,
     validate_config,
-    SCHEMA,
 )
 from .figures import FIGURE_IDS, reproduce_figure
 from .model import FIELD_UNITS, STATUS_UNSTABLE, evaluate_operating_point
@@ -40,11 +41,13 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _schema_entry(path: str) -> tuple:
-    section, _, key = path.partition(".")
-    if section not in SCHEMA or key not in SCHEMA[section]:
-        raise ConfigError(f"unknown parameter path {path!r}")
-    return SCHEMA[section][key]
+def _out_file(args) -> Path:
+    path = _out_dir(args) / args.output
+    if path.is_dir():
+        raise ConfigError(f"output file {str(path)!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"no directory for output file {str(path)!r}")
+    return path
 
 
 def _read_config(path: str) -> str:
@@ -62,7 +65,7 @@ def _load_config(args):
         if "=" not in item:
             raise ConfigError(f"--set expects path=value, got {item!r}")
         path, value = (p.strip() for p in item.split("=", 1))
-        kind = _schema_entry(path)[0]
+        kind = schema_entry(path)[0]
         set_path(cfg, path, parse_quantity(value, kind))
     if getattr(args, "p_in", None) is not None:
         cfg["link"]["p_in"] = parse_quantity(args.p_in, "power")
@@ -89,7 +92,7 @@ def _axis_arg(text: str) -> tuple:
 def _axis(parsed: tuple) -> Axis:
     """Axis from parsed --axis text, with every grid value checked against
     the swept key's SCHEMA range (exit 3 otherwise)."""
-    _, _, check, bounds = _schema_entry(parsed[0])
+    _, _, check, bounds = schema_entry(parsed[0])
     try:
         axis = Axis(*parsed)
     except ValueError as e:
@@ -124,6 +127,11 @@ def _cfg_spec(args) -> SweepSpec:
     axes = [_axis(a) for a in args.axis]
     if len(axes) > 2:
         raise ConfigError("at most two axes are supported")
+    paths = {axis.path for axis in axes}
+    if len(paths) < len(axes) or \
+            {"geometry.f2", "geometry.tim_magnification"} <= paths:
+        raise ConfigError(f"axes {' and '.join(a.path for a in axes)} "
+                          f"set the same parameter")
     cfg = _load_config(args)
     preset = get_preset(args.preset)
     overrides = []
@@ -149,10 +157,10 @@ def cmd_sweep(args) -> int:
     quantities = args.quantity or ["p_beam"]
     _check_fields(quantities)
     spec = _cfg_spec(args)
+    out = _out_file(args)
     result = run_sweep(spec, quantities=(*quantities, "status"))
-    columns = [Column(spec.axis1.path, "", [])]
-    if spec.axis2 is not None:
-        columns.append(Column(spec.axis2.path, "", []))
+    columns = [Column(a.path, path_unit(a.path), [])
+               for a in (spec.axis1, spec.axis2) if a is not None]
     for q in quantities:
         columns.append(Column(q, FIELD_UNITS[q], []))
     columns.append(Column("status", "", []))
@@ -166,7 +174,6 @@ def cmd_sweep(args) -> int:
         for q in quantities:
             columns[col].values.append(getattr(p, q)); col += 1
         columns[col].values.append(p.status)
-    out = _out_dir(args) / args.output
     write_curve_file(out, args.preset, result.config, columns)
     print(f"wrote {out} ({len(result.points)} points, "
           f"{sum(1 for p in result.points if p.status == STATUS_UNSTABLE)} unstable)")
@@ -276,6 +283,11 @@ def run_cli(argv=None) -> int:
     except OptimizationError as e:
         print(f"optimization failed: {e}", file=sys.stderr)
         return EXIT_OPTIMIZATION
+    except OSError as e:
+        # config files are read through _read_config, so this is an output
+        # path that cannot be written
+        print(f"config error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:

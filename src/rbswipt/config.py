@@ -43,13 +43,10 @@ _UNIT_TABLES = {
     "dimensionless": {},
 }
 
-# canonical unit emitted on serialization, per kind
+# canonical unit emitted on serialization, per kind: the factor-1 unit
 _CANONICAL_UNIT = {
-    "length": "m", "inv_length": "m^-1", "inv_volume": "m^-3",
-    "inv_time": "s^-1", "vol_rate": "m^3/s", "vol2_rate": "m^6/s",
-    "area": "m^2", "power": "W", "current": "A", "frequency": "Hz",
-    "resistance": "Ohm", "temperature": "K", "responsivity": "A/W",
-    "dimensionless": "",
+    kind: next((u for u, f in table.items() if f == 1.0), "")
+    for kind, table in _UNIT_TABLES.items()
 }
 
 
@@ -269,10 +266,24 @@ def get_path(cfg: Config, path: str) -> float:
         raise ConfigError(f"unresolvable parameter path {path!r}") from None
 
 
-def set_path(cfg: Config, path: str, value: float) -> None:
+def schema_entry(path: str) -> tuple:
+    """SCHEMA entry (kind, optional?, range check, range description) of a
+    dotted parameter path."""
     section, _, key = path.partition(".")
-    if section not in SCHEMA or key not in SCHEMA[section]:
-        raise ConfigError(f"unresolvable parameter path {path!r}")
+    try:
+        return SCHEMA[section][key]
+    except KeyError:
+        raise ConfigError(f"unknown parameter path {path!r}") from None
+
+
+def path_unit(path: str) -> str:
+    """Canonical unit of a dotted parameter path ('' if dimensionless)."""
+    return _CANONICAL_UNIT[schema_entry(path)[0]]
+
+
+def set_path(cfg: Config, path: str, value: float) -> None:
+    schema_entry(path)
+    section, _, key = path.partition(".")
     cfg[section][key] = value
     if key == "tim_magnification":
         cfg[section].pop("f2", None)

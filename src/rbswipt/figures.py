@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .config import path_unit
 from .model import FIELD_UNITS, STATUS_OK
 from .output import Column, write_curve_file, write_plot_description
 from .sweep import Axis, Curve, SweepSpec, reduce_max, run_sweep
@@ -90,13 +91,14 @@ def _series_sweeps(figure_id: str, points: int):
             f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
 
 
-_AXIS_LABELS = {
-    "geometry.tim_magnification": ("M", ""),
-    "geometry.d3": ("d3", "m"),
-    "gain.l": ("l", "m"),
-    "geometry.r2": ("r2", ""),
-    "link.p_in": ("p_in", "W"),
-    "receiver.mu": ("mu", ""),
+# display name of each swept path; the unit comes from SCHEMA
+_AXIS_NAMES = {
+    "geometry.tim_magnification": "M",
+    "geometry.d3": "d3",
+    "gain.l": "l",
+    "geometry.r2": "r2",
+    "link.p_in": "p_in",
+    "receiver.mu": "mu",
 }
 
 
@@ -139,7 +141,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
         columns.append(Column(f"status[{label}]", "",
                               curves[0].statuses or
                               [STATUS_OK] * len(x_values)))
-    x_name, x_unit = _AXIS_LABELS[x_path]
+    x_name, x_unit = _AXIS_NAMES[x_path], path_unit(x_path)
     columns.insert(0, Column(x_name, x_unit, x_values))
     csv_path = out_dir / f"fig{figure_id}.csv"
     write_curve_file(csv_path, f"fig{figure_id}", config, columns)

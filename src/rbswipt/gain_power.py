@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ray_optics import (
-    ResonatorGeometry,
-    diffraction_survival,
-    one_trip_matrix,
-    spot_radius_on_gain,
-)
+from .ray_optics import ResonatorGeometry
 
 PLANCK = 6.6260693e-34   # J s
 LIGHT_SPEED = 3e8        # m/s
@@ -74,31 +70,11 @@ class PumpModel:
             raise ValueError("pump wavelength must be positive")
 
 
-@dataclass(frozen=True)
-class LossModel:
-    """Cavity loss factors: constant loss vc, diffraction survival vd,
-    and the overall factor v = vc * vd."""
+class PowerResult(NamedTuple):
+    """Gain-stage state of the link at one input power."""
 
-    vc: float
-    vd: float
-
-    def __post_init__(self):
-        for name in ("vc", "vd"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"LossModel.{name}={v} outside (0, 1]")
-
-    @property
-    def v(self) -> float:
-        return self.vc * self.vd
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    """Fully evaluated power state of the link at one input power."""
-
-    spot_radius: float      # m, on the gain medium
-    losses: LossModel
+    vd: float               # diffraction survival
+    v: float                # overall loss factor vc * vd
     g_sat: float            # m^-1
     n_th: float             # m^-3
     tau: float              # s
@@ -188,38 +164,22 @@ def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:
     return beam_power(p_in, p_th, eta_s) / p_in
 
 
-def evaluate_link(geometry: ResonatorGeometry, gain: GainModel,
-                  pump: PumpModel, vc: float, p_in: float,
-                  loss_exponent: int = 1) -> PowerResult:
-    """Evaluate the transmitter-side chain at one input power.
-
-    Pipeline: one-trip matrix -> spot radius -> diffraction survival ->
-    evaluate_gain.  Raises UnstableResonatorError for unstable geometries.
-    """
-    w = spot_radius_on_gain(one_trip_matrix(geometry), geometry.lambda_beam)
-    return evaluate_gain(geometry, gain, pump, vc, p_in, w,
-                         diffraction_survival(gain.a, w), loss_exponent)
-
-
 def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
-                  pump: PumpModel, vc: float, p_in: float, w: float,
-                  vd: float, loss_exponent: int = 1) -> PowerResult:
-    """The gain chain for spot radius w and diffraction survival vd:
-    overall loss -> saturation gain -> threshold carrier density -> carrier
-    lifetime -> threshold power and slope efficiency -> beam power."""
-    losses = LossModel(vc=vc, vd=vd)
-    v = losses.v
+                  pump: PumpModel, vc: float, p_in: float, vd: float,
+                  loss_exponent: int = 1) -> PowerResult:
+    """The gain chain for diffraction survival vd: overall loss ->
+    saturation gain -> threshold carrier density -> carrier lifetime ->
+    threshold power and slope efficiency -> beam power."""
+    v = vc * vd
     g = saturation_gain(geometry.r1, geometry.r2, v, gain.l, gain.gamma_conf)
-    n_th = gain.n0 * math.exp(g / gain.g0)
+    n_th = threshold_carrier_density(gain, geometry.r1, geometry.r2, v)
     tau = carrier_lifetime(n_th, gain)
     p_th = threshold_power(gain, pump, n_th, tau, geometry.lambda_beam)
     eta_s = slope_efficiency(pump, geometry.r1, geometry.r2, v,
                              geometry.lambda_beam, loss_exponent)
     p_beam = beam_power(p_in, p_th, eta_s)
-    eta_b = p_beam / p_in if p_in > 0 else 0.0
-    return PowerResult(spot_radius=w, losses=losses, g_sat=g, n_th=n_th,
-                       tau=tau, p_th=p_th, eta_s=eta_s, p_beam=p_beam,
-                       eta_b=eta_b)
+    eta_b = transmission_efficiency(p_in, p_th, eta_s) if p_in > 0 else 0.0
+    return PowerResult(vd, v, g, n_th, tau, p_th, eta_s, p_beam, eta_b)
 
 
 def _check_unit_interval(name: str, value: float) -> None:

@@ -19,14 +19,14 @@ from .config import (
     build_pump,
     build_receiver,
 )
-from .gain_power import evaluate_gain
+from .gain_power import PowerResult, evaluate_gain
 from .ray_optics import (
     CavityError,
     diffraction_survival,
     one_trip_matrix,
     spot_radius_on_gain,
 )
-from .receiver import evaluate_receiver
+from .receiver import SwiptResult, evaluate_receiver
 
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
@@ -34,32 +34,29 @@ STATUS_SUB_THRESHOLD = "sub-threshold"
 # a stable cavity evaluated through ray optics only
 STATUS_STABLE = "stable"
 
-_RAY_OPTICS, _GAIN, _RECEIVER = 0, 1, 2
-
-# column name -> (unit, stage that computes it), in OperatingPoint order
-_FIELDS = {
-    "p_in": ("W", _RAY_OPTICS), "spot_radius": ("m", _RAY_OPTICS),
-    "vd": ("", _GAIN), "v": ("", _GAIN), "g_sat": ("m^-1", _GAIN),
-    "n_th": ("m^-3", _GAIN), "tau": ("s", _GAIN), "p_th": ("W", _GAIN),
-    "eta_s": ("", _GAIN), "p_beam": ("W", _GAIN), "eta_b": ("", _GAIN),
-    "p_pv_in": ("W", _RECEIVER), "p_apd_in": ("W", _RECEIVER),
-    "p_e_out_raw": ("W", _RECEIVER), "p_e_out": ("W", _RECEIVER),
-    "eta_e": ("", _RECEIVER), "i_d": ("A", _RECEIVER),
-    "n_thermal_sq": ("A^2", _RECEIVER), "n_shot_sq": ("A^2", _RECEIVER),
-    "n_total_sq": ("A^2", _RECEIVER), "c_tilde": ("bit/s/Hz", _RECEIVER),
+# column name -> unit, for report/CSV emission, in OperatingPoint order
+FIELD_UNITS = {
+    "p_in": "W", "spot_radius": "m",
+    "vd": "", "v": "", "g_sat": "m^-1", "n_th": "m^-3", "tau": "s",
+    "p_th": "W", "eta_s": "", "p_beam": "W", "eta_b": "",
+    "p_pv_in": "W", "p_apd_in": "W", "p_e_out_raw": "W", "p_e_out": "W",
+    "eta_e": "", "i_d": "A", "n_thermal_sq": "A^2", "n_shot_sq": "A^2",
+    "n_total_sq": "A^2", "c_tilde": "bit/s/Hz",
 }
 
-# column name -> unit, for report/CSV emission
-FIELD_UNITS = {name: unit for name, (unit, _) in _FIELDS.items()}
+_RAY_OPTICS, _GAIN, _RECEIVER = 0, 1, 2
 
-# stage each readable name needs; ok versus sub-threshold needs the gain
-_STAGE = {name: stage for name, (_, stage) in _FIELDS.items()}
-_STAGE["status"] = _GAIN
+# stage each readable name needs: a field belongs to the stage whose record
+# holds it; ok versus sub-threshold needs the gain
+_STAGE = {"p_in": _RAY_OPTICS, "spot_radius": _RAY_OPTICS, "status": _GAIN,
+          **dict.fromkeys(PowerResult._fields, _GAIN),
+          **dict.fromkeys(SwiptResult._fields, _RECEIVER)}
 
 
 class OperatingPoint(NamedTuple):
-    """One evaluated link state.  All SI.  Fields of stages that did not
-    run are None."""
+    """One evaluated link state.  All SI.  After status, p_in and
+    spot_radius come the fields of PowerResult, then those of SwiptResult;
+    fields of stages that did not run are None."""
 
     status: str
     p_in: float
@@ -115,25 +112,11 @@ def evaluate_operating_point(cfg: Config,
         # diffraction survival, the ray optics of the gain aperture, is
         # called right after the spot radius for the same reason
         power = evaluate_gain(
-            geometry, gain, pump, cfg["losses"]["vc"], p_in, w,
+            geometry, gain, pump, cfg["losses"]["vc"], p_in,
             diffraction_survival(gain.a, w),
             loss_exponent=int(cfg["losses"].get("slope_loss_exponent", 1)))
-        fields = dict(
-            status=STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD,
-            p_in=p_in, spot_radius=w, vd=power.losses.vd, v=power.losses.v,
-            g_sat=power.g_sat, n_th=power.n_th, tau=power.tau,
-            p_th=power.p_th, eta_s=power.eta_s, p_beam=power.p_beam,
-            eta_b=power.eta_b,
-        )
-        if stage == _RECEIVER and p_in > 0:
-            swipt = evaluate_receiver(power.p_beam, p_in, receiver)
-            fields.update(
-                p_pv_in=swipt.p_pv_in, p_apd_in=swipt.p_apd_in,
-                p_e_out_raw=swipt.p_e_out_raw, p_e_out=swipt.p_e_out,
-                eta_e=swipt.eta_e, i_d=swipt.i_d,
-                n_thermal_sq=swipt.n_thermal_sq, n_shot_sq=swipt.n_shot_sq,
-                n_total_sq=swipt.n_total_sq, c_tilde=swipt.c_tilde,
-            )
+        swipt = (evaluate_receiver(power.p_beam, p_in, receiver)
+                 if stage == _RECEIVER and p_in > 0 else ())
     except CavityError as e:
         return OperatingPoint(STATUS_UNSTABLE, p_in, detail=str(e))
     except (ValueError, ArithmeticError) as e:
@@ -142,4 +125,5 @@ def evaluate_operating_point(cfg: Config,
         # as on float overflow
         raise ConfigError(f"settings outside the model's numeric domain: "
                           f"{e}") from None
-    return OperatingPoint(**fields)
+    status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
+    return OperatingPoint(status, p_in, w, *power, *swipt)

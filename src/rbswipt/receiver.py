@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Fixed to the model's stated values rather than CODATA, for curve fidelity.
 ELECTRON_CHARGE = 1.6e-19   # C
@@ -51,8 +52,7 @@ class ReceiverModel:
             raise ValueError("background current must be >= 0")
 
 
-@dataclass(frozen=True)
-class SwiptResult:
+class SwiptResult(NamedTuple):
     """Receiver-side state for one received beam power."""
 
     p_pv_in: float        # W
@@ -96,7 +96,7 @@ def end_to_end_efficiency(p_pv: float, p_in: float, eta_p: float,
     such."""
     if p_in <= 0:
         raise ValueError("input power must be positive")
-    return (eta_p * p_pv + p_pth) / p_in
+    return pv_output(p_pv, eta_p, p_pth)[0] / p_in
 
 
 def apd_current(p_apd: float, nu: float) -> float:
@@ -139,7 +139,5 @@ def evaluate_receiver(p_beam: float, p_in: float,
     n_th = thermal_noise_sq(rm.t_bg, rm.b_x, rm.r_l)
     n_sh = shot_noise_sq(i_d, rm.i_bg, rm.b_x)
     n_tot = n_th + n_sh
-    return SwiptResult(p_pv_in=p_pv, p_apd_in=p_apd, p_e_out_raw=raw,
-                       p_e_out=clamped, eta_e=eta_e, i_d=i_d,
-                       n_thermal_sq=n_th, n_shot_sq=n_sh, n_total_sq=n_tot,
-                       c_tilde=spectral_efficiency(i_d, n_tot))
+    return SwiptResult(p_pv, p_apd, raw, clamped, eta_e, i_d, n_th, n_sh,
+                       n_tot, spectral_efficiency(i_d, n_tot))

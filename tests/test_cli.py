@@ -68,8 +68,49 @@ class TestSweep:
                          "--axis", "link.p_in:50:150:3",
                          "--quantity", "p_beam", "--quantity", "c_tilde")
         assert code == 0
-        assert ("# columns: link.p_in [], p_beam [W], c_tilde [bit/s/Hz], "
+        assert ("# columns: link.p_in [W], p_beam [W], c_tilde [bit/s/Hz], "
                 "status []") in (tmp_path / "sweep.csv").read_text()
+
+
+UNWRITABLE_OUTPUT = [
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{file}"], "{file}"),
+    (["reproduce-figure", "9", "--points", "3", "--out-dir", "{file}"],
+     "{file}"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{file}/sub"],
+     "{file}/sub"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}",
+      "--output", "nodir/x.csv"], "{dir}/nodir/x.csv"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}",
+      "--output", "taken"], "{dir}/taken"),
+    (["sweep", "--axis", "link.p_in:1:5:2"], "{file}"),
+    (["reproduce-figure", "9", "--points", "3", "--out-dir", "{dir}/taken"],
+     "{dir}/taken/fig9.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,path", UNWRITABLE_OUTPUT,
+                         ids=[" ".join(a) for a, _ in UNWRITABLE_OUTPUT])
+def test_unwritable_output_exit_code(capsys, tmp_path, monkeypatch,
+                                     argv, path):
+    # {file} is an existing file, {dir}/taken and {dir}/taken/fig9.csv
+    # existing directories; a case without --out-dir takes RBSWIPT_OUT_DIR
+    names = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
+    names["file"].write_text("keep\n")
+    (names["dir"] / "taken" / "fig9.csv").mkdir(parents=True)
+    monkeypatch.setenv("RBSWIPT_OUT_DIR", str(names["file"]))
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran before the output was checked")
+
+    monkeypatch.setattr("rbswipt.cli.run_sweep", no_cells)
+    code = run_cli([a.format(**names) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert path.format(**names) in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == \
+        ["dir", "fig9.csv", "file", "taken"]
+    assert names["file"].read_text() == "keep\n"
 
 
 BAD_INPUT = [
@@ -87,6 +128,10 @@ BAD_INPUT = [
     (3, ["optimize", "--axis", "geometry.r2:0.8:0.99:5",
          "--objective", "nope"]),
     (3, ["optimize", "--axis", "geometry.r2:0.8:1.2:5"]),
+    (3, ["sweep", "--axis", "link.p_in:10:50:3",
+         "--axis", "link.p_in:100:150:2"]),
+    (3, ["optimize", "--axis", "geometry.f2:0.05:0.07:3",
+         "--axis", "geometry.tim_magnification:8:12:3"]),
 ]
 
 

@@ -6,18 +6,22 @@ import pytest
 
 from rbswipt.gain_power import (
     GainModel,
-    LossModel,
     PumpModel,
     beam_power,
     carrier_lifetime,
-    evaluate_link,
+    evaluate_gain,
     saturation_gain,
     slope_efficiency,
     threshold_carrier_density,
     threshold_power,
     transmission_efficiency,
 )
-from rbswipt.ray_optics import ResonatorGeometry
+from rbswipt.ray_optics import (
+    ResonatorGeometry,
+    diffraction_survival,
+    one_trip_matrix,
+    spot_radius_on_gain,
+)
 
 LAMBDA_BEAM = 980e-9
 
@@ -202,7 +206,18 @@ def stable_geometry(r2=0.90) -> ResonatorGeometry:
                              lambda_beam=LAMBDA_BEAM)
 
 
-class TestEvaluateLink:
+def survival(geo: ResonatorGeometry, gm: GainModel) -> float:
+    """Diffraction survival vd of the gain aperture, from ray optics."""
+    w = spot_radius_on_gain(one_trip_matrix(geo), geo.lambda_beam)
+    return diffraction_survival(gm.a, w)
+
+
+def gain_chain(geo, gm, pm, vc, p_in, loss_exponent=1):
+    return evaluate_gain(geo, gm, pm, vc, p_in, survival(geo, gm),
+                         loss_exponent)
+
+
+class TestEvaluateGain:
     def test_lossless_idealization(self):
         # r1 = vc = 1, r2 a hair below 1, aperture much larger than the
         # spot: the threshold involves only the transparency density and
@@ -213,8 +228,7 @@ class TestEvaluateLink:
                                 lambda_beam=LAMBDA_BEAM)
         gm = table_gain()
         big_aperture = GainModel(**{**gm.__dict__, "a": 0.5})
-        res = evaluate_link(geo, big_aperture, table_pump(), vc=1.0,
-                            p_in=150.0)
+        res = gain_chain(geo, big_aperture, table_pump(), vc=1.0, p_in=150.0)
         assert res.n_th == pytest.approx(big_aperture.n0, rel=1e-9)
         cap = 0.6 * 0.85 * 808 / 980
         assert res.eta_s == pytest.approx(cap, rel=1e-9)
@@ -222,8 +236,8 @@ class TestEvaluateLink:
 
     def test_matches_chained_oracles(self):
         geo, gm, pm = stable_geometry(), table_gain(), table_pump()
-        res = evaluate_link(geo, gm, pm, vc=0.99, p_in=150.0)
-        v = 0.99 * res.losses.vd
+        res = gain_chain(geo, gm, pm, vc=0.99, p_in=150.0)
+        v = 0.99 * res.vd
         n_th = threshold_carrier_density(gm, geo.r1, geo.r2, v)
         tau = carrier_lifetime(n_th, gm)
         p_th = threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM)
@@ -235,18 +249,45 @@ class TestEvaluateLink:
 
     def test_beam_power_monotone_in_input(self):
         geo, gm, pm = stable_geometry(), table_gain(), table_pump()
-        powers = [evaluate_link(geo, gm, pm, 0.99, p).p_beam
+        powers = [gain_chain(geo, gm, pm, 0.99, p).p_beam
                   for p in np.linspace(0.0, 200.0, 30)]
         assert all(a <= b + 1e-12 for a, b in zip(powers, powers[1:]))
 
     def test_saturation_identity_holds_for_evaluated_configs(self):
-        geo, gm, pm = stable_geometry(), table_gain(), table_pump()
+        gm, pm = table_gain(), table_pump()
         for r2 in (0.8, 0.9, 0.95):
             geo2 = stable_geometry(r2=r2)
-            res = evaluate_link(geo2, gm, pm, 0.99, 100.0)
-            v = res.losses.v
+            res = gain_chain(geo2, gm, pm, 0.99, 100.0)
+            v = res.v
             assert math.exp(2 * gm.gamma_conf * res.g_sat * gm.l) \
                 * geo2.r1 * r2 * v * v == pytest.approx(1.0, rel=1e-9)
+
+    def test_overall_loss_product(self):
+        geo, gm, pm = stable_geometry(), table_gain(), table_pump()
+        vd = survival(geo, gm)
+        res = evaluate_gain(geo, gm, pm, 0.99, 100.0, vd)
+        assert res.vd == vd
+        assert res.v == 0.99 * vd
+        # vc * vd above 1 is no loss factor
+        with pytest.raises(ValueError):
+            evaluate_gain(geo, gm, pm, 1.2, 100.0, vd)
+
+    def test_formulas_shared_with_stage_functions(self):
+        # n_th and eta_b come from the public formulas, bit for bit; the
+        # closed-form power law for n_th agrees with them only to ~1e-15
+        gm, pm = table_gain(), table_pump()
+        vd = survival(stable_geometry(), gm)
+        rng = random.Random(41)
+        for _ in range(300):
+            geo = stable_geometry(r2=rng.uniform(0.8, 0.99))
+            p_in = rng.choice((0.0, rng.uniform(0.0, 200.0)))
+            res = evaluate_gain(geo, gm, pm, rng.uniform(0.95, 1.0), p_in,
+                                vd, rng.choice((1, 2)))
+            assert repr(res.n_th) == repr(threshold_carrier_density(
+                gm, geo.r1, geo.r2, res.v))
+            eta_b = (transmission_efficiency(p_in, res.p_th, res.eta_s)
+                     if p_in > 0 else 0.0)
+            assert repr(res.eta_b) == repr(eta_b)
 
 
 class TestThresholdVersusThickness:
@@ -272,9 +313,3 @@ class TestValidation:
     def test_gain_model_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             table_gain(l=0.0)
-
-    def test_loss_model_product(self):
-        lm = LossModel(vc=0.99, vd=0.95)
-        assert lm.v == pytest.approx(0.99 * 0.95)
-        with pytest.raises(ValueError):
-            LossModel(vc=1.2, vd=0.9)

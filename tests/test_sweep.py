@@ -5,8 +5,10 @@ import pytest
 
 from rbswipt import figures, sweep
 from rbswipt.config import ConfigError, get_path, get_preset, set_path
+from rbswipt.gain_power import PowerResult
 from rbswipt.model import FIELD_UNITS, OperatingPoint, evaluate_operating_point
 from rbswipt.output import Column, write_curve_file
+from rbswipt.receiver import SwiptResult
 from rbswipt.sweep import (
     Axis,
     OptimizationError,
@@ -311,6 +313,13 @@ class TestPruning:
 class TestOperatingPoint:
     def test_fields_follow_the_unit_table(self):
         assert OperatingPoint._fields == ("status", *FIELD_UNITS, "detail")
+
+    def test_fields_follow_the_stage_records(self):
+        # evaluate_operating_point fills the point positionally from the
+        # gain and receiver records
+        assert OperatingPoint._fields == (
+            "status", "p_in", "spot_radius", *PowerResult._fields,
+            *SwiptResult._fields, "detail")
 
     def test_immutable(self):
         op = evaluate_operating_point(get_preset("paper-2022"))
