@@ -127,11 +127,6 @@ def _cfg_spec(args) -> SweepSpec:
     axes = [_axis(a) for a in args.axis]
     if len(axes) > 2:
         raise ConfigError("at most two axes are supported")
-    paths = {axis.path for axis in axes}
-    if len(paths) < len(axes) or \
-            {"geometry.f2", "geometry.tim_magnification"} <= paths:
-        raise ConfigError(f"axes {' and '.join(a.path for a in axes)} "
-                          f"set the same parameter")
     cfg = _load_config(args)
     preset = get_preset(args.preset)
     overrides = []
@@ -141,9 +136,12 @@ def _cfg_spec(args) -> SweepSpec:
             if key not in preset.get(section, {}) or \
                     cfg[section][key] != preset[section][key]:
                 overrides.append((path, cfg[section][key]))
-    return SweepSpec(scenario=args.preset, axis1=axes[0],
-                     axis2=axes[1] if len(axes) > 1 else None,
-                     overrides=tuple(overrides))
+    try:
+        return SweepSpec(scenario=args.preset, axis1=axes[0],
+                         axis2=axes[1] if len(axes) > 1 else None,
+                         overrides=tuple(overrides))
+    except ValueError as e:     # two axes on one parameter
+        raise ConfigError(str(e)) from None
 
 
 def cmd_evaluate(args) -> int:

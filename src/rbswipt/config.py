@@ -281,14 +281,21 @@ def path_unit(path: str) -> str:
     return _CANONICAL_UNIT[schema_entry(path)[0]]
 
 
-def set_path(cfg: Config, path: str, value: float) -> None:
+def resolve_path(cfg: Config, path: str) -> tuple[str, str]:
+    """(section, key) of a dotted path checked against SCHEMA, after removing
+    from cfg the key that setting it excludes (f2 or tim_magnification)."""
     schema_entry(path)
     section, _, key = path.partition(".")
-    cfg[section][key] = value
     if key == "tim_magnification":
         cfg[section].pop("f2", None)
     elif key == "f2":
         cfg[section].pop("tim_magnification", None)
+    return section, key
+
+
+def set_path(cfg: Config, path: str, value: float) -> None:
+    section, key = resolve_path(cfg, path)
+    cfg[section][key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +304,13 @@ def set_path(cfg: Config, path: str, value: float) -> None:
 def build_geometry(cfg: Config) -> ResonatorGeometry:
     g = cfg["geometry"]
     f1 = g["f1"]
-    if "f2" in g:
-        f2 = g["f2"]
-    else:
-        # magnification = compression of the beam arriving at the gain,
-        # i.e. the telescope expands by this factor on the way out
-        f2 = -f1 * g["tim_magnification"]
+    # magnification = compression of the beam arriving at the gain, i.e.
+    # the telescope expands by this factor on the way out
+    f2 = g["f2"] if "f2" in g else -f1 * g["tim_magnification"]
     return ResonatorGeometry(
-        d1=g["d1"], d2=g["d2"], d3=g["d3"], f1=f1, f2=f2,
-        lt=g.get("lt", math.nan),
-        fr1=g.get("fr1", math.inf), fr2=g.get("fr2", math.inf),
-        r1=g["r1"], r2=g["r2"], lambda_beam=g["lambda_beam"],
-    )
+        g["d1"], g["d2"], g["d3"], f1, f2, g["r1"], g["r2"],
+        g["lambda_beam"], g.get("lt", math.nan), g.get("fr1", math.inf),
+        g.get("fr2", math.inf))
 
 
 def build_gain(cfg: Config) -> GainModel:

@@ -13,7 +13,7 @@ studies exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .ray_optics import ResonatorGeometry
@@ -22,8 +22,8 @@ PLANCK = 6.6260693e-34   # J s
 LIGHT_SPEED = 3e8        # m/s
 
 
-@dataclass(frozen=True)
-class GainModel:
+class GainModel(namedtuple(
+        "GainModel", "g0 n0 gamma_conf alpha beta auger l a_s a")):
     """Semiconductor gain-medium constants plus geometry.
 
     g0: small-signal gain coefficient (m^-1)
@@ -37,37 +37,29 @@ class GainModel:
     a: gain medium radius (m)
     """
 
-    g0: float
-    n0: float
-    gamma_conf: float
-    alpha: float
-    beta: float
-    auger: float
-    l: float
-    a_s: float
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
+    def __new__(cls, g0, n0, gamma_conf, alpha, beta, auger, l, a_s, a):
+        gm = tuple.__new__(cls, (g0, n0, gamma_conf, alpha, beta, auger, l,
+                                 a_s, a))
+        for name, v in zip(cls._fields, gm):
+            if v <= 0:
                 raise ValueError(f"GainModel.{name} must be strictly positive")
+        return gm
 
 
-@dataclass(frozen=True)
-class PumpModel:
+class PumpModel(namedtuple("PumpModel", "eta_pc eta_pa lambda_pump")):
     """Pump source: conversion and absorption efficiencies plus wavelength."""
 
-    eta_pc: float
-    eta_pa: float
-    lambda_pump: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("eta_pc", "eta_pa"):
-            v = getattr(self, name)
+    def __new__(cls, eta_pc, eta_pa, lambda_pump):
+        for name, v in (("eta_pc", eta_pc), ("eta_pa", eta_pa)):
             if not 0 < v <= 1:
                 raise ValueError(f"PumpModel.{name}={v} outside (0, 1]")
-        if self.lambda_pump <= 0:
+        if lambda_pump <= 0:
             raise ValueError("pump wavelength must be positive")
+        return tuple.__new__(cls, (eta_pc, eta_pa, lambda_pump))
 
 
 class PowerResult(NamedTuple):
@@ -104,6 +96,11 @@ def threshold_carrier_density(gm: GainModel, r1: float, r2: float,
     """Carrier density (m^-3) needed to reach the saturation gain:
     N_th = N0 * (r1 r2 v^2) ** (-1 / (2 g0 l Gamma))."""
     g = saturation_gain(r1, r2, v, gm.l, gm.gamma_conf)
+    return _carrier_density(gm, g)
+
+
+def _carrier_density(gm: GainModel, g: float) -> float:
+    """Carrier density (m^-3) at gain coefficient g: N0 exp(g / g0)."""
     return gm.n0 * math.exp(g / gm.g0)
 
 
@@ -172,13 +169,14 @@ def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
     threshold power and slope efficiency -> beam power."""
     v = vc * vd
     g = saturation_gain(geometry.r1, geometry.r2, v, gain.l, gain.gamma_conf)
-    n_th = threshold_carrier_density(gain, geometry.r1, geometry.r2, v)
+    n_th = _carrier_density(gain, g)
     tau = carrier_lifetime(n_th, gain)
     p_th = threshold_power(gain, pump, n_th, tau, geometry.lambda_beam)
     eta_s = slope_efficiency(pump, geometry.r1, geometry.r2, v,
                              geometry.lambda_beam, loss_exponent)
     p_beam = beam_power(p_in, p_th, eta_s)
-    eta_b = transmission_efficiency(p_in, p_th, eta_s) if p_in > 0 else 0.0
+    # transmission_efficiency's ratio, on the beam power just computed
+    eta_b = p_beam / p_in if p_in > 0 else 0.0
     return PowerResult(vd, v, g, n_th, tau, p_th, eta_s, p_beam, eta_b)
 
 

@@ -95,7 +95,7 @@ def evaluate_operating_point(cfg: Config,
     ConfigError when the settings drive a stage outside its numeric domain.
     """
     stage = _RECEIVER if quantities is None else max(
-        (_STAGE[q] for q in quantities), default=_RAY_OPTICS)
+        map(_STAGE.__getitem__, quantities), default=_RAY_OPTICS)
     p_in = cfg["link"]["p_in"]
     try:
         # every domain object is built up front, so that each stage below

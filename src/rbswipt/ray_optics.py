@@ -8,7 +8,8 @@ has unit determinant, and so does any composition of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 
 class CavityError(Exception):
@@ -47,15 +48,11 @@ class RayVector:
             raise ValueError("ray vector components must be finite")
 
 
-@dataclass(frozen=True)
-class RayTransferMatrix:
+class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
     """2x2 ray-transfer matrix with entries a (dimensionless), b (m),
     c (m^-1), d (dimensionless)."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
     def __matmul__(self, other: "RayTransferMatrix") -> "RayTransferMatrix":
         return RayTransferMatrix(
@@ -147,8 +144,8 @@ def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
     return compose(thin_lens(f1), free_space(lt), thin_lens(f2))
 
 
-@dataclass(frozen=True)
-class ResonatorGeometry:
+class ResonatorGeometry(namedtuple(
+        "ResonatorGeometry", "d1 d2 d3 f1 f2 r1 r2 lambda_beam lt fr1 fr2")):
     """Cavity geometry: spacings, telescope lenses, reflector curvatures,
     mirror reflectivities, and the resonant wavelength.  All lengths in m.
 
@@ -157,31 +154,24 @@ class ResonatorGeometry:
     lens f2, free space d3 (to reflector M2).
     """
 
-    d1: float
-    d2: float
-    d3: float
-    f1: float
-    f2: float
-    r1: float
-    r2: float
-    lambda_beam: float
-    lt: float = field(default=math.nan)
-    fr1: float = math.inf
-    fr2: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self):
-        if math.isnan(self.lt):
+    def __new__(cls, d1, d2, d3, f1, f2, r1, r2, lambda_beam, lt=math.nan,
+                fr1=math.inf, fr2=math.inf):
+        if math.isnan(lt):
             # afocal spacing; may be negative for a Galilean telescope
-            object.__setattr__(self, "lt", self.f1 + self.f2)
-        if min(self.d1, self.d2, self.d3) <= 0:
+            lt = f1 + f2
+        if min(d1, d2, d3) <= 0:
             raise ValueError("element spacings d1, d2, d3 must be positive")
-        if self.f1 == 0 or self.f2 == 0:
+        if f1 == 0 or f2 == 0:
             raise ValueError("telescope focal lengths must be nonzero")
-        for name, r in (("r1", self.r1), ("r2", self.r2)):
+        for name, r in (("r1", r1), ("r2", r2)):
             if not 0 < r <= 1:
                 raise ValueError(f"reflectivity {name}={r} outside (0, 1]")
-        if self.lambda_beam <= 0:
+        if lambda_beam <= 0:
             raise ValueError("wavelength must be positive")
+        return tuple.__new__(cls, (d1, d2, d3, f1, f2, r1, r2, lambda_beam,
+                                   lt, fr1, fr2))
 
     @property
     def tim_magnification(self) -> float:
@@ -200,17 +190,21 @@ def one_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:
         raise ValueError(f"free-space distances must be finite in {g}")
     if g.fr1 == 0 or g.fr2 == 0:
         raise ValueError("effective curvature factor must be nonzero")
+    c1 = 0.0 if math.isinf(g.fr1) else 1.0 / g.fr1
+    p1 = 0.0 if math.isinf(g.f1) else -1.0 / g.f1
+    p2 = 0.0 if math.isinf(g.f2) else -1.0 / g.f2
+    c2 = 0.0 if math.isinf(g.fr2) else 1.0 / g.fr2
+    # one line per element in the order above, `element @ out` term for term;
+    # products by 1 and -1 (exact) are dropped, by 0 kept: 0 * inf is nan
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for ma, mb, mc, md in (
-            (-1.0, 0.0, 0.0 if math.isinf(g.fr1) else 1.0 / g.fr1, -1.0),
-            (1.0, g.d1, 0.0, 1.0), (1.0, g.d2, 0.0, 1.0),
-            (1.0, 0.0, 0.0 if math.isinf(g.f1) else -1.0 / g.f1, 1.0),
-            (1.0, g.lt, 0.0, 1.0),
-            (1.0, 0.0, 0.0 if math.isinf(g.f2) else -1.0 / g.f2, 1.0),
-            (1.0, g.d3, 0.0, 1.0),
-            (-1.0, 0.0, 0.0 if math.isinf(g.fr2) else 1.0 / g.fr2, -1.0)):
-        a, b, c, d = (ma * a + mb * c, ma * b + mb * d,
-                      mc * a + md * c, mc * b + md * d)
+    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c1 * a - c, c1 * b - d
+    a, b, c, d = a + g.d1 * c, b + g.d1 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + g.d2 * c, b + g.d2 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
+    a, b, c, d = a + g.lt * c, b + g.lt * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + 0.0 * c, b + 0.0 * d, p2 * a + c, p2 * b + d
+    a, b, c, d = a + g.d3 * c, b + g.d3 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
     return RayTransferMatrix(a, b, c, d)
 
 

@@ -10,7 +10,7 @@ the half-log AWGN capacity expression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 # Fixed to the model's stated values rather than CODATA, for curve fidelity.
@@ -18,8 +18,8 @@ ELECTRON_CHARGE = 1.6e-19   # C
 BOLTZMANN = 1.38e-23        # J/K
 
 
-@dataclass(frozen=True)
-class ReceiverModel:
+class ReceiverModel(namedtuple(
+        "ReceiverModel", "mu eta_p p_pth nu b_x i_bg r_l t_bg")):
     """Beam split ratio, PV linear-fit coefficients, and APD noise
     parameters.
 
@@ -33,23 +33,18 @@ class ReceiverModel:
     t_bg: background temperature (K)
     """
 
-    mu: float
-    eta_p: float
-    p_pth: float
-    nu: float
-    b_x: float
-    i_bg: float
-    r_l: float
-    t_bg: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.mu <= 1:
-            raise ValueError(f"split ratio mu={self.mu} outside [0, 1]")
-        for name in ("nu", "b_x", "r_l", "t_bg"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, mu, eta_p, p_pth, nu, b_x, i_bg, r_l, t_bg):
+        if not 0 <= mu <= 1:
+            raise ValueError(f"split ratio mu={mu} outside [0, 1]")
+        for name, v in zip(("nu", "b_x", "r_l", "t_bg"), (nu, b_x, r_l, t_bg)):
+            if v <= 0:
                 raise ValueError(f"ReceiverModel.{name} must be positive")
-        if self.i_bg < 0:
+        if i_bg < 0:
             raise ValueError("background current must be >= 0")
+        return tuple.__new__(cls, (mu, eta_p, p_pth, nu, b_x, i_bg, r_l,
+                                   t_bg))
 
 
 class SwiptResult(NamedTuple):

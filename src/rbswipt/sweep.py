@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import Config, config_digest, copy_config, get_preset, set_path
+from .config import Config, config_digest, get_preset, resolve_path, set_path
 from .model import (
     STATUS_OK,
     STATUS_STABLE,
@@ -61,6 +61,13 @@ class SweepSpec:
     axis2: Axis | None = None
     overrides: tuple[tuple[str, float], ...] = ()
 
+    def __post_init__(self):
+        paths = {self.axis1.path, self.axis2 and self.axis2.path}
+        if len(paths) == 1 or paths == {"geometry.f2",
+                                        "geometry.tim_magnification"}:
+            raise ValueError(f"axes {self.axis1.path} and {self.axis2.path} "
+                             f"set the same parameter")
+
     def resolved_config(self) -> Config:
         cfg = get_preset(self.scenario)
         for path, value in self.overrides:
@@ -110,19 +117,23 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
 
     `quantities` names what the caller reads of each point and is passed
     to every `evaluate_fn(cfg, quantities)` call; None evaluates every
-    stage."""
+    stage.  A cell's cfg holds its own copy of each swept section only:
+    the other sections are shared with every cell and with the result's
+    config, so `evaluate_fn` must not mutate cfg."""
     base = spec.resolved_config()
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
-
-    def cell(v1, v2):
-        cfg = copy_config(base)
-        set_path(cfg, spec.axis1.path, v1)
-        if v2 is not None:
-            set_path(cfg, spec.axis2.path, v2)
-        return evaluate_fn(cfg, quantities)
-
-    points = [cell(v1, v2) for v1 in a1 for v2 in a2 or (None,)]
+    # resolved once, on a second copy, as resolving may drop an excluded key
+    cfg = spec.resolved_config()
+    s1, k1 = resolve_path(cfg, spec.axis1.path)
+    if a2 is not None:
+        s2, k2 = resolve_path(cfg, spec.axis2.path)
+    rows = [{**cfg, s1: {**cfg[s1], k1: v1}} for v1 in a1]
+    if a2 is None:
+        points = [evaluate_fn(row, quantities) for row in rows]
+    else:
+        points = [evaluate_fn({**row, s2: {**row[s2], k2: v2}}, quantities)
+                  for row in rows for v2 in a2]
     return SweepResult(spec=spec, config=base, axis1_values=a1,
                        axis2_values=a2, points=points)
 
@@ -199,10 +210,12 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
                   spec.axis2.path: result.axis2_values[j]}
         return params, sign * best
 
+    cfg = spec.resolved_config()
+    section, key = resolve_path(cfg, spec.axis1.path)
+
     def f(x: float) -> float:
-        cfg = copy_config(result.config)
-        set_path(cfg, spec.axis1.path, x)
-        return score(evaluate_fn(cfg, quantities))
+        return score(evaluate_fn({**cfg, section: {**cfg[section], key: x}},
+                                 quantities))
 
     lo = a1[max(best_idx - 1, 0)]
     hi = a1[min(best_idx + 1, len(a1) - 1)]

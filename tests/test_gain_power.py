@@ -111,7 +111,7 @@ class TestCarrierLifetime:
 class TestThresholdPower:
     def test_linearity_in_cross_section(self):
         gm, pm = table_gain(), table_pump()
-        gm2 = GainModel(**{**gm.__dict__, "a_s": 2 * gm.a_s})
+        gm2 = GainModel(**{**gm._asdict(), "a_s": 2 * gm.a_s})
         p1 = threshold_power(gm, pm, 1.78e24, 4.8e-9, LAMBDA_BEAM)
         p2 = threshold_power(gm2, pm, 1.78e24, 4.8e-9, LAMBDA_BEAM)
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
@@ -227,7 +227,7 @@ class TestEvaluateGain:
                                 f2=60e-3, fr2=18.0, r1=1.0, r2=1.0 - 1e-9,
                                 lambda_beam=LAMBDA_BEAM)
         gm = table_gain()
-        big_aperture = GainModel(**{**gm.__dict__, "a": 0.5})
+        big_aperture = GainModel(**{**gm._asdict(), "a": 0.5})
         res = gain_chain(geo, big_aperture, table_pump(), vc=1.0, p_in=150.0)
         assert res.n_th == pytest.approx(big_aperture.n0, rel=1e-9)
         cap = 0.6 * 0.85 * 808 / 980
@@ -300,7 +300,7 @@ class TestThresholdVersusThickness:
         grid = np.linspace(0.05e-6, 3e-6, 200)
         p_ths = []
         for l in grid:
-            gm = GainModel(**{**gm0.__dict__, "l": float(l)})
+            gm = GainModel(**{**gm0._asdict(), "l": float(l)})
             n_th = threshold_carrier_density(gm, r1, r2, v)
             tau = carrier_lifetime(n_th, gm)
             p_ths.append(threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM))

@@ -92,6 +92,39 @@ class TestRunSweep:
         assert result.config == spec.resolved_config()
         assert "f2" not in result.config["geometry"]
 
+    def test_cell_configs_match_set_path(self):
+        # axis 2 sets f2 in axis 1's section: every cell drops
+        # tim_magnification, as set_path does
+        seen = []
+
+        def record(cfg, quantities=None):
+            seen.append(cfg)
+            return OperatingPoint("stable", 0.0)
+
+        spec = SweepSpec(scenario="paper-2022",
+                         axis1=Axis("geometry.d3", 2.0, 10.0, 3),
+                         axis2=Axis("geometry.f2", 0.02, 0.07, 2),
+                         overrides=(("receiver.mu", 0.5),))
+        result = run_sweep(spec, evaluate_fn=record)
+        cells = [(d3, f2) for d3 in result.axis1_values
+                 for f2 in result.axis2_values]
+        for cfg, (d3, f2) in zip(seen, cells, strict=True):
+            want = spec.resolved_config()
+            set_path(want, "geometry.d3", d3)
+            set_path(want, "geometry.f2", f2)
+            assert cfg == want
+        assert result.config == spec.resolved_config()
+
+    @pytest.mark.parametrize("path1, path2", [
+        ("geometry.d3", "geometry.d3"), ("link.p_in", "link.p_in"),
+        ("geometry.f2", "geometry.tim_magnification"),
+        ("geometry.tim_magnification", "geometry.f2")])
+    def test_two_axes_on_one_parameter_rejected(self, path1, path2):
+        # the second axis would overwrite the first in every cell
+        with pytest.raises(ValueError, match="set the same parameter"):
+            SweepSpec(scenario="paper-2022", axis1=Axis(path1, 1.0, 2.0, 3),
+                      axis2=Axis(path2, 3.0, 4.0, 3))
+
     def test_unstable_points_are_statuses_not_errors(self):
         # fr2 = 10 m leaves part of the distance range unstable at M = 12
         spec = SweepSpec(scenario="paper-2022",
