@@ -21,7 +21,6 @@ from .config import (
     path_unit,
     schema_entry,
     set_path,
-    validate_config,
 )
 from .figures import FIGURE_IDS, reproduce_figure
 from .model import FIELD_UNITS, STATUS_UNSTABLE, evaluate_operating_point
@@ -41,8 +40,9 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _out_file(args) -> Path:
-    path = _out_dir(args) / args.output
+def _out_file(out_dir: Path, name: str) -> Path:
+    """out_dir / name, checked to be writable as a file before any cell."""
+    path = out_dir / name
     if path.is_dir():
         raise ConfigError(f"output file {str(path)!r} is a directory")
     if not path.parent.is_dir():
@@ -68,8 +68,7 @@ def _load_config(args):
         kind = schema_entry(path)[0]
         set_path(cfg, path, parse_quantity(value, kind))
     if getattr(args, "p_in", None) is not None:
-        cfg["link"]["p_in"] = parse_quantity(args.p_in, "power")
-    validate_config(cfg)
+        set_path(cfg, "link.p_in", parse_quantity(args.p_in, "power"))
     return cfg
 
 
@@ -90,18 +89,13 @@ def _axis_arg(text: str) -> tuple:
 
 
 def _axis(parsed: tuple) -> Axis:
-    """Axis from parsed --axis text, with every grid value checked against
-    the swept key's SCHEMA range (exit 3 otherwise)."""
-    _, _, check, bounds = schema_entry(parsed[0])
+    """Axis from parsed --axis text on a known path (exit 3 otherwise);
+    run_sweep checks its grid values."""
+    schema_entry(parsed[0])
     try:
-        axis = Axis(*parsed)
+        return Axis(*parsed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    for v in axis.values():
-        if not check(v):
-            raise ConfigError(
-                f"axis {axis.path}: value {v!r} out of range ({bounds})")
-    return axis
 
 
 def _points_arg(text: str) -> int:
@@ -155,7 +149,7 @@ def cmd_sweep(args) -> int:
     quantities = args.quantity or ["p_beam"]
     _check_fields(quantities)
     spec = _cfg_spec(args)
-    out = _out_file(args)
+    out = _out_file(_out_dir(args), args.output)
     result = run_sweep(spec, quantities=(*quantities, "status"))
     columns = [Column(a.path, path_unit(a.path), [])
                for a in (spec.axis1, spec.axis2) if a is not None]
@@ -192,9 +186,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_reproduce_figure(args) -> int:
     out = _out_dir(args)
+    csv, plot = (_out_file(out, f"fig{args.id}{ext}")
+                 for ext in (".csv", ".plot.json"))
     reproduce_figure(args.id, out, points=args.points)
-    print(f"wrote {out / f'fig{args.id}.csv'} and "
-          f"{out / f'fig{args.id}.plot.json'}")
+    print(f"wrote {csv} and {plot}")
     return EXIT_OK
 
 

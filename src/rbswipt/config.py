@@ -6,7 +6,10 @@ values are bare numbers.  Parsing normalizes everything to SI base units;
 the rest of the package never sees a non-SI number.
 
 A Config is a plain nested dict ``{section: {key: float}}`` addressable by
-dotted parameter paths such as ``"geometry.fr2"``.
+dotted parameter paths such as ``"geometry.fr2"``.  `SCHEMA` is the one
+range table: a value is checked against it once, where it enters a Config
+(`parse_config`, `validate_config`, `set_path`, `check_value`), and nothing
+downstream checks a range again.
 """
 
 from __future__ import annotations
@@ -214,14 +217,11 @@ def validate_config(cfg: Config) -> None:
     for section, keys in SCHEMA.items():
         if section not in cfg:
             raise ConfigError(f"missing section [{section}]")
-        for key, (kind, optional, check, bounds) in keys.items():
-            if key not in cfg[section]:
-                if optional:
-                    continue
+        for key, (_, optional, _, _) in keys.items():
+            if key in cfg[section]:
+                check_value(f"{section}.{key}", cfg[section][key])
+            elif not optional:
                 raise ConfigError(f"missing key {section}.{key}")
-            v = cfg[section][key]
-            if not check(v):
-                raise ConfigError(f"{section}.{key} = {v} out of range ({bounds})")
         for key in cfg[section]:
             if key not in keys:
                 raise ConfigError(f"unknown key {section}.{key}")
@@ -276,6 +276,14 @@ def schema_entry(path: str) -> tuple:
         raise ConfigError(f"unknown parameter path {path!r}") from None
 
 
+def check_value(path: str, value: float) -> None:
+    """Raise ConfigError unless value lies in the SCHEMA range of the dotted
+    parameter path."""
+    _, _, check, bounds = schema_entry(path)
+    if not check(value):
+        raise ConfigError(f"{path} = {value} out of range ({bounds})")
+
+
 def path_unit(path: str) -> str:
     """Canonical unit of a dotted parameter path ('' if dimensionless)."""
     return _CANONICAL_UNIT[schema_entry(path)[0]]
@@ -294,12 +302,14 @@ def resolve_path(cfg: Config, path: str) -> tuple[str, str]:
 
 
 def set_path(cfg: Config, path: str, value: float) -> None:
+    """Set one parameter, after checking value with check_value."""
+    check_value(path, value)
     section, key = resolve_path(cfg, path)
     cfg[section][key] = value
 
 
 # ---------------------------------------------------------------------------
-# domain object construction
+# domain object construction: no range checks, the Config holds checked values
 
 def build_geometry(cfg: Config) -> ResonatorGeometry:
     g = cfg["geometry"]

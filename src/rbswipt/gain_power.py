@@ -39,27 +39,11 @@ class GainModel(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, g0, n0, gamma_conf, alpha, beta, auger, l, a_s, a):
-        gm = tuple.__new__(cls, (g0, n0, gamma_conf, alpha, beta, auger, l,
-                                 a_s, a))
-        for name, v in zip(cls._fields, gm):
-            if v <= 0:
-                raise ValueError(f"GainModel.{name} must be strictly positive")
-        return gm
-
 
 class PumpModel(namedtuple("PumpModel", "eta_pc eta_pa lambda_pump")):
     """Pump source: conversion and absorption efficiencies plus wavelength."""
 
     __slots__ = ()
-
-    def __new__(cls, eta_pc, eta_pa, lambda_pump):
-        for name, v in (("eta_pc", eta_pc), ("eta_pa", eta_pa)):
-            if not 0 < v <= 1:
-                raise ValueError(f"PumpModel.{name}={v} outside (0, 1]")
-        if lambda_pump <= 0:
-            raise ValueError("pump wavelength must be positive")
-        return tuple.__new__(cls, (eta_pc, eta_pa, lambda_pump))
 
 
 class PowerResult(NamedTuple):

@@ -93,6 +93,9 @@ def evaluate_operating_point(cfg: Config,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
+
+    cfg must satisfy config.validate_config, as every Config made by
+    parse_config, get_preset or set_path does; no range is checked here.
     """
     stage = _RECEIVER if quantities is None else max(
         map(_STAGE.__getitem__, quantities), default=_RAY_OPTICS)
@@ -120,9 +123,9 @@ def evaluate_operating_point(cfg: Config,
     except CavityError as e:
         return OperatingPoint(STATUS_UNSTABLE, p_in, detail=str(e))
     except (ValueError, ArithmeticError) as e:
-        # each stage checks its inputs; on settings that pass SCHEMA a
-        # check fails only when an intermediate value leaves its domain,
-        # as on float overflow
+        # the formula guards: on settings that pass SCHEMA they fail only
+        # when an intermediate value leaves its numeric domain, as on float
+        # overflow or an f2 = -f1 * M that underflows to 0
         raise ConfigError(f"settings outside the model's numeric domain: "
                           f"{e}") from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD

@@ -151,7 +151,8 @@ class ResonatorGeometry(namedtuple(
 
     Element order from reflector M1: free space d1 (to the gain medium),
     free space d2 (gain to first telescope lens), lens f1, spacing lt,
-    lens f2, free space d3 (to reflector M2).
+    lens f2, free space d3 (to reflector M2).  The fields are not range
+    checked here: their ranges are config.SCHEMA's.
     """
 
     __slots__ = ()
@@ -161,15 +162,6 @@ class ResonatorGeometry(namedtuple(
         if math.isnan(lt):
             # afocal spacing; may be negative for a Galilean telescope
             lt = f1 + f2
-        if min(d1, d2, d3) <= 0:
-            raise ValueError("element spacings d1, d2, d3 must be positive")
-        if f1 == 0 or f2 == 0:
-            raise ValueError("telescope focal lengths must be nonzero")
-        for name, r in (("r1", r1), ("r2", r2)):
-            if not 0 < r <= 1:
-                raise ValueError(f"reflectivity {name}={r} outside (0, 1]")
-        if lambda_beam <= 0:
-            raise ValueError("wavelength must be positive")
         return tuple.__new__(cls, (d1, d2, d3, f1, f2, r1, r2, lambda_beam,
                                    lt, fr1, fr2))
 

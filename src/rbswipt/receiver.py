@@ -35,17 +35,6 @@ class ReceiverModel(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, mu, eta_p, p_pth, nu, b_x, i_bg, r_l, t_bg):
-        if not 0 <= mu <= 1:
-            raise ValueError(f"split ratio mu={mu} outside [0, 1]")
-        for name, v in zip(("nu", "b_x", "r_l", "t_bg"), (nu, b_x, r_l, t_bg)):
-            if v <= 0:
-                raise ValueError(f"ReceiverModel.{name} must be positive")
-        if i_bg < 0:
-            raise ValueError("background current must be >= 0")
-        return tuple.__new__(cls, (mu, eta_p, p_pth, nu, b_x, i_bg, r_l,
-                                   t_bg))
-
 
 class SwiptResult(NamedTuple):
     """Receiver-side state for one received beam power."""

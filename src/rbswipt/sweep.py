@@ -5,7 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import Config, config_digest, get_preset, resolve_path, set_path
+from .config import (
+    Config,
+    check_value,
+    config_digest,
+    get_preset,
+    resolve_path,
+    set_path,
+)
 from .model import (
     STATUS_OK,
     STATUS_STABLE,
@@ -119,10 +126,15 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
     to every `evaluate_fn(cfg, quantities)` call; None evaluates every
     stage.  A cell's cfg holds its own copy of each swept section only:
     the other sections are shared with every cell and with the result's
-    config, so `evaluate_fn` must not mutate cfg."""
+    config, so `evaluate_fn` must not mutate cfg.  Every axis value is
+    checked against SCHEMA here, before any cell, and raises ConfigError
+    when out of range; no cell checks a range again."""
     base = spec.resolved_config()
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
+    for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
+        for v in values:
+            check_value(axis.path, v)
     # resolved once, on a second copy, as resolving may drop an excluded key
     cfg = spec.resolved_config()
     s1, k1 = resolve_path(cfg, spec.axis1.path)

@@ -85,6 +85,9 @@ UNWRITABLE_OUTPUT = [
     (["sweep", "--axis", "link.p_in:1:5:2"], "{file}"),
     (["reproduce-figure", "9", "--points", "3", "--out-dir", "{dir}/taken"],
      "{dir}/taken/fig9.csv"),
+    # the second file is in the way: the first must not be written either
+    (["reproduce-figure", "9", "--points", "3", "--out-dir", "{dir}/plot"],
+     "{dir}/plot/fig9.plot.json"),
 ]
 
 
@@ -92,24 +95,27 @@ UNWRITABLE_OUTPUT = [
                          ids=[" ".join(a) for a, _ in UNWRITABLE_OUTPUT])
 def test_unwritable_output_exit_code(capsys, tmp_path, monkeypatch,
                                      argv, path):
-    # {file} is an existing file, {dir}/taken and {dir}/taken/fig9.csv
-    # existing directories; a case without --out-dir takes RBSWIPT_OUT_DIR
+    # {file} is an existing file, {dir}/taken, {dir}/taken/fig9.csv and
+    # {dir}/plot/fig9.plot.json existing directories; a case without
+    # --out-dir takes RBSWIPT_OUT_DIR
     names = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
     names["file"].write_text("keep\n")
     (names["dir"] / "taken" / "fig9.csv").mkdir(parents=True)
+    (names["dir"] / "plot" / "fig9.plot.json").mkdir(parents=True)
     monkeypatch.setenv("RBSWIPT_OUT_DIR", str(names["file"]))
 
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell ran before the output was checked")
 
     monkeypatch.setattr("rbswipt.cli.run_sweep", no_cells)
+    monkeypatch.setattr("rbswipt.figures.run_sweep", no_cells)
     code = run_cli([a.format(**names) for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert path.format(**names) in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == \
-        ["dir", "fig9.csv", "file", "taken"]
+        ["dir", "fig9.csv", "fig9.plot.json", "file", "plot", "taken"]
     assert names["file"].read_text() == "keep\n"
 
 
@@ -184,6 +190,8 @@ def test_non_finite_value_exit_code(capsys, tmp_path, key, argv):
     ["evaluate", "--set", "geometry.tim_magnification=1e308"],
     ["sweep", "--axis", "geometry.tim_magnification:24:1e308:2",
      "--quantity", "c_tilde"],
+    # f2 = -f1 * M underflows to 0, a division by zero in the one-trip matrix
+    ["evaluate", "--set", "geometry.tim_magnification=5e-324"],
 ])
 def test_overflowing_settings_exit_code(capsys, tmp_path, argv):
     code = run_cli(argv + ["--out-dir", str(tmp_path)])

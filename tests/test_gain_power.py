@@ -26,9 +26,9 @@ from rbswipt.ray_optics import (
 LAMBDA_BEAM = 980e-9
 
 
-def table_gain(l=3e-6) -> GainModel:
+def table_gain() -> GainModel:
     return GainModel(g0=2e5, n0=1.7e24, gamma_conf=2.0, alpha=1e7,
-                     beta=1e-16, auger=6e-42, l=l, a_s=3e-8, a=0.2e-3)
+                     beta=1e-16, auger=6e-42, l=3e-6, a_s=3e-8, a=0.2e-3)
 
 
 def table_pump() -> PumpModel:
@@ -307,9 +307,3 @@ class TestThresholdVersusThickness:
         i_min = int(np.argmin(p_ths))
         assert 0 < i_min < len(grid) - 1
         assert p_ths[0] > p_ths[i_min] and p_ths[-1] > p_ths[i_min]
-
-
-class TestValidation:
-    def test_gain_model_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            table_gain(l=0.0)

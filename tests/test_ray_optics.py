@@ -230,9 +230,10 @@ class TestSpotRadius:
     def test_agrees_with_q_parameter_oracle(self):
         # The closed form uses the one-trip matrix; the self-consistent
         # Gaussian mode uses the full round trip.  They agree in order of
-        # magnitude but not exactly; the closed form runs systematically
-        # low, ratio ~0.4-0.9 over this cavity family.  The closed form is
-        # the model's authoritative output; the documented tolerance here
+        # magnitude but not exactly: the one-trip matrix carries each
+        # reflector's full 1/f_r (see test_halved_reflector_terms_match_
+        # oracle), ratio ~0.4-0.9 over this cavity family.  The closed form
+        # is the model's authoritative output; the documented tolerance here
         # is a factor of 2.5, with per-cavity ratios printed for the record.
         cases = [(1, 10, 12), (12, 10, 18), (10, 10, 15), (1, 5, 11),
                  (4, 6, 11), (6, 8, 12), (2, 3, 20), (10, 10, 20),
@@ -246,6 +247,34 @@ class TestSpotRadius:
             print(f"cavity M={m} d3={d3} fr2={fr2}: closed={w_closed:.4e} "
                   f"q-oracle={w_q:.4e} ratio={ratio:.4f}")
             assert 1 / 2.5 < ratio < 2.5
+
+    def test_halved_reflector_terms_match_oracle(self):
+        # w^4 = -lam^2 B D / (pi^2 A C) is the two-mirror spot size at M1
+        # for an unfolded half trip holding each mirror once; the round trip
+        # applies each reflector once, so the one-trip matrix matches it
+        # with each reflector's curvature term halved, 1 / (2 f_r)
+        rng = random.Random(2107)
+        verdicts = set()
+        for _ in range(2000):
+            g = baseline_geometry(m=rng.uniform(1.0, 14.0),
+                                  d3=rng.uniform(2.0, 10.0),
+                                  fr2=rng.choice((2.0, 5.0, 11.0, 15.0,
+                                                  18.0, 20.0)))
+            g = g._replace(fr1=rng.choice((math.inf, 2.0, 30.0, 50.0)))
+            halved = g._replace(fr1=2.0 * g.fr1, fr2=2.0 * g.fr2)
+            try:
+                w = spot_radius_on_gain(one_trip_matrix(halved), LAMBDA)
+            except (UnstableResonatorError, DegenerateCavityError):
+                w = None
+            try:
+                w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)
+            except UnstableResonatorError:
+                w_q = None
+            assert (w is None) == (w_q is None), g
+            if w is not None:
+                assert w == pytest.approx(w_q, rel=1e-9), g
+            verdicts.add(w is None)
+        assert verdicts == {True, False}    # both verdicts were compared
 
     def test_non_increasing_in_magnification(self):
         # maximum spot over the 2-10 m distance range, versus compression

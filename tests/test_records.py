@@ -1,58 +1,91 @@
-"""Range checks of the four domain records: each out-of-range field raises
-ValueError with its own message, and the telescope spacing defaults to the
-afocal f1 + f2."""
+"""Ranges are checked where a value enters a Config, against SCHEMA only.
+
+Every value a domain record's own check used to reject is rejected by
+set_path with a ConfigError naming the path and SCHEMA's range text; the
+range edges are accepted and reach the record; a sweep checks its axis
+values before any cell; and the telescope spacing defaults to the afocal
+f1 + f2."""
 
 import math
 
 import pytest
 
+from rbswipt.config import (
+    SCHEMA,
+    ConfigError,
+    build_gain,
+    build_geometry,
+    build_pump,
+    build_receiver,
+    get_preset,
+    set_path,
+)
 from rbswipt.gain_power import GainModel, PumpModel
 from rbswipt.ray_optics import ResonatorGeometry
 from rbswipt.receiver import ReceiverModel
+from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
 
-VALID = {
-    ResonatorGeometry: dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3,
-                            r1=0.999, r2=0.9, lambda_beam=980e-9),
-    GainModel: dict(g0=2e5, n0=1.7e24, gamma_conf=2.0, alpha=1e7, beta=1e-16,
-                    auger=6e-42, l=3e-6, a_s=3e-8, a=0.2e-3),
-    PumpModel: dict(eta_pc=0.6, eta_pa=0.85, lambda_pump=808e-9),
-    ReceiverModel: dict(mu=0.99, eta_p=0.3487, p_pth=-1.535, nu=0.6,
-                        b_x=811.7e6, i_bg=5100e-6, r_l=10e3, t_bg=300.0),
+# the config section each record is built from, and its build function
+SECTION = {
+    ResonatorGeometry: ("geometry", build_geometry),
+    GainModel: ("gain", build_gain),
+    PumpModel: ("pump", build_pump),
+    ReceiverModel: ("receiver", build_receiver),
 }
 
-_SPACINGS = "element spacings d1, d2, d3 must be positive"
-_FOCAL = "telescope focal lengths must be nonzero"
-
+# the values the records' former range checks rejected
 RANGE_CHECKS = [
-    *((ResonatorGeometry, k, v, _SPACINGS)
-      for k in ("d1", "d2", "d3") for v in (0.0, -1.0)),
-    (ResonatorGeometry, "f1", 0.0, _FOCAL),
-    (ResonatorGeometry, "f2", 0.0, _FOCAL),
-    *((ResonatorGeometry, k, v, f"reflectivity {k}={v} outside (0, 1]")
-      for k in ("r1", "r2") for v in (0.0, -0.5, 1.5)),
-    (ResonatorGeometry, "lambda_beam", 0.0, "wavelength must be positive"),
-    (ResonatorGeometry, "lambda_beam", -1e-6, "wavelength must be positive"),
-    *((GainModel, k, v, f"GainModel.{k} must be strictly positive")
-      for k in VALID[GainModel] for v in (0.0, -1.0)),
-    *((PumpModel, k, v, f"PumpModel.{k}={v} outside (0, 1]")
-      for k in ("eta_pc", "eta_pa") for v in (0.0, -0.5, 1.5)),
-    (PumpModel, "lambda_pump", 0.0, "pump wavelength must be positive"),
-    (PumpModel, "lambda_pump", -1e-6, "pump wavelength must be positive"),
-    *((ReceiverModel, "mu", v, f"split ratio mu={v} outside [0, 1]")
-      for v in (-0.1, 1.5)),
-    *((ReceiverModel, k, v, f"ReceiverModel.{k} must be positive")
-      for k in ("nu", "b_x", "r_l", "t_bg") for v in (0.0, -1.0)),
-    (ReceiverModel, "i_bg", -1e-6, "background current must be >= 0"),
+    *((ResonatorGeometry, k, v) for k in ("d1", "d2", "d3")
+      for v in (0.0, -1.0)),
+    (ResonatorGeometry, "f1", 0.0),
+    (ResonatorGeometry, "f2", 0.0),
+    *((ResonatorGeometry, k, v) for k in ("r1", "r2")
+      for v in (0.0, -0.5, 1.5)),
+    (ResonatorGeometry, "lambda_beam", 0.0),
+    (ResonatorGeometry, "lambda_beam", -1e-6),
+    *((GainModel, k, v) for k in GainModel._fields for v in (0.0, -1.0)),
+    *((PumpModel, k, v) for k in ("eta_pc", "eta_pa")
+      for v in (0.0, -0.5, 1.5)),
+    (PumpModel, "lambda_pump", 0.0),
+    (PumpModel, "lambda_pump", -1e-6),
+    *((ReceiverModel, "mu", v) for v in (-0.1, 1.5)),
+    *((ReceiverModel, k, v) for k in ("nu", "b_x", "r_l", "t_bg")
+      for v in (0.0, -1.0)),
+    (ReceiverModel, "i_bg", -1e-6),
+]
+
+# values of keys that no record ever checked
+SCHEMA_ONLY = [
+    ("geometry.fr1", 0.0), ("geometry.fr2", -1.0),
+    ("geometry.tim_magnification", 0.0),
+    ("geometry.tim_magnification", math.inf), ("geometry.lt", math.nan),
+    ("losses.vc", 1.5), ("losses.slope_loss_exponent", 3.0),
+    ("receiver.eta_p", 0.0), ("receiver.p_pth", math.inf),
+    ("link.p_in", -1.0), ("link.p_in", math.inf),
 ]
 
 
+def assert_rejected(path, value):
+    cfg = get_preset("paper-2022")
+    with pytest.raises(ConfigError) as e:
+        set_path(cfg, path, value)
+    section, _, key = path.partition(".")
+    assert str(e.value) == \
+        f"{path} = {value} out of range ({SCHEMA[section][key][3]})"
+    assert cfg == get_preset("paper-2022")      # nothing was set or dropped
+
+
 @pytest.mark.parametrize(
-    "record, name, value, message", RANGE_CHECKS,
-    ids=[f"{r.__name__}.{k}={v}" for r, k, v, _ in RANGE_CHECKS])
-def test_out_of_range_field_raises(record, name, value, message):
-    with pytest.raises(ValueError) as e:
-        record(**{**VALID[record], name: value})
-    assert str(e.value) == message
+    "record, name, value", RANGE_CHECKS,
+    ids=[f"{r.__name__}.{k}={v}" for r, k, v in RANGE_CHECKS])
+def test_out_of_range_field_raises(record, name, value):
+    assert_rejected(f"{SECTION[record][0]}.{name}", value)
+
+
+@pytest.mark.parametrize("path, value", SCHEMA_ONLY,
+                         ids=[f"{p}={v}" for p, v in SCHEMA_ONLY])
+def test_set_path_rejects_out_of_range(path, value):
+    assert_rejected(path, value)
 
 
 @pytest.mark.parametrize("record, name, value", [
@@ -61,12 +94,36 @@ def test_out_of_range_field_raises(record, name, value, message):
     (ReceiverModel, "mu", 1.0), (ReceiverModel, "i_bg", 0.0),
     (ReceiverModel, "p_pth", 0.0)])
 def test_range_edges_accepted(record, name, value):
-    assert getattr(record(**{**VALID[record], name: value}), name) == value
+    section, build = SECTION[record]
+    cfg = get_preset("paper-2022")
+    set_path(cfg, f"{section}.{name}", value)
+    assert getattr(build(cfg), name) == value
+
+
+@pytest.mark.parametrize("axis1, axis2, bad", [
+    (Axis("geometry.r2", 0.5, 1.5, 5), None, "geometry.r2 = 1.25"),
+    (Axis("link.p_in", 10.0, 50.0, 3), Axis("receiver.mu", -0.5, 0.5, 3),
+     "receiver.mu = -0.5"),
+], ids=["axis1", "axis2"])
+def test_sweep_checks_axis_values_before_any_cell(axis1, axis2, bad):
+    def no_cells(cfg, quantities):
+        raise AssertionError("a cell ran before the axis values were checked")
+
+    spec = SweepSpec("paper-2022", axis1, axis2)
+    for search in (run_sweep, lambda s, evaluate_fn:
+                   find_optimum(s, "p_beam", evaluate_fn=evaluate_fn)):
+        with pytest.raises(ConfigError) as e:
+            search(spec, evaluate_fn=no_cells)
+        assert str(e.value).startswith(f"{bad} out of range")
+
+
+VALID_GEOMETRY = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3,
+                      r1=0.999, r2=0.9, lambda_beam=980e-9)
 
 
 def test_telescope_spacing_defaults_to_afocal():
-    g = ResonatorGeometry(**VALID[ResonatorGeometry])
+    g = ResonatorGeometry(**VALID_GEOMETRY)
     assert repr(g.lt) == repr(-5e-3 + 60e-3)
     assert (g.fr1, g.fr2) == (math.inf, math.inf)
-    explicit = ResonatorGeometry(**VALID[ResonatorGeometry], lt=0.1, fr2=18.0)
+    explicit = ResonatorGeometry(**VALID_GEOMETRY, lt=0.1, fr2=18.0)
     assert (explicit.lt, explicit.fr2) == (0.1, 18.0)
