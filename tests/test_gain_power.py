@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from rbswipt.config import ConfigError, build_gain, get_preset, set_path
 from rbswipt.gain_power import (
     GainModel,
     PumpModel,
@@ -307,3 +308,14 @@ class TestThresholdVersusThickness:
         i_min = int(np.argmin(p_ths))
         assert 0 < i_min < len(grid) - 1
         assert p_ths[0] > p_ths[i_min] and p_ths[-1] > p_ths[i_min]
+
+
+class TestValidation:
+    def test_gain_model_rejects_nonpositive(self):
+        # the range is checked where a value enters the Config a GainModel
+        # is built from, not by the record itself
+        cfg = get_preset("paper-2022")
+        for value in (0.0, -3e-6):
+            with pytest.raises(ConfigError, match=r"^gain\.l = "):
+                set_path(cfg, "gain.l", value)
+        assert build_gain(cfg) == build_gain(get_preset("paper-2022"))
