@@ -8,6 +8,7 @@ resonator, 5 optimization failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -34,18 +35,20 @@ EXIT_OPTIMIZATION = 5
 
 
 def _out_dir(args) -> Path:
-    d = args.out_dir or os.environ.get("RBSWIPT_OUT_DIR", ".")
-    path = Path(d)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out_dir or os.environ.get("RBSWIPT_OUT_DIR", "."))
 
 
 def _out_file(out_dir: Path, name: str) -> Path:
-    """out_dir / name, checked to be writable as a file before any cell."""
+    """out_dir / name, checked before any cell to be writable as a file.
+    Nothing is created: a missing out_dir passes if its nearest existing
+    ancestor is a directory (it is made just before the write), while a
+    directory named inside `name` must exist already."""
     path = out_dir / name
     if path.is_dir():
         raise ConfigError(f"output file {str(path)!r} is a directory")
-    if not path.parent.is_dir():
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir() or (path.parent != out_dir
+                                and not path.parent.is_dir()):
         raise ConfigError(f"no directory for output file {str(path)!r}")
     return path
 
@@ -166,6 +169,7 @@ def cmd_sweep(args) -> int:
         for q in quantities:
             columns[col].values.append(getattr(p, q)); col += 1
         columns[col].values.append(p.status)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_file(out, args.preset, result.config, columns)
     print(f"wrote {out} ({len(result.points)} points, "
           f"{sum(1 for p in result.points if p.status == STATUS_UNSTABLE)} unstable)")
@@ -266,8 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run_cli reuses: built on first use, not at import.  Reuse
+    is sound because no default is read at build time ($RBSWIPT_OUT_DIR is
+    read when a command runs) and the append options copy their default."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

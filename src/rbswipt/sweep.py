@@ -11,6 +11,7 @@ from .config import (
     config_digest,
     get_preset,
     resolve_path,
+    schema_entry,
     set_path,
 )
 from .model import (
@@ -42,6 +43,10 @@ class Axis:
     spacing: str = "linear"
 
     def __post_init__(self):
+        for name, v in (("lo", self.lo), ("hi", self.hi)):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"axis {self.path}: {name} = {v} is not finite")
         if not self.lo < self.hi:
             raise ValueError(f"axis {self.path}: need lo < hi")
         if self.count < 2:
@@ -191,7 +196,8 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
 
     Returns ({path: value, ...}, objective value).  Ties break toward the
     lower parameter value (the grid is scanned in increasing order and only
-    strict improvements move the incumbent).
+    strict improvements move the incumbent).  A probe outside the axis
+    path's SCHEMA range scores like an unstable point, so it never wins.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -224,8 +230,12 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
 
     cfg = spec.resolved_config()
     section, key = resolve_path(cfg, spec.axis1.path)
+    in_range = schema_entry(spec.axis1.path)[2]
 
     def f(x: float) -> float:
+        # a probe between grid values may leave a range with gaps
+        if not in_range(x):
+            return -math.inf
         return score(evaluate_fn({**cfg, section: {**cfg[section], key: x}},
                                  quantities))
 

@@ -1,8 +1,13 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rbswipt
+from rbswipt import cli
 from rbswipt.cli import run_cli
 from rbswipt.config import _CANONICAL_UNIT, SCHEMA, get_preset
 from rbswipt.model import FIELD_UNITS
@@ -138,6 +143,7 @@ BAD_INPUT = [
          "--axis", "link.p_in:100:150:2"]),
     (3, ["optimize", "--axis", "geometry.f2:0.05:0.07:3",
          "--axis", "geometry.tim_magnification:8:12:3"]),
+    (3, ["sweep", "--axis", "geometry.d3:2:inf:3"]),
 ]
 
 
@@ -153,6 +159,33 @@ def test_bad_sweep_input_exit_code(capsys, tmp_path, code, argv):
     assert "Traceback" not in err
     assert err.strip()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_axis_bound_named_as_given(capsys, tmp_path):
+    code = run_cli(["sweep", "--axis", "geometry.d3:2:inf:3",
+                    "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "geometry.d3: hi = inf" in err
+    assert "nan" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_sweep_creates_no_out_dir(capsys, tmp_path):
+    out = tmp_path / "new"
+    code = run_cli(["sweep", "--out-dir", str(out),
+                    "--axis", "geometry.r2:0.5:1.2:5"])
+    assert code == 3
+    assert "geometry.r2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_creates_missing_out_dir(capsys, tmp_path):
+    out = tmp_path / "a" / "b"
+    code = run_cli(["sweep", "--out-dir", str(out),
+                    "--axis", "receiver.mu:0:0.9:3"])
+    assert code == 0
+    assert (out / "sweep.csv").is_file()
 
 
 NON_FINITE = [
@@ -219,6 +252,17 @@ class TestOptimize:
         assert "geometry.r2 = " in out
         assert "p_beam = " in out
 
+    def test_probes_stay_in_schema_range(self, capsys):
+        # SCHEMA allows the slope-loss exponent 1 or 2 only: a
+        # golden-section probe between them must not be reported
+        code, out, _ = run(capsys, "optimize",
+                           "--axis", "losses.slope_loss_exponent:1:2:2",
+                           "--objective", "p_beam")
+        assert code == 0
+        line = out.splitlines()[0]
+        assert line in ("losses.slope_loss_exponent = 1.0",
+                        "losses.slope_loss_exponent = 2.0")
+
 
 class TestReproduceFigure:
     def test_figure_nine(self, capsys, tmp_path):
@@ -263,6 +307,73 @@ class TestPresetsAndValidate:
         bad.write_text("[link]\np_in = 120 parsec\n")
         code, _, err = run(capsys, "validate", "--config", str(bad))
         assert code == 3
+
+
+# -- one parser per process ---------------------------------------------
+
+OPTIMIZE_MU = ["optimize", "--axis", "geometry.r2:0.8:0.99:5",
+               "--set", "receiver.mu=0.5", "--objective", "p_e_out"]
+OPTIMIZE = OPTIMIZE_MU[:3] + OPTIMIZE_MU[5:]
+
+
+def fresh(capsys, argv):
+    """run(...) on a newly built parser."""
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def test_reused_parser_keeps_no_option_between_calls(capsys):
+    first = run(capsys, *OPTIMIZE_MU)
+    second = run(capsys, *OPTIMIZE)
+    third = run(capsys, *OPTIMIZE_MU)
+    assert first[0] == 0 and first == third
+    assert second == fresh(capsys, OPTIMIZE)
+    assert second != first      # the objective depends on mu
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    expected = fresh(capsys, OPTIMIZE_MU)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["optimize", "--axis", "geometry.r2:0.8", "--sense", "best"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *OPTIMIZE_MU) == expected
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    build_parser, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["presets"], OPTIMIZE, ["validate"], OPTIMIZE_MU):
+        assert run(capsys, *argv)[0] == 0
+    cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse, sys\n"
+        f"sys.path.insert(0, {str(Path(rbswipt.__file__).parents[1])!r})\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import rbswipt.cli\n"
+        "print(len(built), rbswipt.cli._parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", "0"]
 
 
 # -- random argv: every input ends in a documented exit code ----------------

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from rbswipt import figures, sweep
-from rbswipt.config import ConfigError, get_path, get_preset, set_path
+from rbswipt.config import (
+    ConfigError,
+    check_value,
+    get_path,
+    get_preset,
+    set_path,
+)
 from rbswipt.gain_power import PowerResult
 from rbswipt.model import FIELD_UNITS, OperatingPoint, evaluate_operating_point
 from rbswipt.output import Column, write_curve_file
@@ -41,6 +47,14 @@ class TestAxis:
             Axis("x", 2.0, 1.0, 5)
         with pytest.raises(ValueError):
             Axis("x", 1.0, 2.0, 1)
+
+    @pytest.mark.parametrize("lo,hi,given", [
+        (2.0, float("inf"), "hi = inf"),
+        (float("-inf"), 2.0, "lo = -inf"),
+        (float("nan"), 2.0, "lo = nan")])
+    def test_non_finite_bound_named_as_given(self, lo, hi, given):
+        with pytest.raises(ValueError, match=f"axis x: {given} is not finite"):
+            Axis("x", lo, hi, 5)
 
 
 class TestRunSweep:
@@ -244,6 +258,22 @@ class TestFindOptimum:
         e_params, _ = find_optimum(spec, "eta_b")
         assert p_params["geometry.r2"] == \
             pytest.approx(e_params["geometry.r2"], abs=1e-4)
+
+    def test_probes_stay_in_schema_range(self):
+        # the exponent's range is "1 or 2": every golden-section probe
+        # between the two grid values falls outside it
+        path = "losses.slope_loss_exponent"
+        seen = []
+
+        def checked(cfg, quantities=None):
+            seen.append(get_path(cfg, path))
+            check_value(path, seen[-1])
+            return evaluate_operating_point(cfg, quantities)
+
+        spec = SweepSpec(scenario="paper-2022", axis1=Axis(path, 1.0, 2.0, 2))
+        params, _ = find_optimum(spec, "p_beam", evaluate_fn=checked)
+        assert seen == [1.0, 2.0]
+        assert params[path] in (1.0, 2.0)
 
     def test_no_stable_point_raises(self):
         def never(cfg, quantities=None):
