@@ -154,26 +154,24 @@ def cmd_sweep(args) -> int:
     spec = _cfg_spec(args)
     out = _out_file(_out_dir(args), args.output)
     result = run_sweep(spec, quantities=(*quantities, "status"))
-    columns = [Column(a.path, path_unit(a.path), [])
-               for a in (spec.axis1, spec.axis2) if a is not None]
-    for q in quantities:
-        columns.append(Column(q, FIELD_UNITS[q], []))
-    columns.append(Column("status", "", []))
-    n2 = len(result.axis2_values) if result.axis2_values else 1
-    for idx, p in enumerate(result.points):
-        i, j = divmod(idx, n2)
-        col = 0
-        columns[col].values.append(result.axis1_values[i]); col += 1
-        if result.axis2_values:
-            columns[col].values.append(result.axis2_values[j]); col += 1
-        for q in quantities:
-            columns[col].values.append(getattr(p, q)); col += 1
-        columns[col].values.append(p.status)
+    # points are axis1-major: axis 1 repeats each value, axis 2 tiles
+    a1, a2 = result.axis1_values, result.axis2_values
+    n2 = len(a2) if a2 else 1
+    columns = [Column(spec.axis1.path, path_unit(spec.axis1.path),
+                      [v for v in a1 for _ in range(n2)])]
+    if a2:
+        columns.append(Column(spec.axis2.path, path_unit(spec.axis2.path),
+                              a2 * len(a1)))
+    columns += [Column(q, FIELD_UNITS[q],
+                       [getattr(p, q) for p in result.points])
+                for q in quantities]
+    statuses = result.statuses()
+    columns.append(Column("status", "", statuses))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_file(out, args.preset, result.config, columns)
-    print(f"wrote {out} ({len(result.points)} points, "
-          f"{sum(1 for p in result.points if p.status == STATUS_UNSTABLE)} unstable)")
-    if all(p.status == STATUS_UNSTABLE for p in result.points):
+    unstable = statuses.count(STATUS_UNSTABLE)
+    print(f"wrote {out} ({len(statuses)} points, {unstable} unstable)")
+    if unstable == len(statuses):
         print("warning: every grid point is unstable", file=sys.stderr)
     return EXIT_OK
 
@@ -221,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
-        p.add_argument("--preset", default="paper-2022",
-                       help="named preset supplying defaults")
         if config:
+            p.add_argument("--preset", default="paper-2022",
+                           help="named preset supplying defaults")
             p.add_argument("--config", help="config file overlaying the preset")
             p.add_argument("--set", action="append", metavar="PATH=VALUE",
                            help="override one parameter, e.g. 'gain.l=0.2 um'")

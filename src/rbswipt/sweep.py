@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from .config import (
     Config,
     check_value,
-    config_digest,
     get_preset,
     resolve_path,
     schema_entry,
@@ -97,10 +96,6 @@ class SweepResult:
     axis1_values: list[float]
     axis2_values: list[float] | None
     points: list[OperatingPoint]
-
-    @property
-    def digest(self) -> str:
-        return config_digest(self.config)
 
     def point(self, i: int, j: int = 0) -> OperatingPoint:
         if self.axis2_values is None:

@@ -284,6 +284,15 @@ class TestReproduceFigure:
             run_cli(["reproduce-figure", "99", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_preset_is_usage_error(self, capsys, tmp_path):
+        # every figure is defined on paper-2022, so no --preset is offered
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["reproduce-figure", "9", "--preset", "bogus",
+                     "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--preset" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPresetsAndValidate:
     def test_presets_listed(self, capsys):

@@ -1,5 +1,7 @@
 import copy
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -371,6 +373,26 @@ class TestPruning:
                                     ("receiver.mu", 0.5)))
         assert find_optimum(spec, objective) == \
             find_optimum(spec, objective, evaluate_fn=unpruned)
+
+
+class TestFigures:
+    REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+    def test_figures_match_bench_reference(self, tmp_path):
+        for fid in figures.FIGURE_IDS:
+            figures.reproduce_figure(fid, tmp_path, points=121)
+            csv = (tmp_path / f"fig{fid}.csv").read_bytes()
+            assert csv == (self.REFERENCE / f"fig{fid}.csv").read_bytes(), fid
+            header = next(line for line in csv.decode().splitlines()
+                          if not line.startswith("#")).split(",")
+            plot = json.loads((tmp_path / f"fig{fid}.plot.json").read_text())
+            assert [s["column"] for s in plot["series"]] == \
+                [c for c in header[1:] if not c.startswith("status[")], fid
+
+    def test_unknown_id_creates_no_out_dir(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown figure id '99'"):
+            figures.reproduce_figure("99", tmp_path / "new")
+        assert not (tmp_path / "new").exists()
 
 
 class TestOperatingPoint:
