@@ -124,19 +124,8 @@ def _cfg_spec(args) -> SweepSpec:
     axes = [_axis(a) for a in args.axis]
     if len(axes) > 2:
         raise ConfigError("at most two axes are supported")
-    cfg = _load_config(args)
-    preset = get_preset(args.preset)
-    overrides = []
-    for section in cfg:
-        for key in cfg[section]:
-            path = f"{section}.{key}"
-            if key not in preset.get(section, {}) or \
-                    cfg[section][key] != preset[section][key]:
-                overrides.append((path, cfg[section][key]))
     try:
-        return SweepSpec(scenario=args.preset, axis1=axes[0],
-                         axis2=axes[1] if len(axes) > 1 else None,
-                         overrides=tuple(overrides))
+        return SweepSpec(_load_config(args), *axes)
     except ValueError as e:     # two axes on one parameter
         raise ConfigError(str(e)) from None
 
@@ -168,7 +157,7 @@ def cmd_sweep(args) -> int:
     statuses = result.statuses()
     columns.append(Column("status", "", statuses))
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_curve_file(out, args.preset, result.config, columns)
+    write_curve_file(out, args.preset, spec.config, columns)
     unstable = statuses.count(STATUS_UNSTABLE)
     print(f"wrote {out} ({len(statuses)} points, {unstable} unstable)")
     if unstable == len(statuses):
@@ -202,13 +191,8 @@ def cmd_presets(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.config:
-        parse_config(_read_config(args.config), base=get_preset(args.preset))
-        print(f"{args.config}: ok")
-    else:
-        for name in sorted(PRESETS):
-            get_preset(name)
-            print(f"{name}: ok")
+    _load_config(args)
+    print(f"{args.config or args.preset}: ok")
     return EXIT_OK
 
 
@@ -261,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("presets", help="list available presets")
     p.set_defaults(func=cmd_presets)
 
-    p = sub.add_parser("validate", help="validate presets or a config file")
+    p = sub.add_parser("validate",
+                       help="validate a preset, config file and --set values")
     common(p)
     p.set_defaults(func=cmd_validate)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .config import path_unit
+from .config import get_preset, path_unit, set_path
 from .model import FIELD_UNITS
 from .output import Column, write_curve_file, write_plot_description
 from .sweep import Axis, SweepSpec, reduce_max, run_sweep
@@ -70,12 +70,11 @@ def _series_sweeps(figure_id: str, points: int):
     path, values, swept, reduced, fixed, quantities = _FIGURES[figure_id]
     name, unit = _AXIS_NAMES[path], path_unit(path)
     for v in values:
-        spec = SweepSpec(
-            scenario="paper-2022",
-            axis1=Axis(*swept, points),
-            axis2=Axis(*reduced, points) if reduced else None,
-            overrides=(*fixed, (path, v)),
-        )
+        cfg = get_preset("paper-2022")
+        for fixed_path, fixed_value in (*fixed, (path, v)):
+            set_path(cfg, fixed_path, fixed_value)
+        spec = SweepSpec(cfg, Axis(*swept, points),
+                         Axis(*reduced, points) if reduced else None)
         yield f"{name}={v:g}{unit}", spec, quantities, reduced is not None
 
 
@@ -113,7 +112,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
     x_name, x_unit = _AXIS_NAMES[x_path], path_unit(x_path)
     columns.insert(0, Column(x_name, x_unit, first.axis1_values))
     csv_path = out_dir / f"fig{figure_id}.csv"
-    write_curve_file(csv_path, f"fig{figure_id}", first.config, columns)
+    write_curve_file(csv_path, f"fig{figure_id}", first.spec.config, columns)
     write_plot_description(
         out_dir / f"fig{figure_id}.plot.json",
         title=f"figure {figure_id}",

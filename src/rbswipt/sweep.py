@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import (
     Config,
     check_value,
-    get_preset,
+    copy_config,
     resolve_path,
     schema_entry,
-    set_path,
+    validate_config,
 )
 from .model import (
     STATUS_OK,
@@ -65,12 +65,11 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description: scenario preset, one or two axes, fixed overrides."""
+    """Grid description: the Config swept and one or two axes on it."""
 
-    scenario: str
+    config: Config
     axis1: Axis
     axis2: Axis | None = None
-    overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         paths = {self.axis1.path, self.axis2 and self.axis2.path}
@@ -79,12 +78,6 @@ class SweepSpec:
             raise ValueError(f"axes {self.axis1.path} and {self.axis2.path} "
                              f"set the same parameter")
 
-    def resolved_config(self) -> Config:
-        cfg = get_preset(self.scenario)
-        for path, value in self.overrides:
-            set_path(cfg, path, value)
-        return cfg
-
 
 @dataclass
 class SweepResult:
@@ -92,7 +85,6 @@ class SweepResult:
     2-axis sweep sits at index i * len(axis2) + j."""
 
     spec: SweepSpec
-    config: Config
     axis1_values: list[float]
     axis2_values: list[float] | None
     points: list[OperatingPoint]
@@ -108,14 +100,11 @@ class SweepResult:
 
 @dataclass
 class Curve:
-    """Reduced 1-D result.  y entries are None where the slice had no
-    stable point (gap)."""
+    """Reduced 1-D result.  y entries are None, with status "gap", where
+    the slice had no stable point."""
 
-    x_path: str
-    quantity: str
-    x: list[float]
     y: list[float | None]
-    statuses: list[str] = field(default_factory=list)
+    statuses: list[str]
 
 
 def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
@@ -125,18 +114,18 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
     `quantities` names what the caller reads of each point and is passed
     to every `evaluate_fn(cfg, quantities)` call; None evaluates every
     stage.  A cell's cfg holds its own copy of each swept section only:
-    the other sections are shared with every cell and with the result's
-    config, so `evaluate_fn` must not mutate cfg.  Every axis value is
-    checked against SCHEMA here, before any cell, and raises ConfigError
-    when out of range; no cell checks a range again."""
-    base = spec.resolved_config()
+    the other sections are shared with every cell and with spec.config,
+    so `evaluate_fn` must not mutate cfg.  spec.config and every axis
+    value are checked against SCHEMA here, before any cell, and raise
+    ConfigError when out of range; no cell checks a range again."""
+    validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
     for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
         for v in values:
             check_value(axis.path, v)
-    # resolved once, on a second copy, as resolving may drop an excluded key
-    cfg = spec.resolved_config()
+    # resolved on a copy, as resolving may drop an excluded key
+    cfg = copy_config(spec.config)
     s1, k1 = resolve_path(cfg, spec.axis1.path)
     if a2 is not None:
         s2, k2 = resolve_path(cfg, spec.axis2.path)
@@ -146,8 +135,8 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
     else:
         points = [evaluate_fn({**row, s2: {**row[s2], k2: v2}}, quantities)
                   for row in rows for v2 in a2]
-    return SweepResult(spec=spec, config=base, axis1_values=a1,
-                       axis2_values=a2, points=points)
+    return SweepResult(spec=spec, axis1_values=a1, axis2_values=a2,
+                       points=points)
 
 
 def reduce_max(result: SweepResult, quantity: str, over_axis: int) -> Curve:
@@ -161,11 +150,9 @@ def reduce_max(result: SweepResult, quantity: str, over_axis: int) -> Curve:
     if over_axis not in (1, 2):
         raise ValueError("over_axis must be 1 or 2")
     if over_axis == 2:
-        keep_vals, keep_path = result.axis1_values, result.spec.axis1.path
         slices = [[result.point(i, j) for j in range(len(result.axis2_values))]
                   for i in range(len(result.axis1_values))]
     else:
-        keep_vals, keep_path = result.axis2_values, result.spec.axis2.path
         slices = [[result.point(i, j) for i in range(len(result.axis1_values))]
                   for j in range(len(result.axis2_values))]
     ys: list[float | None] = []
@@ -179,8 +166,7 @@ def reduce_max(result: SweepResult, quantity: str, over_axis: int) -> Curve:
         else:
             ys.append(None)
             statuses.append("gap")
-    return Curve(x_path=keep_path, quantity=quantity, x=keep_vals, y=ys,
-                 statuses=statuses)
+    return Curve(ys, statuses)
 
 
 def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
@@ -212,8 +198,8 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
             best_idx, best = idx, s
     if best_idx is None or best == -math.inf:
         raise OptimizationError(
-            f"no stable point for objective {objective!r} in sweep "
-            f"{spec.scenario}/{spec.axis1.path}")
+            f"no stable point for objective {objective!r} over "
+            f"{spec.axis1.path}")
 
     a1 = result.axis1_values
     if spec.axis2 is not None:
@@ -223,7 +209,7 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
                   spec.axis2.path: result.axis2_values[j]}
         return params, sign * best
 
-    cfg = spec.resolved_config()
+    cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
     in_range = schema_entry(spec.axis1.path)[2]
 

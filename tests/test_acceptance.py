@@ -86,9 +86,10 @@ def test_criterion_2_distance_robustness():
 
 
 def test_criterion_3_optimal_output_coupling():
-    spec = SweepSpec(scenario="paper-2022",
-                     axis1=Axis("geometry.r2", 0.80, 0.99, 39),
-                     overrides=(("gain.l", 0.15e-6), ("link.p_in", 100.0)))
+    cfg = get_preset("paper-2022")
+    set_path(cfg, "gain.l", 0.15e-6)
+    set_path(cfg, "link.p_in", 100.0)
+    spec = SweepSpec(cfg, axis1=Axis("geometry.r2", 0.80, 0.99, 39))
     params, p_beam = find_optimum(spec, "p_beam")
     r2_opt = params["geometry.r2"]
     assert 0.88 <= r2_opt <= 0.97

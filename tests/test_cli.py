@@ -263,6 +263,17 @@ class TestOptimize:
         assert line in ("losses.slope_loss_exponent = 1.0",
                         "losses.slope_loss_exponent = 2.0")
 
+    def test_no_stable_point_exit_code(self, capsys):
+        # fr2 = 2 m leaves every distance in 2-10 m unstable
+        code, out, err = run(capsys, "optimize",
+                             "--axis", "geometry.d3:2:10:5",
+                             "--set", "geometry.fr2=2 m",
+                             "--objective", "p_beam")
+        assert code == 5
+        assert out == ""
+        assert err == ("optimization failed: no stable point for objective "
+                       "'p_beam' over geometry.d3\n")
+
 
 class TestReproduceFigure:
     def test_figure_nine(self, capsys, tmp_path):
@@ -316,6 +327,23 @@ class TestPresetsAndValidate:
         bad.write_text("[link]\np_in = 120 parsec\n")
         code, _, err = run(capsys, "validate", "--config", str(bad))
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "gain.l=-1 um"], ["--set", "bogus"], ["--preset", "nope"]])
+    def test_validate_reads_what_it_is_given(self, capsys, argv):
+        code, out, err = run(capsys, "validate", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("config error: ")
+
+    def test_validate_names_what_passed(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "validate", "--set", "gain.l=0.15 um")
+        assert (code, out) == (0, "paper-2022: ok\n")
+        good = tmp_path / "good.cfg"
+        good.write_text("[link]\np_in = 120 W\n")
+        code, out, _ = run(capsys, "validate", "--config", str(good),
+                           "--set", "receiver.mu=0.5")
+        assert (code, out) == (0, f"{good}: ok\n")
 
 
 # -- one parser per process ---------------------------------------------

@@ -100,21 +100,36 @@ def test_range_edges_accepted(record, name, value):
     assert getattr(build(cfg), name) == value
 
 
+def no_cells(cfg, quantities):
+    raise AssertionError("a cell ran before its inputs were checked")
+
+
+SEARCHES = (run_sweep, lambda spec, evaluate_fn:
+            find_optimum(spec, "p_beam", evaluate_fn=evaluate_fn))
+
+
 @pytest.mark.parametrize("axis1, axis2, bad", [
     (Axis("geometry.r2", 0.5, 1.5, 5), None, "geometry.r2 = 1.25"),
     (Axis("link.p_in", 10.0, 50.0, 3), Axis("receiver.mu", -0.5, 0.5, 3),
      "receiver.mu = -0.5"),
 ], ids=["axis1", "axis2"])
 def test_sweep_checks_axis_values_before_any_cell(axis1, axis2, bad):
-    def no_cells(cfg, quantities):
-        raise AssertionError("a cell ran before the axis values were checked")
-
-    spec = SweepSpec("paper-2022", axis1, axis2)
-    for search in (run_sweep, lambda s, evaluate_fn:
-                   find_optimum(s, "p_beam", evaluate_fn=evaluate_fn)):
+    spec = SweepSpec(get_preset("paper-2022"), axis1, axis2)
+    for search in SEARCHES:
         with pytest.raises(ConfigError) as e:
             search(spec, evaluate_fn=no_cells)
         assert str(e.value).startswith(f"{bad} out of range")
+
+
+def test_sweep_checks_its_config_before_any_cell():
+    # a Config edited by hand has passed no check on its way in
+    cfg = get_preset("paper-2022")
+    cfg["receiver"]["mu"] = 1.5
+    spec = SweepSpec(cfg, Axis("link.p_in", 10.0, 50.0, 3))
+    for search in SEARCHES:
+        with pytest.raises(ConfigError) as e:
+            search(spec, evaluate_fn=no_cells)
+        assert str(e.value).startswith("receiver.mu = 1.5 out of range")
 
 
 VALID_GEOMETRY = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3,

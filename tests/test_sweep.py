@@ -27,9 +27,16 @@ from rbswipt.sweep import (
 )
 
 
+def preset_with(*overrides):
+    """The paper-2022 preset with each (path, value) set in turn."""
+    cfg = get_preset("paper-2022")
+    for path, value in overrides:
+        set_path(cfg, path, value)
+    return cfg
+
+
 def mu_spec(count=5) -> SweepSpec:
-    return SweepSpec(scenario="paper-2022",
-                     axis1=Axis("receiver.mu", 0.1, 0.9, count))
+    return SweepSpec(preset_with(), Axis("receiver.mu", 0.1, 0.9, count))
 
 
 class TestAxis:
@@ -70,7 +77,7 @@ class TestRunSweep:
             assert point == direct
 
     def test_two_axis_random_cells(self):
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(),
                          axis1=Axis("geometry.r2", 0.85, 0.95, 6),
                          axis2=Axis("link.p_in", 50.0, 150.0, 5))
         result = run_sweep(spec)
@@ -86,10 +93,9 @@ class TestRunSweep:
     def test_geometry_grid_with_unstable_cells(self):
         # every cell sets the geometry, and fr2 = 10 m leaves part of the
         # grid unstable
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(("geometry.fr2", 10.0)),
                          axis1=Axis("geometry.tim_magnification", 1.0, 14.0, 7),
-                         axis2=Axis("geometry.d3", 2.0, 10.0, 6),
-                         overrides=(("geometry.fr2", 10.0),))
+                         axis2=Axis("geometry.d3", 2.0, 10.0, 6))
         result = run_sweep(spec)
         assert {"ok", "unstable"} <= set(result.statuses())
         for i, m in enumerate(result.axis1_values):
@@ -102,11 +108,11 @@ class TestRunSweep:
 
     def test_cells_leave_base_config_untouched(self):
         # setting f2 pops tim_magnification from the cell's geometry section
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(),
                          axis1=Axis("geometry.f2", 0.02, 0.07, 4))
-        result = run_sweep(spec)
-        assert result.config == spec.resolved_config()
-        assert "f2" not in result.config["geometry"]
+        run_sweep(spec)
+        assert spec.config == preset_with()
+        assert "f2" not in spec.config["geometry"]
 
     def test_cell_configs_match_set_path(self):
         # axis 2 sets f2 in axis 1's section: every cell drops
@@ -117,19 +123,18 @@ class TestRunSweep:
             seen.append(cfg)
             return OperatingPoint("stable", 0.0)
 
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(("receiver.mu", 0.5)),
                          axis1=Axis("geometry.d3", 2.0, 10.0, 3),
-                         axis2=Axis("geometry.f2", 0.02, 0.07, 2),
-                         overrides=(("receiver.mu", 0.5),))
+                         axis2=Axis("geometry.f2", 0.02, 0.07, 2))
         result = run_sweep(spec, evaluate_fn=record)
         cells = [(d3, f2) for d3 in result.axis1_values
                  for f2 in result.axis2_values]
         for cfg, (d3, f2) in zip(seen, cells, strict=True):
-            want = spec.resolved_config()
+            want = preset_with(("receiver.mu", 0.5))
             set_path(want, "geometry.d3", d3)
             set_path(want, "geometry.f2", f2)
             assert cfg == want
-        assert result.config == spec.resolved_config()
+        assert spec.config == preset_with(("receiver.mu", 0.5))
 
     @pytest.mark.parametrize("path1, path2", [
         ("geometry.d3", "geometry.d3"), ("link.p_in", "link.p_in"),
@@ -138,34 +143,32 @@ class TestRunSweep:
     def test_two_axes_on_one_parameter_rejected(self, path1, path2):
         # the second axis would overwrite the first in every cell
         with pytest.raises(ValueError, match="set the same parameter"):
-            SweepSpec(scenario="paper-2022", axis1=Axis(path1, 1.0, 2.0, 3),
+            SweepSpec(preset_with(), axis1=Axis(path1, 1.0, 2.0, 3),
                       axis2=Axis(path2, 3.0, 4.0, 3))
 
     def test_unstable_points_are_statuses_not_errors(self):
         # fr2 = 10 m leaves part of the distance range unstable at M = 12
-        spec = SweepSpec(scenario="paper-2022",
-                         axis1=Axis("geometry.d3", 2.0, 10.0, 9),
-                         overrides=(("geometry.fr2", 10.0),))
+        spec = SweepSpec(preset_with(("geometry.fr2", 10.0)),
+                         axis1=Axis("geometry.d3", 2.0, 10.0, 9))
         result = run_sweep(spec)
         statuses = set(result.statuses())
         assert "unstable" in statuses
         assert "ok" in statuses
 
     def test_overrides_applied(self):
-        spec = SweepSpec(scenario="paper-2022",
-                         axis1=Axis("receiver.mu", 0.1, 0.9, 2),
-                         overrides=(("link.p_in", 150.0),))
+        spec = SweepSpec(preset_with(("link.p_in", 150.0)),
+                         axis1=Axis("receiver.mu", 0.1, 0.9, 2))
         result = run_sweep(spec)
-        assert get_path(result.config, "link.p_in") == 150.0
+        assert get_path(result.spec.config, "link.p_in") == 150.0
+        assert [p.p_in for p in result.points] == [150.0, 150.0]
 
 
 class TestReduceMax:
     @staticmethod
     def two_axis_result():
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(("geometry.fr2", 11.0)),
                          axis1=Axis("geometry.tim_magnification", 1.0, 12.0, 3),
-                         axis2=Axis("geometry.d3", 2.0, 10.0, 5),
-                         overrides=(("geometry.fr2", 11.0),))
+                         axis2=Axis("geometry.d3", 2.0, 10.0, 5))
         return run_sweep(spec)
 
     def test_elementwise_maximum(self):
@@ -183,10 +186,9 @@ class TestReduceMax:
         assert all(y == 100.0 for y in curve.y)
 
     def test_gap_marker_for_empty_slice(self):
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(("geometry.fr2", 10.0)),
                          axis1=Axis("geometry.tim_magnification", 12.0, 14.0, 2),
-                         axis2=Axis("geometry.d3", 9.0, 10.0, 3),
-                         overrides=(("geometry.fr2", 10.0),))
+                         axis2=Axis("geometry.d3", 9.0, 10.0, 3))
         curve = reduce_max(run_sweep(spec), "spot_radius", over_axis=2)
         assert curve.y == [None, None]
         assert curve.statuses == ["gap", "gap"]
@@ -196,10 +198,9 @@ class TestReduceMax:
         # below the uncompressed one
         def curve_for(m):
             spec = SweepSpec(
-                scenario="paper-2022",
+                preset_with(("geometry.fr2", 11.0)),
                 axis1=Axis("geometry.tim_magnification", m, m + 1e-9, 2),
-                axis2=Axis("geometry.d3", 2.0, 10.0, 17),
-                overrides=(("geometry.fr2", 11.0),))
+                axis2=Axis("geometry.d3", 2.0, 10.0, 17))
             return reduce_max(run_sweep(spec), "spot_radius", over_axis=2)
 
         with_tim = curve_for(10.0)
@@ -222,7 +223,7 @@ def quadratic_stub(vertex, path="receiver.mu"):
 class TestFindOptimum:
     def test_recovers_quadratic_vertex(self):
         vertex = 0.4321
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 21))
         params, value = find_optimum(spec, "p_beam",
                                      evaluate_fn=quadratic_stub(vertex))
@@ -235,7 +236,7 @@ class TestFindOptimum:
             x = get_path(cfg, "receiver.mu")
             return OperatingPoint(status="ok", p_in=0.0,
                                   p_beam=(x - vertex) ** 2)
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 11))
         params, value = find_optimum(spec, "p_beam", sense="min",
                                      evaluate_fn=stub)
@@ -243,19 +244,17 @@ class TestFindOptimum:
 
     def test_optimal_output_coupling(self):
         # best M2 reflectivity for beam power at 100 W lands near 0.9
-        spec = SweepSpec(scenario="paper-2022",
-                         axis1=Axis("geometry.r2", 0.80, 0.99, 39),
-                         overrides=(("gain.l", 0.15e-6),
-                                    ("link.p_in", 100.0)))
+        spec = SweepSpec(preset_with(("gain.l", 0.15e-6),
+                                     ("link.p_in", 100.0)),
+                         axis1=Axis("geometry.r2", 0.80, 0.99, 39))
         params, p_beam = find_optimum(spec, "p_beam")
         assert 0.88 <= params["geometry.r2"] <= 0.97
         assert p_beam > 0
 
     def test_efficiency_shares_argmax_with_power(self):
         overrides = (("gain.l", 0.15e-6), ("link.p_in", 100.0))
-        spec = SweepSpec(scenario="paper-2022",
-                         axis1=Axis("geometry.r2", 0.80, 0.99, 39),
-                         overrides=overrides)
+        spec = SweepSpec(preset_with(*overrides),
+                         axis1=Axis("geometry.r2", 0.80, 0.99, 39))
         p_params, _ = find_optimum(spec, "p_beam")
         e_params, _ = find_optimum(spec, "eta_b")
         assert p_params["geometry.r2"] == \
@@ -272,7 +271,7 @@ class TestFindOptimum:
             check_value(path, seen[-1])
             return evaluate_operating_point(cfg, quantities)
 
-        spec = SweepSpec(scenario="paper-2022", axis1=Axis(path, 1.0, 2.0, 2))
+        spec = SweepSpec(preset_with(), axis1=Axis(path, 1.0, 2.0, 2))
         params, _ = find_optimum(spec, "p_beam", evaluate_fn=checked)
         assert seen == [1.0, 2.0]
         assert params[path] in (1.0, 2.0)
@@ -280,7 +279,7 @@ class TestFindOptimum:
     def test_no_stable_point_raises(self):
         def never(cfg, quantities=None):
             return OperatingPoint(status="unstable", p_in=0.0)
-        spec = SweepSpec(scenario="paper-2022",
+        spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
         with pytest.raises(OptimizationError):
             find_optimum(spec, "p_beam", evaluate_fn=never)
@@ -294,7 +293,7 @@ class TestDeterminism:
                     Column("c_tilde", "bit/s/Hz",
                            [p.c_tilde for p in result.points]),
                     Column("status", "", result.statuses())]
-            write_curve_file(tmp_path / name, "det-check", result.config,
+            write_curve_file(tmp_path / name, "det-check", result.spec.config,
                              cols)
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
@@ -302,7 +301,7 @@ class TestDeterminism:
     def test_csv_roundtrips_exact_floats(self, tmp_path):
         result = run_sweep(mu_spec(5))
         values = [p.c_tilde for p in result.points]
-        write_curve_file(tmp_path / "c.csv", "rt", result.config,
+        write_curve_file(tmp_path / "c.csv", "rt", result.spec.config,
                          [Column("c_tilde", "", values)])
         rows = [line for line in
                 (tmp_path / "c.csv").read_text().splitlines()
@@ -367,10 +366,9 @@ class TestPruning:
 
     @pytest.mark.parametrize("objective", ["p_beam", "p_e_out", "c_tilde"])
     def test_find_optimum_identical_without_pruning(self, objective):
-        spec = SweepSpec(scenario="paper-2022",
-                         axis1=Axis("geometry.r2", 0.80, 0.99, 39),
-                         overrides=(("gain.l", 0.15e-6),
-                                    ("receiver.mu", 0.5)))
+        spec = SweepSpec(preset_with(("gain.l", 0.15e-6),
+                                     ("receiver.mu", 0.5)),
+                         axis1=Axis("geometry.r2", 0.80, 0.99, 39))
         assert find_optimum(spec, objective) == \
             find_optimum(spec, objective, evaluate_fn=unpruned)
 
