@@ -7,16 +7,11 @@ from .model import OperatingPoint, evaluate_operating_point
 from .ray_optics import (
     DegenerateCavityError,
     RayTransferMatrix,
-    RayVector,
     ResonatorGeometry,
     UnstableResonatorError,
     diffraction_survival,
-    free_space,
     one_trip_matrix,
-    reflector_matrix,
     spot_radius_on_gain,
-    thin_lens,
-    tim_matrix,
 )
 from .receiver import ReceiverModel, SwiptResult, evaluate_receiver
 from .sweep import (

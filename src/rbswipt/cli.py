@@ -118,6 +118,8 @@ def _check_fields(names) -> None:
         if name not in FIELD_UNITS:
             raise ConfigError(
                 f"unknown quantity {name!r}; known: {', '.join(FIELD_UNITS)}")
+        if names.count(name) > 1:
+            raise ConfigError(f"quantity {name!r} is given more than once")
 
 
 def _cfg_spec(args) -> SweepSpec:

@@ -258,14 +258,6 @@ def copy_config(cfg: Config) -> Config:
     return {section: dict(keys) for section, keys in cfg.items()}
 
 
-def get_path(cfg: Config, path: str) -> float:
-    section, _, key = path.partition(".")
-    try:
-        return cfg[section][key]
-    except KeyError:
-        raise ConfigError(f"unresolvable parameter path {path!r}") from None
-
-
 def schema_entry(path: str) -> tuple:
     """SCHEMA entry (kind, optional?, range check, range description) of a
     dotted parameter path."""

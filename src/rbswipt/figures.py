@@ -53,22 +53,19 @@ _FIGURES = {
 }
 FIGURE_IDS = tuple(_FIGURES)
 
-# display name of each swept or series path; the unit comes from SCHEMA
-_AXIS_NAMES = {
-    "geometry.tim_magnification": "M",
-    "geometry.d3": "d3",
-    "geometry.fr2": "fr2",
-    "gain.l": "l",
-    "geometry.r2": "r2",
-    "link.p_in": "p_in",
-    "receiver.mu": "mu",
-}
+# display name of a swept or series path where it is not the path's key
+_AXIS_NAMES = {"geometry.tim_magnification": "M"}
+
+
+def _axis_name_unit(path: str) -> tuple[str, str]:
+    """Display name and SCHEMA unit of a swept or series path."""
+    return _AXIS_NAMES.get(path, path.partition(".")[2]), path_unit(path)
 
 
 def _series_sweeps(figure_id: str, points: int):
     """Yield (label, spec, quantities, reduce_over_d3) per series."""
     path, values, swept, reduced, fixed, quantities = _FIGURES[figure_id]
-    name, unit = _AXIS_NAMES[path], path_unit(path)
+    name, unit = _axis_name_unit(path)
     for v in values:
         cfg = get_preset("paper-2022")
         for fixed_path, fixed_value in (*fixed, (path, v)):
@@ -108,8 +105,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
         columns.append(Column(f"status[{label}]", "", statuses))
     # every series shares axis 1; the file records the first one's config
     first = next(iter(results.values()))
-    x_path = first.spec.axis1.path
-    x_name, x_unit = _AXIS_NAMES[x_path], path_unit(x_path)
+    x_name, x_unit = _axis_name_unit(first.spec.axis1.path)
     columns.insert(0, Column(x_name, x_unit, first.axis1_values))
     csv_path = out_dir / f"fig{figure_id}.csv"
     write_curve_file(csv_path, f"fig{figure_id}", first.spec.config, columns)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .ray_optics import ResonatorGeometry
 
@@ -46,18 +45,20 @@ class PumpModel(namedtuple("PumpModel", "eta_pc eta_pa lambda_pump")):
     __slots__ = ()
 
 
-class PowerResult(NamedTuple):
-    """Gain-stage state of the link at one input power."""
-
-    vd: float               # diffraction survival
-    v: float                # overall loss factor vc * vd
-    g_sat: float            # m^-1
-    n_th: float             # m^-3
-    tau: float              # s
-    p_th: float             # W
-    eta_s: float            # dimensionless
-    p_beam: float           # W
-    eta_b: float            # dimensionless
+# field -> unit of PowerResult, in record order
+POWER_UNITS = {
+    "vd": "",           # diffraction survival
+    "v": "",            # overall loss factor vc * vd
+    "g_sat": "m^-1",
+    "n_th": "m^-3",
+    "tau": "s",
+    "p_th": "W",
+    "eta_s": "",
+    "p_beam": "W",
+    "eta_b": "",
+}
+PowerResult = namedtuple("PowerResult", POWER_UNITS)
+PowerResult.__doc__ = "Gain-stage state of the link at one input power."
 
 
 def saturation_gain(r1: float, r2: float, v: float, l: float,
@@ -73,19 +74,6 @@ def saturation_gain(r1: float, r2: float, v: float, l: float,
     if prod > 1:
         raise ValueError(f"r1*r2*v^2 = {prod} > 1: saturation gain would be negative")
     return -math.log(prod) / (2.0 * gamma_conf * l)
-
-
-def threshold_carrier_density(gm: GainModel, r1: float, r2: float,
-                              v: float) -> float:
-    """Carrier density (m^-3) needed to reach the saturation gain:
-    N_th = N0 * (r1 r2 v^2) ** (-1 / (2 g0 l Gamma))."""
-    g = saturation_gain(r1, r2, v, gm.l, gm.gamma_conf)
-    return _carrier_density(gm, g)
-
-
-def _carrier_density(gm: GainModel, g: float) -> float:
-    """Carrier density (m^-3) at gain coefficient g: N0 exp(g / g0)."""
-    return gm.n0 * math.exp(g / gm.g0)
 
 
 def carrier_lifetime(n: float, gm: GainModel) -> float:
@@ -137,14 +125,6 @@ def beam_power(p_in: float, p_th: float, eta_s: float) -> float:
     return max(0.0, (p_in - p_th) * eta_s)
 
 
-def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:
-    """Beam transmission efficiency p_beam / p_in, clamped at zero below
-    threshold."""
-    if p_in <= 0:
-        raise ValueError("input power must be positive")
-    return beam_power(p_in, p_th, eta_s) / p_in
-
-
 def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
                   pump: PumpModel, vc: float, p_in: float, vd: float,
                   loss_exponent: int = 1) -> PowerResult:
@@ -153,13 +133,13 @@ def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
     threshold power and slope efficiency -> beam power."""
     v = vc * vd
     g = saturation_gain(geometry.r1, geometry.r2, v, gain.l, gain.gamma_conf)
-    n_th = _carrier_density(gain, g)
+    n_th = gain.n0 * math.exp(g / gain.g0)     # threshold carrier density
     tau = carrier_lifetime(n_th, gain)
     p_th = threshold_power(gain, pump, n_th, tau, geometry.lambda_beam)
     eta_s = slope_efficiency(pump, geometry.r1, geometry.r2, v,
                              geometry.lambda_beam, loss_exponent)
     p_beam = beam_power(p_in, p_th, eta_s)
-    # transmission_efficiency's ratio, on the beam power just computed
+    # transmission efficiency p_beam / p_in, zero below threshold
     eta_b = p_beam / p_in if p_in > 0 else 0.0
     return PowerResult(vd, v, g, n_th, tau, p_th, eta_s, p_beam, eta_b)
 

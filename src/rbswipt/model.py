@@ -9,7 +9,7 @@ those fields need.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .config import (
     Config,
@@ -19,14 +19,14 @@ from .config import (
     build_pump,
     build_receiver,
 )
-from .gain_power import PowerResult, evaluate_gain
+from .gain_power import POWER_UNITS, evaluate_gain
 from .ray_optics import (
     CavityError,
     diffraction_survival,
     one_trip_matrix,
     spot_radius_on_gain,
 )
-from .receiver import SwiptResult, evaluate_receiver
+from .receiver import SWIPT_UNITS, evaluate_receiver
 
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
@@ -35,52 +35,22 @@ STATUS_SUB_THRESHOLD = "sub-threshold"
 STATUS_STABLE = "stable"
 
 # column name -> unit, for report/CSV emission, in OperatingPoint order
-FIELD_UNITS = {
-    "p_in": "W", "spot_radius": "m",
-    "vd": "", "v": "", "g_sat": "m^-1", "n_th": "m^-3", "tau": "s",
-    "p_th": "W", "eta_s": "", "p_beam": "W", "eta_b": "",
-    "p_pv_in": "W", "p_apd_in": "W", "p_e_out_raw": "W", "p_e_out": "W",
-    "eta_e": "", "i_d": "A", "n_thermal_sq": "A^2", "n_shot_sq": "A^2",
-    "n_total_sq": "A^2", "c_tilde": "bit/s/Hz",
-}
+FIELD_UNITS = {"p_in": "W", "spot_radius": "m", **POWER_UNITS, **SWIPT_UNITS}
 
 _RAY_OPTICS, _GAIN, _RECEIVER = 0, 1, 2
 
 # stage each readable name needs: a field belongs to the stage whose record
 # holds it; ok versus sub-threshold needs the gain
 _STAGE = {"p_in": _RAY_OPTICS, "spot_radius": _RAY_OPTICS, "status": _GAIN,
-          **dict.fromkeys(PowerResult._fields, _GAIN),
-          **dict.fromkeys(SwiptResult._fields, _RECEIVER)}
+          **dict.fromkeys(POWER_UNITS, _GAIN),
+          **dict.fromkeys(SWIPT_UNITS, _RECEIVER)}
 
 
-class OperatingPoint(NamedTuple):
-    """One evaluated link state.  All SI.  After status, p_in and
-    spot_radius come the fields of PowerResult, then those of SwiptResult;
-    fields of stages that did not run are None."""
-
-    status: str
-    p_in: float
-    spot_radius: float | None = None
-    vd: float | None = None
-    v: float | None = None
-    g_sat: float | None = None
-    n_th: float | None = None
-    tau: float | None = None
-    p_th: float | None = None
-    eta_s: float | None = None
-    p_beam: float | None = None
-    eta_b: float | None = None
-    p_pv_in: float | None = None
-    p_apd_in: float | None = None
-    p_e_out_raw: float | None = None
-    p_e_out: float | None = None
-    eta_e: float | None = None
-    i_d: float | None = None
-    n_thermal_sq: float | None = None
-    n_shot_sq: float | None = None
-    n_total_sq: float | None = None
-    c_tilde: float | None = None
-    detail: str = ""
+OperatingPoint = namedtuple(
+    "OperatingPoint", ("status", *FIELD_UNITS, "detail"),
+    defaults=(*[None] * (len(FIELD_UNITS) - 1), ""))
+OperatingPoint.__doc__ = """One evaluated link state, all SI: status, the
+FIELD_UNITS fields, then detail; fields of stages that did not run are None."""
 
 
 def evaluate_operating_point(cfg: Config,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 # Fixed to the model's stated values rather than CODATA, for curve fidelity.
 ELECTRON_CHARGE = 1.6e-19   # C
@@ -36,19 +35,21 @@ class ReceiverModel(namedtuple(
     __slots__ = ()
 
 
-class SwiptResult(NamedTuple):
-    """Receiver-side state for one received beam power."""
-
-    p_pv_in: float        # W
-    p_apd_in: float       # W
-    p_e_out_raw: float    # W, linear fit before clamping
-    p_e_out: float        # W, delivered (clamped at zero)
-    eta_e: float          # end-to-end efficiency, unclamped numerator
-    i_d: float            # A
-    n_thermal_sq: float   # A^2
-    n_shot_sq: float      # A^2
-    n_total_sq: float     # A^2
-    c_tilde: float        # bit/s/Hz
+# field -> unit of SwiptResult, in record order
+SWIPT_UNITS = {
+    "p_pv_in": "W",
+    "p_apd_in": "W",
+    "p_e_out_raw": "W",         # linear fit before clamping
+    "p_e_out": "W",             # delivered (clamped at zero)
+    "eta_e": "",                # end-to-end efficiency, unclamped numerator
+    "i_d": "A",
+    "n_thermal_sq": "A^2",
+    "n_shot_sq": "A^2",
+    "n_total_sq": "A^2",
+    "c_tilde": "bit/s/Hz",
+}
+SwiptResult = namedtuple("SwiptResult", SWIPT_UNITS)
+SwiptResult.__doc__ = "Receiver-side state for one received beam power."
 
 
 def split_beam(p_beam: float, mu: float) -> tuple[float, float]:

@@ -1,0 +1,187 @@
+"""Reference ABCD library and oracles the tests check the package against.
+
+Written independently of the fused code paths in `rbswipt`: element
+matrices multiplied one by one, the round trip, the self-consistent
+Gaussian mode, and the gain-stage formulas spelled out from the model's
+equations.  Nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from rbswipt import ray_optics
+from rbswipt.config import Config, ConfigError
+from rbswipt.gain_power import GainModel, beam_power, saturation_gain
+from rbswipt.ray_optics import ResonatorGeometry, UnstableResonatorError
+
+
+@dataclass(frozen=True)
+class RayVector:
+    """Transverse ray state: position x (m) and paraxial angle theta (rad)."""
+
+    x: float
+    theta: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.theta)):
+            raise ValueError("ray vector components must be finite")
+
+
+class RayTransferMatrix(ray_optics.RayTransferMatrix):
+    """The package's matrix record with the matrix product and its action
+    on a ray; same name, so reprs compare equal to the package's."""
+
+    __slots__ = ()
+
+    def __matmul__(self, other: "RayTransferMatrix") -> "RayTransferMatrix":
+        return RayTransferMatrix(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def apply(self, r: RayVector) -> RayVector:
+        return RayVector(self.a * r.x + self.b * r.theta,
+                         self.c * r.x + self.d * r.theta)
+
+
+IDENTITY = RayTransferMatrix(1.0, 0.0, 0.0, 1.0)
+
+
+def compose(*matrices: RayTransferMatrix) -> RayTransferMatrix:
+    """Product of matrices in the order a ray encounters the elements.
+
+    The first argument is the first element hit, i.e. compose(m1, m2, m3)
+    returns m3 @ m2 @ m1.
+    """
+    out = IDENTITY
+    for m in matrices:
+        out = m @ out
+    return out
+
+
+def free_space(distance: float) -> RayTransferMatrix:
+    """Translation over `distance` meters.  Negative distances are legal
+    (they arise for telescope assemblies with negative lens spacing)."""
+    if not math.isfinite(distance):
+        raise ValueError(f"free-space distance must be finite, got {distance}")
+    return RayTransferMatrix(1.0, distance, 0.0, 1.0)
+
+
+def thin_lens(f: float) -> RayTransferMatrix:
+    """Thin lens of focal length f (m).  f may be negative (diverging) or
+    infinite (flat window, identity)."""
+    if f == 0:
+        raise ValueError("thin lens focal length must be nonzero")
+    if math.isinf(f):
+        return IDENTITY
+    return RayTransferMatrix(1.0, 0.0, -1.0 / f, 1.0)
+
+
+def reflector_matrix(f: float, d: float) -> RayTransferMatrix:
+    """Cat-eye reflector: lens of focal length f with a flat mirror at
+    distance d behind it, traversed out and back.
+
+    Equals [[-1, 0], [1/f_r, -1]] with f_r = f^2 / (2 (d - f)).  At d = f the
+    mirror sits in the focal plane, f_r is infinite, and the reflector is an
+    ideal retro-reflector (-I).
+    """
+    if f == 0:
+        raise ValueError("reflector lens focal length must be nonzero")
+    if d < 0:
+        raise ValueError(f"lens-to-mirror distance must be >= 0, got {d}")
+    if d == f:
+        return RayTransferMatrix(-1.0, 0.0, 0.0, -1.0)
+    f_r = f * f / (2.0 * (d - f))
+    return RayTransferMatrix(-1.0, 0.0, 1.0 / f_r, -1.0)
+
+
+def retro_reflector(f_r: float = math.inf) -> RayTransferMatrix:
+    """Reflector expressed directly by its effective curvature factor f_r.
+
+    f_r = inf gives the ideal retro-reflector -I.
+    """
+    if f_r == 0:
+        raise ValueError("effective curvature factor must be nonzero")
+    c = 0.0 if math.isinf(f_r) else 1.0 / f_r
+    return RayTransferMatrix(-1.0, 0.0, c, -1.0)
+
+
+def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
+    """Two-lens telescope: lens f1, spacing lt, lens f2 (in traversal order).
+
+    When lt = f1 + f2 the assembly is afocal and equals
+    [[1/M, lt], [0, M]] with M = -f1/f2.
+    """
+    return compose(thin_lens(f1), free_space(lt), thin_lens(f2))
+
+
+def round_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:
+    """Full round trip starting and ending at M1, the input of the
+    self-consistent Gaussian-mode oracle."""
+    forward = compose(
+        free_space(g.d1),
+        free_space(g.d2),
+        thin_lens(g.f1),
+        free_space(g.lt),
+        thin_lens(g.f2),
+        free_space(g.d3),
+    )
+    backward = compose(
+        free_space(g.d3),
+        thin_lens(g.f2),
+        free_space(g.lt),
+        thin_lens(g.f1),
+        free_space(g.d2),
+        free_space(g.d1),
+    )
+    return compose(forward, retro_reflector(g.fr2), backward,
+                   retro_reflector(g.fr1))
+
+
+def spot_radius_q_oracle(m_round: RayTransferMatrix, lam: float) -> float:
+    """Self-consistent Gaussian-beam spot radius from a round-trip matrix.
+
+    Solves C q^2 + (D - A) q - B = 0 for the complex beam parameter with
+    positive imaginary part, then w^2 = -lam / (pi * Im(1/q)).  Raises
+    UnstableResonatorError when no confined solution exists.
+    """
+    a, b, c, d = m_round.a, m_round.b, m_round.c, m_round.d
+    disc = (d - a) ** 2 + 4.0 * b * c
+    if disc >= 0 or c == 0:
+        raise UnstableResonatorError(m_round, disc)
+    sq = complex(0.0, math.sqrt(-disc))
+    for root in ((a - d) + sq, (a - d) - sq):
+        q = root / (2.0 * c)
+        if q.imag > 0:
+            inv_im = (1.0 / q).imag
+            return math.sqrt(-lam / (math.pi * inv_im))
+    raise UnstableResonatorError(m_round, disc)
+
+
+def threshold_carrier_density(gm: GainModel, r1: float, r2: float,
+                              v: float) -> float:
+    """Carrier density (m^-3) needed to reach the saturation gain:
+    N_th = N0 exp(g_sat / g0) = N0 (r1 r2 v^2) ** (-1 / (2 g0 l Gamma))."""
+    g = saturation_gain(r1, r2, v, gm.l, gm.gamma_conf)
+    return gm.n0 * math.exp(g / gm.g0)
+
+
+def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:
+    """Beam transmission efficiency p_beam / p_in, clamped at zero below
+    threshold."""
+    if p_in <= 0:
+        raise ValueError("input power must be positive")
+    return beam_power(p_in, p_th, eta_s) / p_in
+
+
+def get_path(cfg: Config, path: str) -> float:
+    """Value of a dotted parameter path; ConfigError when it is absent."""
+    section, _, key = path.partition(".")
+    try:
+        return cfg[section][key]
+    except KeyError:
+        raise ConfigError(f"unresolvable parameter path {path!r}") from None

@@ -10,24 +10,26 @@ import time
 
 import numpy as np
 import pytest
+from abcd import (
+    RayTransferMatrix,
+    compose,
+    free_space,
+    reflector_matrix,
+    retro_reflector,
+    round_trip_matrix,
+    spot_radius_q_oracle,
+    thin_lens,
+    tim_matrix,
+)
 
 from rbswipt.config import get_preset, set_path
 from rbswipt.gain_power import saturation_gain
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
-    RayTransferMatrix,
     ResonatorGeometry,
     UnstableResonatorError,
-    compose,
-    free_space,
     one_trip_matrix,
-    reflector_matrix,
-    retro_reflector,
-    round_trip_matrix,
     spot_radius_on_gain,
-    spot_radius_q_oracle,
-    thin_lens,
-    tim_matrix,
 )
 from rbswipt.receiver import split_beam
 from rbswipt.sweep import Axis, SweepSpec, find_optimum

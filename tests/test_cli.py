@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import json
+import pkgutil
 import random
 import subprocess
 import sys
@@ -136,6 +139,8 @@ BAD_INPUT = [
     (3, ["sweep", "--axis", "link.p_in:1:5:1"]),
     (3, ["sweep", "--axis", "link.p_in:0:5:3:log"]),
     (3, ["sweep", "--axis", "link.p_in:1:5", "--quantity", "nope"]),
+    (3, ["sweep", "--axis", "link.p_in:1:5", "--quantity", "p_in",
+         "--quantity", "p_in"]),
     (3, ["optimize", "--axis", "geometry.r2:0.8:0.99:5",
          "--objective", "nope"]),
     (3, ["optimize", "--axis", "geometry.r2:0.8:1.2:5"]),
@@ -411,6 +416,46 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["0", "0"]
+
+
+# -- every public function serves a command ---------------------------------
+
+def test_commands_reach_every_public_function(capsys, tmp_path):
+    # a public function no command calls is a second implementation that
+    # only tests run; such references live in tests/abcd.py
+    config = tmp_path / "my.cfg"
+    config.write_text("[link]\np_in = 150 W\n")
+    out = ["--out-dir", str(tmp_path)]
+    commands = [
+        ["evaluate"],
+        ["validate", "--config", str(config)],
+        ["presets"],
+        ["sweep", "--axis", "link.p_in:50:150:3",
+         "--axis", "receiver.mu:0:0.99:3", *out],
+        ["optimize", "--axis", "geometry.r2:0.8:0.99:5"],
+        ["reproduce-figure", "5a", "--points", "3", *out],
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    cli._parser.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [run_cli(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(commands)
+    modules = [importlib.import_module(f"rbswipt.{m.name}")
+               for m in pkgutil.iter_modules(rbswipt.__path__)]
+    never = [f"{mod.__name__}.{name}" for mod in modules
+             for name, fn in vars(mod).items()
+             if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+             and not name.startswith("_") and fn.__code__ not in called]
+    assert never == ["rbswipt.cli.main"]
 
 
 # -- random argv: every input ends in a documented exit code ----------------

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from abcd import get_path
 
 from rbswipt.config import (
     ConfigError,
@@ -8,7 +9,6 @@ from rbswipt.config import (
     build_geometry,
     config_digest,
     copy_config,
-    get_path,
     get_preset,
     parse_config,
     parse_quantity,

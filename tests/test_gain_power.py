@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from abcd import threshold_carrier_density, transmission_efficiency
 
 from rbswipt.config import ConfigError, build_gain, get_preset, set_path
 from rbswipt.gain_power import (
@@ -13,9 +14,7 @@ from rbswipt.gain_power import (
     evaluate_gain,
     saturation_gain,
     slope_efficiency,
-    threshold_carrier_density,
     threshold_power,
-    transmission_efficiency,
 )
 from rbswipt.ray_optics import (
     ResonatorGeometry,

@@ -3,24 +3,26 @@ import random
 
 import numpy as np
 import pytest
-
-from rbswipt.ray_optics import (
-    DegenerateCavityError,
+from abcd import (
     RayTransferMatrix,
     RayVector,
-    ResonatorGeometry,
-    UnstableResonatorError,
     compose,
-    diffraction_survival,
     free_space,
-    one_trip_matrix,
     reflector_matrix,
     retro_reflector,
     round_trip_matrix,
-    spot_radius_on_gain,
     spot_radius_q_oracle,
     thin_lens,
     tim_matrix,
+)
+
+from rbswipt.ray_optics import (
+    DegenerateCavityError,
+    ResonatorGeometry,
+    UnstableResonatorError,
+    diffraction_survival,
+    one_trip_matrix,
+    spot_radius_on_gain,
 )
 
 LAMBDA = 980e-9

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from rbswipt.config import get_preset, set_path
+from rbswipt.model import evaluate_operating_point
 from rbswipt.receiver import (
     ReceiverModel,
     apd_current,
@@ -182,3 +184,22 @@ class TestReceiverChain:
         grid = np.linspace(0.0, 0.5, 40)
         caps = [spectral_efficiency(float(i), n_sq) for i in grid]
         assert all(a < b for a, b in zip(caps, caps[1:]))
+
+
+def test_spectral_efficiency_is_shot_noise_limited():
+    # the abstract's 18 bit/s/Hz against paper-2022's 16.35 at mu = 0 and
+    # 150 W: shot noise outweighs thermal noise ~6e6-fold, so the SNR grows
+    # only linearly in beam power, while both noise terms scale with b_x,
+    # so a tenth of the bandwidth multiplies the SNR by 10 and adds
+    # 0.5 log2(10) = 1.661 bit/s/Hz
+    cfg = get_preset("paper-2022")
+    set_path(cfg, "receiver.mu", 0.0)
+    set_path(cfg, "link.p_in", 150.0)
+    wide = evaluate_operating_point(cfg)
+    assert wide.n_shot_sq / wide.n_thermal_sq > 1e6
+    set_path(cfg, "receiver.b_x", cfg["receiver"]["b_x"] / 10)
+    narrow = evaluate_operating_point(cfg)
+    assert wide.c_tilde == pytest.approx(16.351, abs=1e-3)
+    assert narrow.c_tilde == pytest.approx(18.012, abs=1e-3)
+    assert narrow.c_tilde - wide.c_tilde == \
+        pytest.approx(0.5 * math.log2(10), abs=1e-3)

@@ -4,12 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
+from abcd import get_path
 
 from rbswipt import figures, sweep
 from rbswipt.config import (
     ConfigError,
     check_value,
-    get_path,
     get_preset,
     set_path,
 )
