@@ -24,7 +24,14 @@ from .config import (
     set_path,
 )
 from .figures import FIGURE_IDS, reproduce_figure
-from .model import FIELD_UNITS, STATUS_UNSTABLE, evaluate_operating_point
+from .model import (
+    FIELD_UNITS,
+    STATUS_OK,
+    STATUS_SUB_THRESHOLD,
+    STATUS_UNSTABLE,
+    OperatingPoint,
+    evaluate_operating_point,
+)
 from .output import Column, operating_point_report, write_curve_file
 from .sweep import Axis, OptimizationError, SweepSpec, find_optimum, run_sweep
 
@@ -153,16 +160,16 @@ def cmd_sweep(args) -> int:
     if a2:
         columns.append(Column(spec.axis2.path, path_unit(spec.axis2.path),
                               a2 * len(a1)))
-    columns += [Column(q, FIELD_UNITS[q],
-                       [getattr(p, q) for p in result.points])
-                for q in quantities]
-    statuses = result.statuses()
+    fields = dict(zip(OperatingPoint._fields, zip(*result.points)))
+    columns += [Column(q, FIELD_UNITS[q], fields[q]) for q in quantities]
+    statuses = fields["status"]
     columns.append(Column("status", "", statuses))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_file(out, args.preset, spec.config, columns)
-    unstable = statuses.count(STATUS_UNSTABLE)
-    print(f"wrote {out} ({len(statuses)} points, {unstable} unstable)")
-    if unstable == len(statuses):
+    counts = ", ".join(f"{statuses.count(s)} {s}" for s in
+                       (STATUS_OK, STATUS_SUB_THRESHOLD, STATUS_UNSTABLE))
+    print(f"wrote {out} ({len(statuses)} points: {counts})")
+    if statuses.count(STATUS_UNSTABLE) == len(statuses):
         print("warning: every grid point is unstable", file=sys.stderr)
     return EXIT_OK
 

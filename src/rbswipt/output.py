@@ -4,12 +4,14 @@ Curve files are CSV with a '#'-prefixed metadata header embedding the
 scenario id, the resolved-configuration digest, the full configuration, and
 per-column units.  Floats are written with repr so the file parses back to
 the exact values; missing values (unstable grid points) are empty cells
-alongside a status column, never NaN.
+alongside a status column, never NaN.  Each distinct nonzero value is
+formatted once per file, and nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,15 +23,20 @@ from .model import FIELD_UNITS, OperatingPoint
 class Column:
     name: str
     unit: str
-    values: list  # float | None | str
+    values: Sequence  # float | None | str; an int prints as an equal float
 
 
-def format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _cells(values: Sequence, memo: dict) -> list[str]:
+    """values as CSV cells: "" for None, else str (repr for a float)."""
+    cells = []
+    for v in values:
+        text = memo.get(v)
+        if text is None:
+            text = "" if v is None else str(v)
+            if v:   # zeros skip memo: 0.0 == -0.0, yet they print unalike
+                memo[v] = text
+        cells.append(text)
+    return cells
 
 
 def write_curve_file(path: Path, scenario: str, config: Config,
@@ -48,8 +55,8 @@ def write_curve_file(path: Path, scenario: str, config: Config,
     lines.append("# columns: " + ", ".join(
         f"{c.name} [{c.unit}]" for c in columns))
     lines.append(",".join(c.name for c in columns))
-    for i in range(n):
-        lines.append(",".join(format_value(c.values[i]) for c in columns))
+    memo = {}
+    lines += map(",".join, zip(*(_cells(c.values, memo) for c in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 

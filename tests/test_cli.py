@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import curve_reference
 import pytest
 
 import rbswipt
@@ -14,6 +15,7 @@ from rbswipt import cli
 from rbswipt.cli import run_cli
 from rbswipt.config import _CANONICAL_UNIT, SCHEMA, get_preset
 from rbswipt.model import FIELD_UNITS
+from rbswipt.output import write_curve_file
 
 
 def run(capsys, *argv):
@@ -78,6 +80,36 @@ class TestSweep:
         assert code == 0
         assert ("# columns: link.p_in [W], p_beam [W], c_tilde [bit/s/Hz], "
                 "status []") in (tmp_path / "sweep.csv").read_text()
+
+    def test_bytes_match_row_by_row_reference(self, capsys, tmp_path,
+                                              monkeypatch):
+        # every field on a p_in x mu grid with sub-threshold rows and
+        # mu = 0 (zero cells); the reference writes the same columns
+        def both(path, *args):
+            write_curve_file(path, *args)
+            curve_reference.write_curve_file(tmp_path / "ref.csv", *args)
+
+        monkeypatch.setattr(cli, "write_curve_file", both)
+        quantities = [a for q in FIELD_UNITS for a in ("--quantity", q)]
+        code, out, err = run(capsys, "sweep", "--out-dir", str(tmp_path),
+                             "--axis", "link.p_in:1:150:7",
+                             "--axis", "receiver.mu:0:0.99:6", *quantities)
+        assert code == 0
+        assert out == (f"wrote {tmp_path / 'sweep.csv'} "
+                       "(42 points: 36 ok, 6 sub-threshold, 0 unstable)\n")
+        assert err == ""
+        new = (tmp_path / "sweep.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert b",0.0," in new
+
+    def test_all_unstable_sweep_warns(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sweep", "--out-dir", str(tmp_path),
+                             "--axis", "link.p_in:1:150:3",
+                             "--set", "geometry.fr2=2 m")
+        assert code == 0
+        assert out == (f"wrote {tmp_path / 'sweep.csv'} "
+                       "(3 points: 0 ok, 0 sub-threshold, 3 unstable)\n")
+        assert err == "warning: every grid point is unstable\n"
 
 
 UNWRITABLE_OUTPUT = [

@@ -1,8 +1,10 @@
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
+import curve_reference
 import pytest
 from abcd import get_path
 
@@ -308,6 +310,30 @@ class TestDeterminism:
                 if line and not line.startswith("#")]
         parsed = [float(r) for r in rows[1:]]
         assert parsed == values
+
+    def test_bytes_match_row_by_row_reference(self, tmp_path):
+        # values that compare equal but print apart (0.0, -0.0), NaNs that
+        # are equal to nothing, one NaN object repeated, one value in two
+        # columns, missing values and statuses
+        nan = float("nan")
+        signed = [0.0, -0.0, 0.0, 2.5, None, -0.0, nan, nan, float("nan"),
+                  math.inf, -math.inf, 2.5, 1e-300, -0.0, 0.0]
+        columns = [Column("a", "W", signed),
+                   Column("b", "", [(-v if v is not None else v)
+                                    for v in signed]),
+                   Column("c", "m", [2.5, 1e-300] * 7 + [None]),
+                   Column("d", "", tuple(reversed(signed))),
+                   Column("status", "", ["ok", "unstable", "ok",
+                                         "sub-threshold", "unstable"] * 3)]
+        cfg = preset_with()
+        write_curve_file(tmp_path / "new.csv", "mixed", cfg, columns)
+        curve_reference.write_curve_file(tmp_path / "ref.csv", "mixed", cfg,
+                                         columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        rows = new.decode().splitlines()[-15:]
+        assert [r.split(",")[:2] for r in rows[:3]] == \
+            [["0.0", "-0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]]
 
 
 def unpruned(cfg, quantities=None):
