@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .config import get_preset, path_unit, set_path
-from .model import FIELD_UNITS
+from .model import FIELD_UNITS, STATUS_OK
 from .output import Column, write_curve_file, write_plot_description
 from .sweep import Axis, SweepSpec, reduce_max, run_sweep
 
@@ -76,25 +76,26 @@ def _series_sweeps(figure_id: str, points: int):
 
 
 def reproduce_figure(figure_id: str, out_dir: Path,
-                     points: int = 121) -> dict:
+                     points: int = 121) -> None:
     """Run the named scenario and emit <out_dir>/fig<id>.csv plus
-    fig<id>.plot.json.  Returns {series label: SweepResult}."""
+    fig<id>.plot.json."""
     if figure_id not in _FIGURES:
         raise ValueError(
             f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = {}
+    first = None
     columns: list[Column] = []
     series = []
     for label, spec, quantities, reduce_d3 in _series_sweeps(figure_id, points):
         # a non-reduced series also writes each point's status
         result = run_sweep(spec, quantities=quantities if reduce_d3
                            else (*quantities, "status"))
-        results[label] = result
+        # every series shares axis 1; the file records the first one's config
+        first = first or result
         if reduce_d3:
-            curves = [reduce_max(result, q, over_axis=2) for q in quantities]
-            ys, statuses = [c.y for c in curves], curves[0].statuses
+            ys = [reduce_max(result, q) for q in quantities]
+            statuses = ["gap" if y is None else STATUS_OK for y in ys[0]]
         else:
             ys = [[getattr(p, q) for p in result.points] for q in quantities]
             statuses = result.statuses()
@@ -103,8 +104,6 @@ def reproduce_figure(figure_id: str, out_dir: Path,
             columns.append(Column(column, FIELD_UNITS[q], y))
             series.append({"label": f"{q}, {label}", "column": column})
         columns.append(Column(f"status[{label}]", "", statuses))
-    # every series shares axis 1; the file records the first one's config
-    first = next(iter(results.values()))
     x_name, x_unit = _axis_name_unit(first.spec.axis1.path)
     columns.insert(0, Column(x_name, x_unit, first.axis1_values))
     csv_path = out_dir / f"fig{figure_id}.csv"
@@ -117,4 +116,3 @@ def reproduce_figure(figure_id: str, out_dir: Path,
         csv_file=csv_path.name,
         series=series,
     )
-    return results

@@ -23,7 +23,9 @@ from .model import FIELD_UNITS, OperatingPoint
 class Column:
     name: str
     unit: str
-    values: Sequence  # float | None | str; an int prints as an equal float
+    # float, None or str only: cells are memoised by value, so an int or
+    # bool prints as the text of the first equal value in the file
+    values: Sequence
 
 
 def _cells(values: Sequence, memo: dict) -> list[str]:

@@ -22,6 +22,8 @@ from .model import (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section bracket width at which a search stops
+_TOL = 1e-6
 
 # statuses whose operating point carries usable numbers
 _EVALUATED = (STATUS_OK, STATUS_SUB_THRESHOLD, STATUS_STABLE)
@@ -98,15 +100,6 @@ class SweepResult:
         return [p.status for p in self.points]
 
 
-@dataclass
-class Curve:
-    """Reduced 1-D result.  y entries are None, with status "gap", where
-    the slice had no stable point."""
-
-    y: list[float | None]
-    statuses: list[str]
-
-
 def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
               quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
@@ -139,38 +132,20 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
                        points=points)
 
 
-def reduce_max(result: SweepResult, quantity: str, over_axis: int) -> Curve:
-    """Collapse a 2-axis sweep: for each value of the remaining axis, the
-    maximum of `quantity` over the reduced axis among stable points.
-
-    Slices with no stable point yield a None gap marker.
-    """
+def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
+    """Collapse a 2-axis sweep over axis 2: for each axis-1 value, the
+    maximum of `quantity` among evaluated points, or None where the slice
+    has none."""
     if result.axis2_values is None:
         raise ValueError("reduce_max needs a 2-axis sweep")
-    if over_axis not in (1, 2):
-        raise ValueError("over_axis must be 1 or 2")
-    if over_axis == 2:
-        slices = [[result.point(i, j) for j in range(len(result.axis2_values))]
-                  for i in range(len(result.axis1_values))]
-    else:
-        slices = [[result.point(i, j) for i in range(len(result.axis1_values))]
-                  for j in range(len(result.axis2_values))]
-    ys: list[float | None] = []
-    statuses = []
-    for sl in slices:
-        vals = [getattr(p, quantity) for p in sl
-                if p.status in _EVALUATED and getattr(p, quantity) is not None]
-        if vals:
-            ys.append(max(vals))
-            statuses.append(STATUS_OK)
-        else:
-            ys.append(None)
-            statuses.append("gap")
-    return Curve(ys, statuses)
+    n2 = len(result.axis2_values)
+    return [max((getattr(p, quantity) for p in result.points[i:i + n2]
+                 if p.status in _EVALUATED
+                 and getattr(p, quantity) is not None), default=None)
+            for i in range(0, len(result.points), n2)]
 
 
 def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
-                 tol: float = 1e-6,
                  evaluate_fn=evaluate_operating_point) -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
     axis when the sweep is one-dimensional.
@@ -199,7 +174,7 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
     if best_idx is None or best == -math.inf:
         raise OptimizationError(
             f"no stable point for objective {objective!r} over "
-            f"{spec.axis1.path}")
+            + " and ".join(a.path for a in (spec.axis1, spec.axis2) if a))
 
     a1 = result.axis1_values
     if spec.axis2 is not None:
@@ -222,19 +197,20 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
 
     lo = a1[max(best_idx - 1, 0)]
     hi = a1[min(best_idx + 1, len(a1) - 1)]
-    x_opt, s_opt = _golden_section(f, lo, hi, tol)
+    x_opt, s_opt = _golden_section(f, lo, hi)
     # keep the grid winner if refinement landed on a worse or unstable point
     if s_opt < best:
         x_opt, s_opt = a1[best_idx], best
     return {spec.axis1.path: x_opt}, sign * s_opt
 
 
-def _golden_section(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Maximize a unimodal f on [a, b] to parameter tolerance tol."""
+def _golden_section(f, a: float, b: float) -> tuple[float, float]:
+    """Maximize a unimodal f on [a, b] until the bracket is at most _TOL
+    wide, relative to its ends where they exceed 1 in magnitude."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
+    while abs(b - a) > _TOL * max(1.0, abs(a), abs(b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -311,6 +311,18 @@ class TestOptimize:
         assert err == ("optimization failed: no stable point for objective "
                        "'p_beam' over geometry.d3\n")
 
+    def test_no_stable_point_names_both_axes(self, capsys):
+        code, out, err = run(capsys, "optimize",
+                             "--axis", "geometry.d3:2:10:5",
+                             "--axis", "geometry.tim_magnification:1:2:3",
+                             "--set", "geometry.fr2=2 m",
+                             "--objective", "p_beam")
+        assert code == 5
+        assert out == ""
+        assert err == ("optimization failed: no stable point for objective "
+                       "'p_beam' over geometry.d3 and "
+                       "geometry.tim_magnification\n")
+
 
 class TestReproduceFigure:
     def test_figure_nine(self, capsys, tmp_path):

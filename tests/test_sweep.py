@@ -175,8 +175,8 @@ class TestReduceMax:
 
     def test_elementwise_maximum(self):
         result = self.two_axis_result()
-        curve = reduce_max(result, "spot_radius", over_axis=2)
-        for i, y in enumerate(curve.y):
+        curve = reduce_max(result, "spot_radius")
+        for i, y in enumerate(curve):
             vals = [result.point(i, j).spot_radius
                     for j in range(len(result.axis2_values))
                     if result.point(i, j).spot_radius is not None]
@@ -184,16 +184,15 @@ class TestReduceMax:
 
     def test_constant_quantity(self):
         result = self.two_axis_result()
-        curve = reduce_max(result, "p_in", over_axis=2)
-        assert all(y == 100.0 for y in curve.y)
+        curve = reduce_max(result, "p_in")
+        assert all(y == 100.0 for y in curve)
 
     def test_gap_marker_for_empty_slice(self):
         spec = SweepSpec(preset_with(("geometry.fr2", 10.0)),
                          axis1=Axis("geometry.tim_magnification", 12.0, 14.0, 2),
                          axis2=Axis("geometry.d3", 9.0, 10.0, 3))
-        curve = reduce_max(run_sweep(spec), "spot_radius", over_axis=2)
-        assert curve.y == [None, None]
-        assert curve.statuses == ["gap", "gap"]
+        curve = reduce_max(run_sweep(spec), "spot_radius")
+        assert curve == [None, None]
 
     def test_tim_curve_below_uncompressed_curve(self):
         # spot maximum over the 2-10 m range: compressed cavities stay well
@@ -203,15 +202,15 @@ class TestReduceMax:
                 preset_with(("geometry.fr2", 11.0)),
                 axis1=Axis("geometry.tim_magnification", m, m + 1e-9, 2),
                 axis2=Axis("geometry.d3", 2.0, 10.0, 17))
-            return reduce_max(run_sweep(spec), "spot_radius", over_axis=2)
+            return reduce_max(run_sweep(spec), "spot_radius")
 
         with_tim = curve_for(10.0)
         without = curve_for(1.0)
-        assert all(a < b for a, b in zip(with_tim.y, without.y))
+        assert all(a < b for a, b in zip(with_tim, without))
 
     def test_needs_two_axes(self):
         with pytest.raises(ValueError):
-            reduce_max(run_sweep(mu_spec(2)), "p_beam", over_axis=2)
+            reduce_max(run_sweep(mu_spec(2)), "p_beam")
 
 
 def quadratic_stub(vertex, path="receiver.mu"):
@@ -277,6 +276,23 @@ class TestFindOptimum:
         params, _ = find_optimum(spec, "p_beam", evaluate_fn=checked)
         assert seen == [1.0, 2.0]
         assert params[path] in (1.0, 2.0)
+
+    def test_refines_axis_far_above_one(self):
+        # the bracket cannot narrow below the float spacing at 1e24, so the
+        # search must stop at a width relative to the axis values
+        vertex = 1.7e24
+        probes = []
+        stub = quadratic_stub(vertex, path="gain.n0")
+
+        def capped(cfg, quantities=None):
+            probes.append(get_path(cfg, "gain.n0"))
+            if len(probes) > 1000:
+                raise RuntimeError("golden-section search does not stop")
+            return stub(cfg, quantities)
+
+        spec = SweepSpec(preset_with(), axis1=Axis("gain.n0", 1e24, 3e24, 5))
+        params, _ = find_optimum(spec, "p_beam", evaluate_fn=capped)
+        assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
     def test_no_stable_point_raises(self):
         def never(cfg, quantities=None):
@@ -412,6 +428,19 @@ class TestFigures:
             plot = json.loads((tmp_path / f"fig{fid}.plot.json").read_text())
             assert [s["column"] for s in plot["series"]] == \
                 [c for c in header[1:] if not c.startswith("status[")], fid
+
+    def test_gap_status_for_empty_slice(self, tmp_path, monkeypatch):
+        # fr2 = 10 m leaves every d3 in 9-10 m unstable for M in 12-14
+        row = ("geometry.fr2", (10.0,),
+               ("geometry.tim_magnification", 12.0, 14.0),
+               ("geometry.d3", 9.0, 10.0), (), ("spot_radius",))
+        monkeypatch.setitem(figures._FIGURES, "5a", row)
+        figures.reproduce_figure("5a", tmp_path, points=3)
+        rows = [line.split(",") for line in
+                (tmp_path / "fig5a.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == ["M", "spot_radius[fr2=10m]", "status[fr2=10m]"]
+        assert [r[1:] for r in rows[1:]] == [["", "gap"]] * 3
 
     def test_unknown_id_creates_no_out_dir(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure id '99'"):
