@@ -2,7 +2,7 @@
 gain power model, PV/APD receiver, and parameter-sweep design search."""
 
 from .config import ConfigError, get_preset, parse_config, serialize_config
-from .gain_power import GainModel, PowerResult, PumpModel, evaluate_gain
+from .gain_power import PowerResult, evaluate_gain
 from .model import OperatingPoint, evaluate_operating_point
 from .ray_optics import (
     DegenerateCavityError,
@@ -13,7 +13,7 @@ from .ray_optics import (
     one_trip_matrix,
     spot_radius_on_gain,
 )
-from .receiver import ReceiverModel, SwiptResult, evaluate_receiver
+from .receiver import SwiptResult, evaluate_receiver
 from .sweep import (
     Axis,
     OptimizationError,

@@ -17,9 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .gain_power import GainModel, PumpModel
 from .ray_optics import ResonatorGeometry
-from .receiver import ReceiverModel
 
 Config = dict[str, dict[str, float]]
 
@@ -102,17 +100,26 @@ SCHEMA = {
         "lambda_beam": ("length", False, _positive, "finite > 0"),
     },
     "gain": {
+        # small-signal gain coefficient
         "g0": ("inv_length", False, _positive, "finite > 0"),
+        # transparency carrier density
         "n0": ("inv_volume", False, _positive, "finite > 0"),
+        # longitudinal confinement factor; the tabulated value 2.0 is used
+        # as-is even though confinement factors are conventionally <= 1
         "gamma_conf": ("dimensionless", False, _positive, "finite > 0"),
+        # defect, radiative and Auger recombination coefficients
         "alpha": ("inv_time", False, _positive, "finite > 0"),
         "beta": ("vol_rate", False, _positive, "finite > 0"),
         "auger": ("vol2_rate", False, _positive, "finite > 0"),
+        # effective gain layer thickness
         "l": ("length", False, _positive, "finite > 0"),
+        # effective active cross-section
         "a_s": ("area", False, _positive, "finite > 0"),
+        # gain medium radius, the aperture of diffraction survival
         "a": ("length", False, _positive, "finite > 0"),
     },
     "pump": {
+        # pump conversion and absorption efficiencies, and pump wavelength
         "eta_pc": ("dimensionless", False, _unit_open, "in (0, 1]"),
         "eta_pa": ("dimensionless", False, _unit_open, "in (0, 1]"),
         "lambda_pump": ("length", False, _positive, "finite > 0"),
@@ -122,10 +129,15 @@ SCHEMA = {
         "slope_loss_exponent": ("dimensionless", True, _exponent, "1 or 2"),
     },
     "receiver": {
+        # fraction of the beam routed to the PV converter
         "mu": ("dimensionless", False, _unit_closed, "in [0, 1]"),
+        # PV linear-fit slope efficiency and intercept (typically negative)
         "eta_p": ("dimensionless", False, _positive, "finite > 0"),
         "p_pth": ("power", False, _finite, "finite"),
+        # APD responsivity
         "nu": ("responsivity", False, _positive, "finite > 0"),
+        # APD noise: bandwidth, background current, load resistance and
+        # background temperature
         "b_x": ("frequency", False, _positive, "finite > 0"),
         "i_bg": ("current", False, _nonneg, "finite >= 0"),
         "r_l": ("resistance", False, _positive, "finite > 0"),
@@ -301,7 +313,9 @@ def set_path(cfg: Config, path: str, value: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# domain object construction: no range checks, the Config holds checked values
+# the geometry record, with f2, lt, fr1 and fr2 derived or defaulted; the
+# other stages read their Config section itself.  No range checks: the
+# Config holds checked values
 
 def build_geometry(cfg: Config) -> ResonatorGeometry:
     g = cfg["geometry"]
@@ -313,18 +327,6 @@ def build_geometry(cfg: Config) -> ResonatorGeometry:
         g["d1"], g["d2"], g["d3"], f1, f2, g["r1"], g["r2"],
         g["lambda_beam"], g.get("lt", math.nan), g.get("fr1", math.inf),
         g.get("fr2", math.inf))
-
-
-def build_gain(cfg: Config) -> GainModel:
-    return GainModel(**cfg["gain"])
-
-
-def build_pump(cfg: Config) -> PumpModel:
-    return PumpModel(**cfg["pump"])
-
-
-def build_receiver(cfg: Config) -> ReceiverModel:
-    return ReceiverModel(**cfg["receiver"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,35 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 
 from .ray_optics import ResonatorGeometry
 
 PLANCK = 6.6260693e-34   # J s
 LIGHT_SPEED = 3e8        # m/s
-
-
-class GainModel(namedtuple(
-        "GainModel", "g0 n0 gamma_conf alpha beta auger l a_s a")):
-    """Semiconductor gain-medium constants plus geometry.
-
-    g0: small-signal gain coefficient (m^-1)
-    n0: transparency carrier density (m^-3)
-    gamma_conf: longitudinal confinement factor (dimensionless; the tabulated
-        value 2.0 is used as-is even though confinement factors are
-        conventionally <= 1)
-    alpha, beta, auger: recombination coefficients (s^-1, m^3/s, m^6/s)
-    l: effective gain layer thickness (m)
-    a_s: effective active cross-section (m^2)
-    a: gain medium radius (m)
-    """
-
-    __slots__ = ()
-
-
-class PumpModel(namedtuple("PumpModel", "eta_pc eta_pa lambda_pump")):
-    """Pump source: conversion and absorption efficiencies plus wavelength."""
-
-    __slots__ = ()
 
 
 # field -> unit of PowerResult, in record order
@@ -76,26 +53,27 @@ def saturation_gain(r1: float, r2: float, v: float, l: float,
     return -math.log(prod) / (2.0 * gamma_conf * l)
 
 
-def carrier_lifetime(n: float, gm: GainModel) -> float:
-    """Carrier lifetime (s) at density n:  1 / (alpha + beta n + auger n^2)."""
+def carrier_lifetime(n: float, gain: Mapping[str, float]) -> float:
+    """Carrier lifetime (s) at density n:  1 / (alpha + beta n + auger n^2),
+    the coefficients read from the Config's gain section."""
     if not math.isfinite(n) or n < 0:
         raise ValueError(f"carrier density must be finite and >= 0, got {n}")
-    return 1.0 / (gm.alpha + gm.beta * n + gm.auger * n * n)
+    return 1.0 / (gain["alpha"] + gain["beta"] * n + gain["auger"] * n * n)
 
 
-def threshold_power(gm: GainModel, pm: PumpModel, n_th: float, tau: float,
-                    lambda_beam: float) -> float:
+def threshold_power(gain: Mapping[str, float], pump: Mapping[str, float],
+                    n_th: float, tau: float, lambda_beam: float) -> float:
     """Pump power (W) at threshold:
     P_th = A_s h c l N_th / (lambda_beam eta_pc eta_pa tau)."""
     if tau <= 0:
         raise ValueError("carrier lifetime must be positive")
     if lambda_beam <= 0:
         raise ValueError("wavelength must be positive")
-    return (gm.a_s * PLANCK * LIGHT_SPEED * gm.l * n_th
-            / (lambda_beam * pm.eta_pc * pm.eta_pa * tau))
+    return (gain["a_s"] * PLANCK * LIGHT_SPEED * gain["l"] * n_th
+            / (lambda_beam * pump["eta_pc"] * pump["eta_pa"] * tau))
 
 
-def slope_efficiency(pm: PumpModel, r1: float, r2: float, v: float,
+def slope_efficiency(pump: Mapping[str, float], r1: float, r2: float, v: float,
                      lambda_beam: float, loss_exponent: int = 1) -> float:
     """Slope efficiency of beam power versus pump power above threshold:
 
@@ -113,7 +91,8 @@ def slope_efficiency(pm: PumpModel, r1: float, r2: float, v: float,
     if prod >= 1:
         # ln(1) = 0 would divide by zero; > 1 flips the sign
         raise ValueError(f"r1*r2*v^{loss_exponent} = {prod} >= 1")
-    return (pm.eta_pc * pm.eta_pa * (pm.lambda_pump / lambda_beam)
+    return (pump["eta_pc"] * pump["eta_pa"]
+            * (pump["lambda_pump"] / lambda_beam)
             * math.log(r2) / math.log(prod))
 
 
@@ -125,15 +104,17 @@ def beam_power(p_in: float, p_th: float, eta_s: float) -> float:
     return max(0.0, (p_in - p_th) * eta_s)
 
 
-def evaluate_gain(geometry: ResonatorGeometry, gain: GainModel,
-                  pump: PumpModel, vc: float, p_in: float, vd: float,
-                  loss_exponent: int = 1) -> PowerResult:
+def evaluate_gain(geometry: ResonatorGeometry, gain: Mapping[str, float],
+                  pump: Mapping[str, float], vc: float, p_in: float,
+                  vd: float, loss_exponent: int = 1) -> PowerResult:
     """The gain chain for diffraction survival vd: overall loss ->
     saturation gain -> threshold carrier density -> carrier lifetime ->
-    threshold power and slope efficiency -> beam power."""
+    threshold power and slope efficiency -> beam power.  `gain` and `pump`
+    are the Config's sections of those names, read and never written."""
     v = vc * vd
-    g = saturation_gain(geometry.r1, geometry.r2, v, gain.l, gain.gamma_conf)
-    n_th = gain.n0 * math.exp(g / gain.g0)     # threshold carrier density
+    g = saturation_gain(geometry.r1, geometry.r2, v, gain["l"],
+                        gain["gamma_conf"])
+    n_th = gain["n0"] * math.exp(g / gain["g0"])   # threshold carrier density
     tau = carrier_lifetime(n_th, gain)
     p_th = threshold_power(gain, pump, n_th, tau, geometry.lambda_beam)
     eta_s = slope_efficiency(pump, geometry.r1, geometry.r2, v,

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .config import (
-    Config,
-    ConfigError,
-    build_gain,
-    build_geometry,
-    build_pump,
-    build_receiver,
-)
+from .config import Config, ConfigError, build_geometry
 from .gain_power import POWER_UNITS, evaluate_gain
 from .ray_optics import (
     CavityError,
@@ -71,24 +64,20 @@ def evaluate_operating_point(cfg: Config,
         map(_STAGE.__getitem__, quantities), default=_RAY_OPTICS)
     p_in = cfg["link"]["p_in"]
     try:
-        # every domain object is built up front, so that each stage below
-        # is one contiguous step through its layer in per-layer traces
         geometry = build_geometry(cfg)
-        if stage >= _GAIN:
-            gain, pump = build_gain(cfg), build_pump(cfg)
-        if stage == _RECEIVER:
-            receiver = build_receiver(cfg)
         w = spot_radius_on_gain(one_trip_matrix(geometry),
                                 geometry.lambda_beam)
         if stage == _RAY_OPTICS:
             return OperatingPoint(STATUS_STABLE, p_in, w)
-        # diffraction survival, the ray optics of the gain aperture, is
-        # called right after the spot radius for the same reason
+        # diffraction survival, the ray optics of the gain aperture, runs
+        # right after the spot radius, so that ray optics is one contiguous
+        # step through its layer in per-layer traces
+        gain = cfg["gain"]
         power = evaluate_gain(
-            geometry, gain, pump, cfg["losses"]["vc"], p_in,
-            diffraction_survival(gain.a, w),
+            geometry, gain, cfg["pump"], cfg["losses"]["vc"], p_in,
+            diffraction_survival(gain["a"], w),
             loss_exponent=int(cfg["losses"].get("slope_loss_exponent", 1)))
-        swipt = (evaluate_receiver(power.p_beam, p_in, receiver)
+        swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  if stage == _RECEIVER and p_in > 0 else ())
     except CavityError as e:
         return OperatingPoint(STATUS_UNSTABLE, p_in, detail=str(e))

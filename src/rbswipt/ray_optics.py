@@ -42,9 +42,6 @@ class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
 
     __slots__ = ()
 
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     def __str__(self):
         return f"[[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]]"
 
@@ -69,12 +66,6 @@ class ResonatorGeometry(namedtuple(
             lt = f1 + f2
         return tuple.__new__(cls, (d1, d2, d3, f1, f2, r1, r2, lambda_beam,
                                    lt, fr1, fr2))
-
-    @property
-    def tim_magnification(self) -> float:
-        """Compression ratio of the beam arriving at the gain medium,
-        -f2/f1 for the afocal telescope."""
-        return -self.f2 / self.f1
 
 
 def one_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:

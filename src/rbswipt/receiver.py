@@ -11,28 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 
 # Fixed to the model's stated values rather than CODATA, for curve fidelity.
 ELECTRON_CHARGE = 1.6e-19   # C
 BOLTZMANN = 1.38e-23        # J/K
-
-
-class ReceiverModel(namedtuple(
-        "ReceiverModel", "mu eta_p p_pth nu b_x i_bg r_l t_bg")):
-    """Beam split ratio, PV linear-fit coefficients, and APD noise
-    parameters.
-
-    mu: fraction of the beam routed to the PV converter, in [0, 1]
-    eta_p: PV slope efficiency
-    p_pth: PV linear-fit intercept (W, typically negative)
-    nu: APD responsivity (A/W)
-    b_x: noise bandwidth (Hz)
-    i_bg: background current (A)
-    r_l: load resistance (Ohm)
-    t_bg: background temperature (K)
-    """
-
-    __slots__ = ()
 
 
 # field -> unit of SwiptResult, in record order
@@ -115,14 +98,16 @@ def spectral_efficiency(i_d: float, n_total_sq: float) -> float:
 
 
 def evaluate_receiver(p_beam: float, p_in: float,
-                      rm: ReceiverModel) -> SwiptResult:
-    """Full receiver chain for one received beam power at input p_in."""
-    p_pv, p_apd = split_beam(p_beam, rm.mu)
-    raw, clamped = pv_output(p_pv, rm.eta_p, rm.p_pth)
-    eta_e = end_to_end_efficiency(p_pv, p_in, rm.eta_p, rm.p_pth)
-    i_d = apd_current(p_apd, rm.nu)
-    n_th = thermal_noise_sq(rm.t_bg, rm.b_x, rm.r_l)
-    n_sh = shot_noise_sq(i_d, rm.i_bg, rm.b_x)
+                      receiver: Mapping[str, float]) -> SwiptResult:
+    """Full receiver chain for one received beam power at input p_in;
+    `receiver` is the Config's receiver section, read and never written."""
+    p_pv, p_apd = split_beam(p_beam, receiver["mu"])
+    eta_p, p_pth, b_x = receiver["eta_p"], receiver["p_pth"], receiver["b_x"]
+    raw, clamped = pv_output(p_pv, eta_p, p_pth)
+    eta_e = end_to_end_efficiency(p_pv, p_in, eta_p, p_pth)
+    i_d = apd_current(p_apd, receiver["nu"])
+    n_th = thermal_noise_sq(receiver["t_bg"], b_x, receiver["r_l"])
+    n_sh = shot_noise_sq(i_d, receiver["i_bg"], b_x)
     n_tot = n_th + n_sh
     return SwiptResult(p_pv, p_apd, raw, clamped, eta_e, i_d, n_th, n_sh,
                        n_tot, spectral_efficiency(i_d, n_tot))

@@ -91,11 +91,6 @@ class SweepResult:
     axis2_values: list[float] | None
     points: list[OperatingPoint]
 
-    def point(self, i: int, j: int = 0) -> OperatingPoint:
-        if self.axis2_values is None:
-            return self.points[i]
-        return self.points[i * len(self.axis2_values) + j]
-
     def statuses(self) -> list[str]:
         return [p.status for p in self.points]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from rbswipt import ray_optics
 from rbswipt.config import Config, ConfigError
-from rbswipt.gain_power import GainModel, beam_power, saturation_gain
+from rbswipt.gain_power import beam_power, saturation_gain
 from rbswipt.ray_optics import ResonatorGeometry, UnstableResonatorError
 
 
@@ -49,6 +49,11 @@ class RayTransferMatrix(ray_optics.RayTransferMatrix):
 
 
 IDENTITY = RayTransferMatrix(1.0, 0.0, 0.0, 1.0)
+
+
+def det(m: ray_optics.RayTransferMatrix) -> float:
+    """Determinant a d - b c of a ray-transfer matrix."""
+    return m.a * m.d - m.b * m.c
 
 
 def compose(*matrices: RayTransferMatrix) -> RayTransferMatrix:
@@ -162,12 +167,13 @@ def spot_radius_q_oracle(m_round: RayTransferMatrix, lam: float) -> float:
     raise UnstableResonatorError(m_round, disc)
 
 
-def threshold_carrier_density(gm: GainModel, r1: float, r2: float,
+def threshold_carrier_density(gain: dict, r1: float, r2: float,
                               v: float) -> float:
-    """Carrier density (m^-3) needed to reach the saturation gain:
+    """Carrier density (m^-3) needed to reach the saturation gain, for a
+    Config's gain section:
     N_th = N0 exp(g_sat / g0) = N0 (r1 r2 v^2) ** (-1 / (2 g0 l Gamma))."""
-    g = saturation_gain(r1, r2, v, gm.l, gm.gamma_conf)
-    return gm.n0 * math.exp(g / gm.g0)
+    g = saturation_gain(r1, r2, v, gain["l"], gain["gamma_conf"])
+    return gain["n0"] * math.exp(g / gain["g0"])
 
 
 def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:

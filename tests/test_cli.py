@@ -102,6 +102,18 @@ class TestSweep:
         assert new == (tmp_path / "ref.csv").read_bytes()
         assert b",0.0," in new
 
+    def test_all_fields_match_pinned_bytes(self, capsys, tmp_path):
+        # every stage field on an 11 x 11 p_in x mu grid, with sub-threshold
+        # rows and empty receiver cells at p_in = 0, byte for byte
+        pinned = Path(__file__).parent / "reference" / "sweep_all_fields.csv"
+        quantities = [a for q in FIELD_UNITS for a in ("--quantity", q)]
+        code, _, _ = run(capsys, "sweep", "--out-dir", str(tmp_path),
+                         "--output", pinned.name,
+                         "--axis", "link.p_in:0:150:11",
+                         "--axis", "receiver.mu:0:0.99:11", *quantities)
+        assert code == 0
+        assert (tmp_path / pinned.name).read_bytes() == pinned.read_bytes()
+
     def test_all_unstable_sweep_warns(self, capsys, tmp_path):
         code, out, err = run(capsys, "sweep", "--out-dir", str(tmp_path),
                              "--axis", "link.p_in:1:150:3",
@@ -465,8 +477,9 @@ def test_import_builds_no_parser():
 # -- every public function serves a command ---------------------------------
 
 def test_commands_reach_every_public_function(capsys, tmp_path):
-    # a public function no command calls is a second implementation that
-    # only tests run; such references live in tests/abcd.py
+    # a public function or method no command calls is a second
+    # implementation that only tests run; such references live in
+    # tests/abcd.py
     config = tmp_path / "my.cfg"
     config.write_text("[link]\np_in = 150 W\n")
     out = ["--out-dir", str(tmp_path)]
@@ -478,6 +491,7 @@ def test_commands_reach_every_public_function(capsys, tmp_path):
          "--axis", "receiver.mu:0:0.99:3", *out],
         ["optimize", "--axis", "geometry.r2:0.8:0.99:5"],
         ["reproduce-figure", "5a", "--points", "3", *out],
+        ["reproduce-figure", "9", "--points", "3", *out],
     ]
     called = set()
 
@@ -495,10 +509,18 @@ def test_commands_reach_every_public_function(capsys, tmp_path):
     assert codes == [0] * len(commands)
     modules = [importlib.import_module(f"rbswipt.{m.name}")
                for m in pkgutil.iter_modules(rbswipt.__path__)]
-    never = [f"{mod.__name__}.{name}" for mod in modules
-             for name, fn in vars(mod).items()
-             if inspect.isfunction(fn) and fn.__module__ == mod.__name__
-             and not name.startswith("_") and fn.__code__ not in called]
+    public = [(f"{mod.__name__}.{name}", value) for mod in modules
+              for name, value in vars(mod).items()
+              if not name.startswith("_")
+              and getattr(value, "__module__", None) == mod.__name__]
+    # public methods and properties of the package's classes; dunders
+    # are exempt
+    public += [(f"{path}.{name}", getattr(member, "fget", member))
+               for path, cls in public if inspect.isclass(cls)
+               for name, member in vars(cls).items()
+               if not name.startswith("_")]
+    never = [path for path, fn in public
+             if inspect.isfunction(fn) and fn.__code__ not in called]
     assert never == ["rbswipt.cli.main"]
 
 

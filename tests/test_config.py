@@ -5,7 +5,6 @@ from abcd import get_path
 
 from rbswipt.config import (
     ConfigError,
-    build_gain,
     build_geometry,
     config_digest,
     copy_config,
@@ -131,14 +130,14 @@ class TestBuilders:
         # magnification 12 with f1 = -5 mm puts the second lens at 60 mm
         assert geo.f2 == pytest.approx(60e-3)
         assert geo.lt == pytest.approx(geo.f1 + geo.f2)
-        assert geo.tim_magnification == pytest.approx(12.0)
+        assert -geo.f2 / geo.f1 == pytest.approx(12.0)
 
     def test_preset_gain_is_si(self):
-        gm = build_gain(get_preset("paper-2022"))
-        assert gm.g0 == pytest.approx(2e5)       # 2000 cm^-1
-        assert gm.n0 == pytest.approx(1.7e24)    # 1.7e18 cm^-3
-        assert gm.beta == pytest.approx(1e-16)   # 1e-10 cm^3/s
-        assert gm.auger == pytest.approx(6e-42)  # 6e-30 cm^6/s
+        gain = get_preset("paper-2022")["gain"]
+        assert gain["g0"] == pytest.approx(2e5)       # 2000 cm^-1
+        assert gain["n0"] == pytest.approx(1.7e24)    # 1.7e18 cm^-3
+        assert gain["beta"] == pytest.approx(1e-16)   # 1e-10 cm^3/s
+        assert gain["auger"] == pytest.approx(6e-42)  # 6e-30 cm^6/s
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

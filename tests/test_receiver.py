@@ -7,7 +7,6 @@ import pytest
 from rbswipt.config import get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.receiver import (
-    ReceiverModel,
     apd_current,
     end_to_end_efficiency,
     evaluate_receiver,
@@ -19,9 +18,10 @@ from rbswipt.receiver import (
 )
 
 
-def paper_receiver(mu=0.99) -> ReceiverModel:
-    return ReceiverModel(mu=mu, eta_p=0.3487, p_pth=-1.535, nu=0.6,
-                         b_x=811.7e6, i_bg=5100e-6, r_l=10e3, t_bg=300.0)
+def paper_receiver(mu=0.99) -> dict:
+    """The published receiver section of a Config, at split ratio mu."""
+    return dict(mu=mu, eta_p=0.3487, p_pth=-1.535, nu=0.6, b_x=811.7e6,
+                i_bg=5100e-6, r_l=10e3, t_bg=300.0)
 
 
 class TestSplitBeam:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import types
 from pathlib import Path
 
 import curve_reference
@@ -90,7 +91,8 @@ class TestRunSweep:
             cfg = get_preset("paper-2022")
             set_path(cfg, "geometry.r2", result.axis1_values[i])
             set_path(cfg, "link.p_in", result.axis2_values[j])
-            assert result.point(i, j) == evaluate_operating_point(cfg)
+            assert result.points[i * len(result.axis2_values) + j] == \
+                evaluate_operating_point(cfg)
 
     def test_geometry_grid_with_unstable_cells(self):
         # every cell sets the geometry, and fr2 = 10 m leaves part of the
@@ -106,7 +108,8 @@ class TestRunSweep:
                 set_path(cfg, "geometry.fr2", 10.0)
                 set_path(cfg, "geometry.tim_magnification", m)
                 set_path(cfg, "geometry.d3", d3)
-                assert result.point(i, j) == evaluate_operating_point(cfg)
+                assert result.points[i * len(result.axis2_values) + j] == \
+                evaluate_operating_point(cfg)
 
     def test_cells_leave_base_config_untouched(self):
         # setting f2 pops tim_magnification from the cell's geometry section
@@ -115,6 +118,25 @@ class TestRunSweep:
         run_sweep(spec)
         assert spec.config == preset_with()
         assert "f2" not in spec.config["geometry"]
+
+    @pytest.mark.parametrize("quantities", [
+        None, ("p_beam", "status"), ("spot_radius",)],
+        ids=["all", "p_beam-status", "spot_radius"])
+    @pytest.mark.parametrize("overrides, status", [
+        ((), "ok"), ((("link.p_in", 5.0),), "sub-threshold"),
+        ((("geometry.fr2", 2.0),), "unstable")],
+        ids=["preset", "sub-threshold", "unstable"])
+    def test_stages_only_read_their_config(self, overrides, status,
+                                           quantities):
+        # the cells of a sweep share every section they do not sweep, so
+        # no stage may write one: read-only sections change no result
+        cfg = preset_with(*overrides)
+        frozen = types.MappingProxyType(
+            {s: types.MappingProxyType(keys) for s, keys in cfg.items()})
+        point = evaluate_operating_point(frozen, quantities)
+        assert point == evaluate_operating_point(cfg, quantities)
+        if quantities != ("spot_radius",):      # it stops at ray optics
+            assert point.status == status
 
     def test_cell_configs_match_set_path(self):
         # axis 2 sets f2 in axis 1's section: every cell drops
@@ -176,10 +198,10 @@ class TestReduceMax:
     def test_elementwise_maximum(self):
         result = self.two_axis_result()
         curve = reduce_max(result, "spot_radius")
+        n2 = len(result.axis2_values)
         for i, y in enumerate(curve):
-            vals = [result.point(i, j).spot_radius
-                    for j in range(len(result.axis2_values))
-                    if result.point(i, j).spot_radius is not None]
+            vals = [p.spot_radius for p in result.points[i * n2:(i + 1) * n2]
+                    if p.spot_radius is not None]
             assert y == max(vals)
 
     def test_constant_quantity(self):
