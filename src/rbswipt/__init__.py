@@ -7,7 +7,6 @@ from .model import OperatingPoint, evaluate_operating_point
 from .ray_optics import (
     DegenerateCavityError,
     RayTransferMatrix,
-    ResonatorGeometry,
     UnstableResonatorError,
     diffraction_survival,
     one_trip_matrix,

@@ -17,8 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .ray_optics import ResonatorGeometry
-
 Config = dict[str, dict[str, float]]
 
 
@@ -310,23 +308,6 @@ def set_path(cfg: Config, path: str, value: float) -> None:
     check_value(path, value)
     section, key = resolve_path(cfg, path)
     cfg[section][key] = value
-
-
-# ---------------------------------------------------------------------------
-# the geometry record, with f2, lt, fr1 and fr2 derived or defaulted; the
-# other stages read their Config section itself.  No range checks: the
-# Config holds checked values
-
-def build_geometry(cfg: Config) -> ResonatorGeometry:
-    g = cfg["geometry"]
-    f1 = g["f1"]
-    # magnification = compression of the beam arriving at the gain, i.e.
-    # the telescope expands by this factor on the way out
-    f2 = g["f2"] if "f2" in g else -f1 * g["tim_magnification"]
-    return ResonatorGeometry(
-        g["d1"], g["d2"], g["d3"], f1, f2, g["r1"], g["r2"],
-        g["lambda_beam"], g.get("lt", math.nan), g.get("fr1", math.inf),
-        g.get("fr2", math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .ray_optics import ResonatorGeometry
-
 PLANCK = 6.6260693e-34   # J s
 LIGHT_SPEED = 3e8        # m/s
 
@@ -104,21 +102,22 @@ def beam_power(p_in: float, p_th: float, eta_s: float) -> float:
     return max(0.0, (p_in - p_th) * eta_s)
 
 
-def evaluate_gain(geometry: ResonatorGeometry, gain: Mapping[str, float],
-                  pump: Mapping[str, float], vc: float, p_in: float,
-                  vd: float, loss_exponent: int = 1) -> PowerResult:
+def evaluate_gain(geometry: Mapping[str, float], gain: Mapping[str, float],
+                  pump: Mapping[str, float], losses: Mapping[str, float],
+                  p_in: float, vd: float) -> PowerResult:
     """The gain chain for diffraction survival vd: overall loss ->
     saturation gain -> threshold carrier density -> carrier lifetime ->
-    threshold power and slope efficiency -> beam power.  `gain` and `pump`
-    are the Config's sections of those names, read and never written."""
-    v = vc * vd
-    g = saturation_gain(geometry.r1, geometry.r2, v, gain["l"],
-                        gain["gamma_conf"])
+    threshold power and slope efficiency -> beam power.  The mappings are
+    the Config's sections of those names, read and never written."""
+    r1, r2 = geometry["r1"], geometry["r2"]
+    lambda_beam = geometry["lambda_beam"]
+    v = losses["vc"] * vd
+    g = saturation_gain(r1, r2, v, gain["l"], gain["gamma_conf"])
     n_th = gain["n0"] * math.exp(g / gain["g0"])   # threshold carrier density
     tau = carrier_lifetime(n_th, gain)
-    p_th = threshold_power(gain, pump, n_th, tau, geometry.lambda_beam)
-    eta_s = slope_efficiency(pump, geometry.r1, geometry.r2, v,
-                             geometry.lambda_beam, loss_exponent)
+    p_th = threshold_power(gain, pump, n_th, tau, lambda_beam)
+    eta_s = slope_efficiency(pump, r1, r2, v, lambda_beam,
+                             int(losses.get("slope_loss_exponent", 1)))
     p_beam = beam_power(p_in, p_th, eta_s)
     # transmission efficiency p_beam / p_in, zero below threshold
     eta_b = p_beam / p_in if p_in > 0 else 0.0

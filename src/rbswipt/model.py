@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .config import Config, ConfigError, build_geometry
+from .config import Config, ConfigError
 from .gain_power import POWER_UNITS, evaluate_gain
 from .ray_optics import (
     CavityError,
@@ -62,21 +62,18 @@ def evaluate_operating_point(cfg: Config,
     """
     stage = _RECEIVER if quantities is None else max(
         map(_STAGE.__getitem__, quantities), default=_RAY_OPTICS)
-    p_in = cfg["link"]["p_in"]
+    p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
     try:
-        geometry = build_geometry(cfg)
         w = spot_radius_on_gain(one_trip_matrix(geometry),
-                                geometry.lambda_beam)
+                                geometry["lambda_beam"])
         if stage == _RAY_OPTICS:
             return OperatingPoint(STATUS_STABLE, p_in, w)
         # diffraction survival, the ray optics of the gain aperture, runs
         # right after the spot radius, so that ray optics is one contiguous
         # step through its layer in per-layer traces
         gain = cfg["gain"]
-        power = evaluate_gain(
-            geometry, gain, cfg["pump"], cfg["losses"]["vc"], p_in,
-            diffraction_survival(gain["a"], w),
-            loss_exponent=int(cfg["losses"].get("slope_loss_exponent", 1)))
+        power = evaluate_gain(geometry, gain, cfg["pump"], cfg["losses"],
+                              p_in, diffraction_survival(gain["a"], w))
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  if stage == _RECEIVER and p_in > 0 else ())
     except CavityError as e:

@@ -4,12 +4,15 @@ All quantities are SI (meters, radians).  Matrices act on column vectors
 (x, theta): transverse position and paraxial angle.  Every cavity element
 has unit determinant, and so does their one-trip product, multiplied out
 here on floats; the element matrices are the tests' (tests/abcd.py).
+The cavity is the Config's geometry section itself; its ranges are
+config.SCHEMA's and are not checked here.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 
 
 class CavityError(Exception):
@@ -46,52 +49,47 @@ class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
         return f"[[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]]"
 
 
-class ResonatorGeometry(namedtuple(
-        "ResonatorGeometry", "d1 d2 d3 f1 f2 r1 r2 lambda_beam lt fr1 fr2")):
-    """Cavity geometry: spacings, telescope lenses, reflector curvatures,
-    mirror reflectivities, and the resonant wavelength.  All lengths in m.
+def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
+    """Single-pass matrix from reflector M1 to reflector M2 inclusive, for
+    the Config's geometry section, read and never written.
 
-    Element order from reflector M1: free space d1 (to the gain medium),
-    free space d2 (gain to first telescope lens), lens f1, spacing lt,
-    lens f2, free space d3 (to reflector M2).  The fields are not range
-    checked here: their ranges are config.SCHEMA's.
+    Element order from M1: retro-reflector fr1, free space d1 (to the gain
+    medium) and d2 (to the first telescope lens), lens f1, spacing lt, lens
+    f2, free space d3 and retro-reflector fr2.  f2 is given or derived from
+    the telescope magnification, lt defaults to the afocal f1 + f2 and fr1
+    and fr2 to the ideal retro-reflector (inf); all lengths in m.  The
+    product is multiplied on floats, bit for bit the element-by-element
+    product of tests/abcd.py, ValueErrors included.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, d1, d2, d3, f1, f2, r1, r2, lambda_beam, lt=math.nan,
-                fr1=math.inf, fr2=math.inf):
-        if math.isnan(lt):
-            # afocal spacing; may be negative for a Galilean telescope
-            lt = f1 + f2
-        return tuple.__new__(cls, (d1, d2, d3, f1, f2, r1, r2, lambda_beam,
-                                   lt, fr1, fr2))
-
-
-def one_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:
-    """Single-pass matrix from reflector M1 to reflector M2 inclusive: the
-    product of the elements retro-reflector fr1, free space d1 and d2, lens
-    f1, free space lt, lens f2, free space d3 and retro-reflector fr2,
-    multiplied on floats; bit for bit the element-by-element product of
-    tests/abcd.py, ValueErrors included."""
-    if not all(map(math.isfinite, (g.d1, g.d2, g.lt, g.d3))):
-        raise ValueError(f"free-space distances must be finite in {g}")
-    if g.fr1 == 0 or g.fr2 == 0:
+    d1, d2, d3, f1 = (geometry["d1"], geometry["d2"], geometry["d3"],
+                      geometry["f1"])
+    # magnification = compression of the beam arriving at the gain, i.e.
+    # the telescope expands by this factor on the way out
+    f2 = (geometry["f2"] if "f2" in geometry
+          else -f1 * geometry["tim_magnification"])
+    # afocal spacing; may be negative for a Galilean telescope
+    lt = geometry.get("lt", f1 + f2)
+    fr1 = geometry.get("fr1", math.inf)
+    fr2 = geometry.get("fr2", math.inf)
+    if not all(map(math.isfinite, (d1, d2, lt, d3))):
+        raise ValueError(f"free-space distances must be finite: d1={d1}, "
+                         f"d2={d2}, lt={lt}, d3={d3}")
+    if fr1 == 0 or fr2 == 0:
         raise ValueError("effective curvature factor must be nonzero")
-    c1 = 0.0 if math.isinf(g.fr1) else 1.0 / g.fr1
-    p1 = 0.0 if math.isinf(g.f1) else -1.0 / g.f1
-    p2 = 0.0 if math.isinf(g.f2) else -1.0 / g.f2
-    c2 = 0.0 if math.isinf(g.fr2) else 1.0 / g.fr2
+    c1 = 0.0 if math.isinf(fr1) else 1.0 / fr1
+    p1 = 0.0 if math.isinf(f1) else -1.0 / f1
+    p2 = 0.0 if math.isinf(f2) else -1.0 / f2
+    c2 = 0.0 if math.isinf(fr2) else 1.0 / fr2
     # one line per element in the order above, `element @ out` term for term;
     # products by 1 and -1 (exact) are dropped, by 0 kept: 0 * inf is nan
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c1 * a - c, c1 * b - d
-    a, b, c, d = a + g.d1 * c, b + g.d1 * d, 0.0 * a + c, 0.0 * b + d
-    a, b, c, d = a + g.d2 * c, b + g.d2 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + d1 * c, b + d1 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + d2 * c, b + d2 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
-    a, b, c, d = a + g.lt * c, b + g.lt * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + lt * c, b + lt * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p2 * a + c, p2 * b + d
-    a, b, c, d = a + g.d3 * c, b + g.d3 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
     return RayTransferMatrix(a, b, c, d)
 

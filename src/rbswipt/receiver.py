@@ -57,16 +57,6 @@ def pv_output(p_pv: float, eta_p: float, p_pth: float) -> tuple[float, float]:
     return raw, max(0.0, raw)
 
 
-def end_to_end_efficiency(p_pv: float, p_in: float, eta_p: float,
-                          p_pth: float) -> float:
-    """(eta_p * p_pv + p_pth) / p_in, deliberately unclamped: near zero PV
-    input the linear fit goes negative and the efficiency is reported as
-    such."""
-    if p_in <= 0:
-        raise ValueError("input power must be positive")
-    return pv_output(p_pv, eta_p, p_pth)[0] / p_in
-
-
 def apd_current(p_apd: float, nu: float) -> float:
     """APD photocurrent nu * p_apd (A)."""
     if p_apd < 0:
@@ -99,15 +89,18 @@ def spectral_efficiency(i_d: float, n_total_sq: float) -> float:
 
 def evaluate_receiver(p_beam: float, p_in: float,
                       receiver: Mapping[str, float]) -> SwiptResult:
-    """Full receiver chain for one received beam power at input p_in;
-    `receiver` is the Config's receiver section, read and never written."""
+    """Full receiver chain for one received beam power at input p_in > 0;
+    `receiver` is the Config's receiver section, read and never written.
+    The end-to-end efficiency eta_e = raw / p_in is deliberately unclamped:
+    near zero PV input the linear fit goes negative and so does eta_e."""
+    if p_in <= 0:
+        raise ValueError("input power must be positive")
     p_pv, p_apd = split_beam(p_beam, receiver["mu"])
-    eta_p, p_pth, b_x = receiver["eta_p"], receiver["p_pth"], receiver["b_x"]
-    raw, clamped = pv_output(p_pv, eta_p, p_pth)
-    eta_e = end_to_end_efficiency(p_pv, p_in, eta_p, p_pth)
+    b_x = receiver["b_x"]
+    raw, clamped = pv_output(p_pv, receiver["eta_p"], receiver["p_pth"])
     i_d = apd_current(p_apd, receiver["nu"])
     n_th = thermal_noise_sq(receiver["t_bg"], b_x, receiver["r_l"])
     n_sh = shot_noise_sq(i_d, receiver["i_bg"], b_x)
     n_tot = n_th + n_sh
-    return SwiptResult(p_pv, p_apd, raw, clamped, eta_e, i_d, n_th, n_sh,
+    return SwiptResult(p_pv, p_apd, raw, clamped, raw / p_in, i_d, n_th, n_sh,
                        n_tot, spectral_efficiency(i_d, n_tot))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from rbswipt import ray_optics
 from rbswipt.config import Config, ConfigError
 from rbswipt.gain_power import beam_power, saturation_gain
-from rbswipt.ray_optics import ResonatorGeometry, UnstableResonatorError
+from rbswipt.ray_optics import UnstableResonatorError
 
 
 @dataclass(frozen=True)
@@ -124,27 +124,41 @@ def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
     return compose(thin_lens(f1), free_space(lt), thin_lens(f2))
 
 
-def round_trip_matrix(g: ResonatorGeometry) -> RayTransferMatrix:
-    """Full round trip starting and ending at M1, the input of the
-    self-consistent Gaussian-mode oracle."""
+def cavity(geometry: dict) -> dict:
+    """The element values of a Config's geometry section: a copy with f2 =
+    -f1 * tim_magnification when f2 is absent, the afocal spacing lt = f1 +
+    f2 and ideal retro-reflectors fr1 = fr2 = inf where those are absent."""
+    g = dict(geometry)
+    if "f2" not in g:
+        g["f2"] = -g["f1"] * g["tim_magnification"]
+    g.setdefault("lt", g["f1"] + g["f2"])
+    g.setdefault("fr1", math.inf)
+    g.setdefault("fr2", math.inf)
+    return g
+
+
+def round_trip_matrix(geometry: dict) -> RayTransferMatrix:
+    """Full round trip starting and ending at M1 of a Config's geometry
+    section, the input of the self-consistent Gaussian-mode oracle."""
+    g = cavity(geometry)
     forward = compose(
-        free_space(g.d1),
-        free_space(g.d2),
-        thin_lens(g.f1),
-        free_space(g.lt),
-        thin_lens(g.f2),
-        free_space(g.d3),
+        free_space(g["d1"]),
+        free_space(g["d2"]),
+        thin_lens(g["f1"]),
+        free_space(g["lt"]),
+        thin_lens(g["f2"]),
+        free_space(g["d3"]),
     )
     backward = compose(
-        free_space(g.d3),
-        thin_lens(g.f2),
-        free_space(g.lt),
-        thin_lens(g.f1),
-        free_space(g.d2),
-        free_space(g.d1),
+        free_space(g["d3"]),
+        thin_lens(g["f2"]),
+        free_space(g["lt"]),
+        thin_lens(g["f1"]),
+        free_space(g["d2"]),
+        free_space(g["d1"]),
     )
-    return compose(forward, retro_reflector(g.fr2), backward,
-                   retro_reflector(g.fr1))
+    return compose(forward, retro_reflector(g["fr2"]), backward,
+                   retro_reflector(g["fr1"]))
 
 
 def spot_radius_q_oracle(m_round: RayTransferMatrix, lam: float) -> float:

@@ -27,7 +27,6 @@ from rbswipt.config import get_preset, set_path
 from rbswipt.gain_power import saturation_gain
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
-    ResonatorGeometry,
     UnstableResonatorError,
     one_trip_matrix,
     spot_radius_on_gain,
@@ -43,9 +42,8 @@ def fig5_spot_max(m: float, n_d3: int = 41) -> float:
     """Max spot radius on the gain over the 2-10 m distance range."""
     best = 0.0
     for d3 in np.linspace(2.0, 10.0, n_d3):
-        g = ResonatorGeometry(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3,
-                              f2=5e-3 * m, fr2=FIG5_FR2, r1=0.999, r2=0.90,
-                              lambda_beam=LAMBDA)
+        g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
+                 fr2=FIG5_FR2, r1=0.999, r2=0.90, lambda_beam=LAMBDA)
         try:
             best = max(best, spot_radius_on_gain(one_trip_matrix(g), LAMBDA))
         except UnstableResonatorError:
@@ -205,9 +203,8 @@ def test_criterion_7_property_suites():
     assert len(cases) >= 10
     print("\nACCEPTANCE 7: spot-radius closed form vs q-parameter oracle:")
     for m, d3, fr2 in cases:
-        g = ResonatorGeometry(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3,
-                              f2=5e-3 * m, fr2=float(fr2), r1=0.999, r2=0.9,
-                              lambda_beam=LAMBDA)
+        g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
+                 fr2=float(fr2), r1=0.999, r2=0.9, lambda_beam=LAMBDA)
         w_closed = spot_radius_on_gain(one_trip_matrix(g), LAMBDA)
         w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)
         ratio = w_closed / w_q
@@ -215,8 +212,8 @@ def test_criterion_7_property_suites():
         assert 1 / 2.5 < ratio < 2.5
 
     # sign-flip invariance of the spot formula
-    g = ResonatorGeometry(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3,
-                          fr2=18.0, r1=0.999, r2=0.9, lambda_beam=LAMBDA)
+    g = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3, fr2=18.0,
+             r1=0.999, r2=0.9, lambda_beam=LAMBDA)
     mc = one_trip_matrix(g)
     flipped = RayTransferMatrix(-mc.a, -mc.b, -mc.c, -mc.d)
     assert spot_radius_on_gain(flipped, LAMBDA) == \

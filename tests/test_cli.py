@@ -50,6 +50,15 @@ class TestEvaluate:
         assert code == 3
         assert "config error" in err
 
+    def test_overflowing_derived_f2_names_the_distances(self, capsys):
+        # f2 = -f1 * M overflows to -inf, and so does the afocal lt = f1 + f2
+        code, _, err = run(capsys, "evaluate", "--set", "geometry.f1=1e300 m",
+                           "--set", "geometry.tim_magnification=1e10")
+        assert code == 3
+        assert "free-space distances must be finite: d1=0.02, d2=0.02, " \
+            "lt=-inf, d3=10.0" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_writes_csv(self, capsys, tmp_path):

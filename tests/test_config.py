@@ -5,7 +5,6 @@ from abcd import get_path
 
 from rbswipt.config import (
     ConfigError,
-    build_geometry,
     config_digest,
     copy_config,
     get_preset,
@@ -14,6 +13,7 @@ from rbswipt.config import (
     serialize_config,
     set_path,
 )
+from rbswipt.ray_optics import one_trip_matrix
 
 
 class TestParseQuantity:
@@ -125,12 +125,15 @@ class TestPaths:
 
 class TestBuilders:
     def test_geometry_from_magnification(self):
-        cfg = get_preset("paper-2022")
-        geo = build_geometry(cfg)
+        geo = get_preset("paper-2022")["geometry"]
+        f1, f2 = geo["f1"], -geo["f1"] * geo["tim_magnification"]
         # magnification 12 with f1 = -5 mm puts the second lens at 60 mm
-        assert geo.f2 == pytest.approx(60e-3)
-        assert geo.lt == pytest.approx(geo.f1 + geo.f2)
-        assert -geo.f2 / geo.f1 == pytest.approx(12.0)
+        assert f2 == pytest.approx(60e-3)
+        assert -f2 / f1 == pytest.approx(12.0)
+        explicit = {k: v for k, v in geo.items() if k != "tim_magnification"}
+        explicit.update(f2=f2, lt=f1 + f2)
+        # repr also tells -0.0 from 0.0
+        assert repr(one_trip_matrix(geo)) == repr(one_trip_matrix(explicit))
 
     def test_preset_gain_is_si(self):
         gain = get_preset("paper-2022")["gain"]

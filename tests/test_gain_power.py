@@ -15,7 +15,6 @@ from rbswipt.gain_power import (
     threshold_power,
 )
 from rbswipt.ray_optics import (
-    ResonatorGeometry,
     diffraction_survival,
     one_trip_matrix,
     spot_radius_on_gain,
@@ -200,21 +199,21 @@ class TestTransmissionEfficiency:
         assert all(v <= 0.35 for v in vals)
 
 
-def stable_geometry(r2=0.90) -> ResonatorGeometry:
-    return ResonatorGeometry(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3,
-                             f2=60e-3, fr2=18.0, r1=0.999, r2=r2,
-                             lambda_beam=LAMBDA_BEAM)
+def stable_geometry(r2=0.90) -> dict:
+    """A stable geometry section of a Config."""
+    return dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3, fr2=18.0,
+                r1=0.999, r2=r2, lambda_beam=LAMBDA_BEAM)
 
 
-def survival(geo: ResonatorGeometry, gm: dict) -> float:
+def survival(geo: dict, gm: dict) -> float:
     """Diffraction survival vd of the gain aperture, from ray optics."""
-    w = spot_radius_on_gain(one_trip_matrix(geo), geo.lambda_beam)
+    w = spot_radius_on_gain(one_trip_matrix(geo), geo["lambda_beam"])
     return diffraction_survival(gm["a"], w)
 
 
 def gain_chain(geo, gm, pm, vc, p_in, loss_exponent=1):
-    return evaluate_gain(geo, gm, pm, vc, p_in, survival(geo, gm),
-                         loss_exponent)
+    losses = {"vc": vc, "slope_loss_exponent": float(loss_exponent)}
+    return evaluate_gain(geo, gm, pm, losses, p_in, survival(geo, gm))
 
 
 class TestEvaluateGain:
@@ -223,9 +222,7 @@ class TestEvaluateGain:
         # spot: the threshold involves only the transparency density and
         # the slope reduces to the pump efficiencies times the wavelength
         # ratio (r2 = 1 exactly would zero the round-trip loss entirely)
-        geo = ResonatorGeometry(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3,
-                                f2=60e-3, fr2=18.0, r1=1.0, r2=1.0 - 1e-9,
-                                lambda_beam=LAMBDA_BEAM)
+        geo = dict(stable_geometry(r2=1.0 - 1e-9), r1=1.0)
         gm = table_gain()
         big_aperture = {**gm, "a": 0.5}
         res = gain_chain(geo, big_aperture, table_pump(), vc=1.0, p_in=150.0)
@@ -238,10 +235,10 @@ class TestEvaluateGain:
         geo, gm, pm = stable_geometry(), table_gain(), table_pump()
         res = gain_chain(geo, gm, pm, vc=0.99, p_in=150.0)
         v = 0.99 * res.vd
-        n_th = threshold_carrier_density(gm, geo.r1, geo.r2, v)
+        n_th = threshold_carrier_density(gm, geo["r1"], geo["r2"], v)
         tau = carrier_lifetime(n_th, gm)
         p_th = threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM)
-        eta_s = slope_efficiency(pm, geo.r1, geo.r2, v, LAMBDA_BEAM)
+        eta_s = slope_efficiency(pm, geo["r1"], geo["r2"], v, LAMBDA_BEAM)
         assert res.n_th == pytest.approx(n_th, rel=1e-12)
         assert res.p_th == pytest.approx(p_th, rel=1e-12)
         assert res.eta_s == pytest.approx(eta_s, rel=1e-12)
@@ -260,17 +257,18 @@ class TestEvaluateGain:
             res = gain_chain(geo2, gm, pm, 0.99, 100.0)
             v = res.v
             assert math.exp(2 * gm["gamma_conf"] * res.g_sat * gm["l"]) \
-                * geo2.r1 * r2 * v * v == pytest.approx(1.0, rel=1e-9)
+                * geo2["r1"] * r2 * v * v == pytest.approx(1.0, rel=1e-9)
 
     def test_overall_loss_product(self):
         geo, gm, pm = stable_geometry(), table_gain(), table_pump()
         vd = survival(geo, gm)
-        res = evaluate_gain(geo, gm, pm, 0.99, 100.0, vd)
+        # slope_loss_exponent is optional in the losses section
+        res = evaluate_gain(geo, gm, pm, {"vc": 0.99}, 100.0, vd)
         assert res.vd == vd
         assert res.v == 0.99 * vd
         # vc * vd above 1 is no loss factor
         with pytest.raises(ValueError):
-            evaluate_gain(geo, gm, pm, 1.2, 100.0, vd)
+            evaluate_gain(geo, gm, pm, {"vc": 1.2}, 100.0, vd)
 
     def test_formulas_shared_with_stage_functions(self):
         # n_th and eta_b come from the public formulas, bit for bit; the
@@ -281,10 +279,11 @@ class TestEvaluateGain:
         for _ in range(300):
             geo = stable_geometry(r2=rng.uniform(0.8, 0.99))
             p_in = rng.choice((0.0, rng.uniform(0.0, 200.0)))
-            res = evaluate_gain(geo, gm, pm, rng.uniform(0.95, 1.0), p_in,
-                                vd, rng.choice((1, 2)))
+            losses = {"vc": rng.uniform(0.95, 1.0),
+                      "slope_loss_exponent": rng.choice((1.0, 2.0))}
+            res = evaluate_gain(geo, gm, pm, losses, p_in, vd)
             assert repr(res.n_th) == repr(threshold_carrier_density(
-                gm, geo.r1, geo.r2, res.v))
+                gm, geo["r1"], geo["r2"], res.v))
             eta_b = (transmission_efficiency(p_in, res.p_th, res.eta_s)
                      if p_in > 0 else 0.0)
             assert repr(res.eta_b) == repr(eta_b)

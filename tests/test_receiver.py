@@ -8,7 +8,6 @@ from rbswipt.config import get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.receiver import (
     apd_current,
-    end_to_end_efficiency,
     evaluate_receiver,
     pv_output,
     shot_noise_sq,
@@ -63,25 +62,29 @@ class TestPvOutput:
         assert r12 - r2 == pytest.approx(0.3487 * 30.0, rel=1e-12)
 
 
+def eta_e(p_pv: float, p_in: float) -> float:
+    """End-to-end efficiency of the published receiver fed p_pv watts: with
+    mu = 1 the whole beam reaches the PV converter."""
+    return evaluate_receiver(p_pv, p_in, paper_receiver(mu=1.0)).eta_e
+
+
 class TestEndToEndEfficiency:
     def test_headline_ratio(self):
         # 16.5 W electrical at 150 W input -> 11 %
         p_pv = (16.5 + 1.535) / 0.3487
-        assert end_to_end_efficiency(p_pv, 150.0, 0.3487, -1.535) == \
-            pytest.approx(0.11, rel=1e-9)
+        assert eta_e(p_pv, 150.0) == pytest.approx(0.11, rel=1e-9)
 
     def test_negative_reported_unclamped(self):
-        assert end_to_end_efficiency(0.0, 100.0, 0.3487, -1.535) == \
-            pytest.approx(-0.01535)
+        assert eta_e(0.0, 100.0) == pytest.approx(-0.01535)
 
     def test_inverse_scaling_in_input(self):
-        e1 = end_to_end_efficiency(40.0, 100.0, 0.3487, -1.535)
-        e2 = end_to_end_efficiency(40.0, 200.0, 0.3487, -1.535)
+        e1 = eta_e(40.0, 100.0)
+        e2 = eta_e(40.0, 200.0)
         assert e1 == pytest.approx(2 * e2, rel=1e-12)
 
     def test_zero_input_rejected(self):
-        with pytest.raises(ValueError):
-            end_to_end_efficiency(1.0, 0.0, 0.3487, -1.535)
+        with pytest.raises(ValueError, match="input power must be positive"):
+            eta_e(1.0, 0.0)
 
 
 class TestApdCurrent:

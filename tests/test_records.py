@@ -2,29 +2,24 @@
 
 Every value a domain record's own check used to reject is rejected by
 set_path with a ConfigError naming the path and SCHEMA's range text; the
-range edges are accepted and reach the geometry record or the stage that
-reads its section; a sweep checks its axis values before any cell; and the
-telescope spacing defaults to the afocal f1 + f2."""
+range edges are accepted and reach the section a stage reads; a sweep
+checks its axis values before any cell; and one_trip_matrix defaults the
+telescope spacing to the afocal f1 + f2 and the reflectors to inf."""
 
 import math
 
 import pytest
+from abcd import compose, free_space, retro_reflector, thin_lens
 
-from rbswipt.config import (
-    SCHEMA,
-    ConfigError,
-    build_geometry,
-    get_preset,
-    set_path,
-)
+from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
-from rbswipt.ray_optics import ResonatorGeometry
+from rbswipt.ray_optics import one_trip_matrix
 from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
 
-# case ids name each section by the record whose range check it carries on:
-# the geometry section is still read through ResonatorGeometry, the others
-# keep the names of the per-stage records their ranges were first checked in
-READER = {"geometry": ResonatorGeometry.__name__, "gain": "GainModel",
+# case ids name each section after the per-stage record its ranges were
+# first checked in; every stage now reads its section itself, and the names
+# only keep the ids stable
+READER = {"geometry": "ResonatorGeometry", "gain": "GainModel",
           "pump": "PumpModel", "receiver": "ReceiverModel"}
 
 # the values the records' former range checks rejected
@@ -92,10 +87,7 @@ RANGE_EDGES = [
 def test_range_edges_accepted(section, name, value):
     cfg = get_preset("paper-2022")
     set_path(cfg, f"{section}.{name}", value)
-    if section == "geometry":
-        assert getattr(build_geometry(cfg), name) == value
-    else:
-        assert cfg[section][name] == value
+    assert cfg[section][name] == value
     # no formula guard of the chain rejects an edge value
     evaluate_operating_point(cfg)
 
@@ -137,8 +129,15 @@ VALID_GEOMETRY = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3,
 
 
 def test_telescope_spacing_defaults_to_afocal():
-    g = ResonatorGeometry(**VALID_GEOMETRY)
-    assert repr(g.lt) == repr(-5e-3 + 60e-3)
-    assert (g.fr1, g.fr2) == (math.inf, math.inf)
-    explicit = ResonatorGeometry(**VALID_GEOMETRY, lt=0.1, fr2=18.0)
-    assert (explicit.lt, explicit.fr2) == (0.1, 18.0)
+    section = dict(VALID_GEOMETRY)
+    defaults = dict(VALID_GEOMETRY, lt=-5e-3 + 60e-3, fr1=math.inf,
+                    fr2=math.inf)
+    # repr also tells -0.0 from 0.0
+    assert repr(one_trip_matrix(section)) == repr(one_trip_matrix(defaults))
+    assert section == VALID_GEOMETRY        # read, never written
+    # given values win over the defaults
+    explicit = one_trip_matrix(dict(VALID_GEOMETRY, lt=0.1, fr2=18.0))
+    assert repr(explicit) == repr(compose(
+        retro_reflector(math.inf), free_space(20e-3), free_space(20e-3),
+        thin_lens(-5e-3), free_space(0.1), thin_lens(60e-3),
+        free_space(10.0), retro_reflector(18.0)))
