@@ -14,7 +14,6 @@ downstream checks a range again.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 Config = dict[str, dict[str, float]]
@@ -74,7 +73,7 @@ def _finite(v):
 
 
 def _pos_or_inf(v):
-    return v > 0 or math.isinf(v)
+    return v > 0
 
 
 def _exponent(v):
@@ -260,6 +259,7 @@ def serialize_config(cfg: Config) -> str:
 
 def config_digest(cfg: Config) -> str:
     """Stable hex digest of the resolved configuration."""
+    import hashlib      # imported here: only curve files carry a digest
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
 
 

@@ -10,7 +10,6 @@ formatted once per file, and nothing is kept from one call to the next.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +66,7 @@ def write_plot_description(path: Path, title: str, x_label: str,
                            series: list[dict]) -> None:
     """Declarative plot description (no rendering): axis labels plus the
     series-to-column mapping for an external plotting helper."""
+    import json     # only reproduce-figure writes one
     path.write_text(json.dumps({
         "title": title,
         "x_label": x_label,

@@ -59,7 +59,8 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     the telescope magnification, lt defaults to the afocal f1 + f2 and fr1
     and fr2 to the ideal retro-reflector (inf); all lengths in m.  The
     product is multiplied on floats, bit for bit the element-by-element
-    product of tests/abcd.py, ValueErrors included.
+    product of tests/abcd.py.  Raises ValueError when a distance is not
+    finite, as a derived lt = f1 + f2 is on overflow.
     """
     d1, d2, d3, f1 = (geometry["d1"], geometry["d2"], geometry["d3"],
                       geometry["f1"])
@@ -74,8 +75,6 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     if not all(map(math.isfinite, (d1, d2, lt, d3))):
         raise ValueError(f"free-space distances must be finite: d1={d1}, "
                          f"d2={d2}, lt={lt}, d3={d3}")
-    if fr1 == 0 or fr2 == 0:
-        raise ValueError("effective curvature factor must be nonzero")
     c1 = 0.0 if math.isinf(fr1) else 1.0 / fr1
     p1 = 0.0 if math.isinf(f1) else -1.0 / f1
     p2 = 0.0 if math.isinf(f2) else -1.0 / f2
@@ -104,8 +103,6 @@ def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
     (the matrix product overflowed).  B = 0 yields w_g = 0, which callers
     should treat as an unphysical degenerate mode.
     """
-    if lam <= 0:
-        raise ValueError("wavelength must be positive")
     ac = m.a * m.c
     if ac == 0:
         raise DegenerateCavityError(m)
@@ -122,6 +119,4 @@ def diffraction_survival(a: float, w: float) -> float:
     radius a:  1 - exp(-2 a^2 / w^2)."""
     if w <= 0:
         raise ValueError(f"spot radius must be positive, got {w}")
-    if a < 0:
-        raise ValueError(f"aperture radius must be >= 0, got {a}")
     return 1.0 - math.exp(-2.0 * a * a / (w * w))

@@ -292,6 +292,37 @@ def test_overflowing_settings_exit_code(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# README's table: each formula guard a stage keeps, reached by one command
+KEPT_GUARDS = [
+    ("free-space distances must be finite",
+     ["geometry.f1=1e300 m", "geometry.tim_magnification=1e10"]),
+    ("spot-radius radicand nan", ["geometry.tim_magnification=1e308"]),
+    ("spot radius must be positive", ["geometry.lambda_beam=1e-200 m"]),
+    ("v=0.0 outside (0, 1]", ["gain.a=1e-14 m"]),
+    ("carrier density must be finite",
+     ["gain.n0=1e308 m^-3", "gain.g0=1e3 m^-1"]),
+    ("carrier lifetime must be positive", ["gain.auger=1e300 m^6/s"]),
+    ("r1*r2*v^1 = 1.0 >= 1",
+     ["geometry.r1=1", "geometry.r2=1", "losses.vc=1", "gain.a=1 m"]),
+    ("total noise power must be positive",
+     ["receiver.i_bg=0 A", "receiver.mu=1", "receiver.t_bg=5e-324 K"]),
+]
+
+
+@pytest.mark.parametrize("message, settings", KEPT_GUARDS,
+                         ids=[m for m, _ in KEPT_GUARDS])
+def test_kept_formula_guard_reached_by_validated_settings(capsys, message,
+                                                          settings):
+    argv = ["evaluate"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert run_cli(["validate", *argv[1:]]) == 0
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert f"numeric domain: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_ideal_retro_reflector_accepted(capsys):
     # fr2 = inf (a flat M2) passes SCHEMA; with the preset's flat M1 the
     # cavity is then unstable, which is exit 4, not a config error
@@ -481,6 +512,27 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_commands_that_write_no_file_load_no_hashlib_or_json():
+    # hashlib (the curve files' config digest) and json (plot descriptions)
+    # are imported where those files are written; -S keeps site hooks,
+    # which may import either, out of the fresh interpreter
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(Path(rbswipt.__file__).parents[1])!r})\n"
+        "from rbswipt.cli import run_cli\n"
+        "loaded = lambda: sorted({'hashlib', 'json'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run_cli(['evaluate']), run_cli(['presets']),\n"
+        "             run_cli(['validate', '--preset', 'paper-2022']),\n"
+        "             run_cli(['optimize', '--axis', 'geometry.r2:0.8:0.99:5',\n"
+        "                      '--objective', 'p_beam'])]\n"
+        "print(codes, loaded())\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
 
 
 # -- every public function serves a command ---------------------------------

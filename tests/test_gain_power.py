@@ -57,8 +57,13 @@ class TestSaturationGain:
         assert g == pytest.approx(9498.050650288153, rel=1e-12)
 
     def test_gain_exceeding_unity_product_rejected(self):
-        with pytest.raises(ValueError):
-            saturation_gain(1.0, 1.0, 1.0000001 ** 0.5, 3e-6, 2.0)
+        # r1, r2 and vc are each at most 1 where they enter the Config, and
+        # survival is at most 1, so r1 r2 v^2 never exceeds 1 in the stage
+        cfg = get_preset("paper-2022")
+        for path in ("geometry.r1", "geometry.r2", "losses.vc"):
+            with pytest.raises(ConfigError, match=f"^{path} = "):
+                set_path(cfg, path, 1.0000001)
+        assert cfg == get_preset("paper-2022")
 
 
 class TestThresholdCarrierDensity:
@@ -266,9 +271,11 @@ class TestEvaluateGain:
         res = evaluate_gain(geo, gm, pm, {"vc": 0.99}, 100.0, vd)
         assert res.vd == vd
         assert res.v == 0.99 * vd
-        # vc * vd above 1 is no loss factor
-        with pytest.raises(ValueError):
-            evaluate_gain(geo, gm, pm, {"vc": 1.2}, 100.0, vd)
+        # vc * vd above 1 is no loss factor: vc > 1 never enters a Config
+        cfg = get_preset("paper-2022")
+        with pytest.raises(ConfigError, match=r"^losses\.vc = 1\.2 "):
+            set_path(cfg, "losses.vc", 1.2)
+        assert cfg["losses"] == get_preset("paper-2022")["losses"]
 
     def test_formulas_shared_with_stage_functions(self):
         # n_th and eta_b come from the public formulas, bit for bit; the

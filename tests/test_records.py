@@ -3,10 +3,13 @@
 Every value a domain record's own check used to reject is rejected by
 set_path with a ConfigError naming the path and SCHEMA's range text; the
 range edges are accepted and reach the section a stage reads; a sweep
-checks its axis values before any cell; and one_trip_matrix defaults the
-telescope spacing to the afocal f1 + f2 and the reflectors to inf."""
+checks its axis values before any cell; one_trip_matrix defaults the
+telescope spacing to the afocal f1 + f2 and the reflectors to inf; and no
+validated Config, drawn at random, meets a condition the stages' former
+range guards rejected."""
 
 import math
+import random
 
 import pytest
 from abcd import compose, free_space, retro_reflector, thin_lens
@@ -43,6 +46,7 @@ RANGE_CHECKS = [
 # values of keys that no record ever checked
 SCHEMA_ONLY = [
     ("geometry.fr1", 0.0), ("geometry.fr2", -1.0),
+    ("geometry.fr1", -math.inf), ("geometry.fr2", -math.inf),
     ("geometry.tim_magnification", 0.0),
     ("geometry.tim_magnification", math.inf), ("geometry.lt", math.nan),
     ("losses.vc", 1.5), ("losses.slope_loss_exponent", 3.0),
@@ -141,3 +145,58 @@ def test_telescope_spacing_defaults_to_afocal():
         retro_reflector(math.inf), free_space(20e-3), free_space(20e-3),
         thin_lens(-5e-3), free_space(0.1), thin_lens(60e-3),
         free_space(10.0), retro_reflector(18.0)))
+
+
+# the edges of every SCHEMA range and the largest floats; a draw is one of
+# them or log-uniform over 1e-300..1e300, negated a quarter of the time
+EDGES = (0.0, 1.0, 2.0, 5e-324, 1e300, 1.7976931348623157e308, math.inf)
+PATHS = [f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys]
+
+
+def draw(rng):
+    v = (rng.choice(EDGES) if rng.random() < 0.5
+         else 10.0 ** rng.uniform(-300.0, 300.0))
+    return -v if rng.random() < 0.25 else v
+
+
+def test_no_validated_config_reaches_a_deleted_stage_guard():
+    # the stages check no range: every value reaching them passed SCHEMA,
+    # and none of the conditions the stages' former range guards rejected
+    # holds, either on the Config or on the intermediate values it yields
+    rng = random.Random(2021)
+    seen = set()
+    for _ in range(5000):
+        cfg, drawn = get_preset("paper-2022"), []
+        for path in rng.sample(PATHS, rng.randint(1, 4)):
+            while True:
+                value = draw(rng)
+                try:
+                    set_path(cfg, path, value)
+                except ConfigError:
+                    continue
+                drawn.append((path, value))
+                break
+        g, gm, r = cfg["geometry"], cfg["gain"], cfg["receiver"]
+        p_in = cfg["link"]["p_in"]
+        assert 0 < g["r1"] <= 1 and 0 < g["r2"] <= 1, drawn
+        assert g.get("fr1", 1.0) != 0 and g.get("fr2", 1.0) != 0, drawn
+        assert g["lambda_beam"] > 0 and gm["a"] >= 0 and gm["l"] > 0, drawn
+        assert cfg["losses"].get("slope_loss_exponent", 1) in (1, 2), drawn
+        assert p_in >= 0 and 0 <= r["mu"] <= 1 and r["i_bg"] >= 0, drawn
+        assert min(r["t_bg"], r["b_x"], r["r_l"]) > 0, drawn
+        try:
+            p = evaluate_operating_point(cfg)
+        except ConfigError:             # a kept numeric-domain guard
+            seen.add("ConfigError")
+            continue
+        seen.add(p.status)
+        if p.v is not None:
+            assert 0 < p.v <= 1, drawn
+            assert g["r1"] * g["r2"] * p.v * p.v <= 1, drawn
+            assert not p.n_th < 0 and not p.p_beam < 0, drawn
+        if p.p_pv_in is not None:
+            assert p_in > 0, drawn
+            assert not p.p_pv_in < 0 and not p.p_apd_in < 0, drawn
+            assert not p.i_d < 0, drawn
+    # the draws reach every outcome of the chain
+    assert seen == {"ok", "sub-threshold", "unstable", "ConfigError"}
