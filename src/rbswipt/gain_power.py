@@ -87,7 +87,7 @@ def slope_efficiency(pump: Mapping[str, float], r1: float, r2: float, v: float,
 def beam_power(p_in: float, p_th: float, eta_s: float) -> float:
     """External beam power (W): (p_in - p_th) * eta_s above threshold, zero
     below (no oscillation without net gain)."""
-    return max(0.0, (p_in - p_th) * eta_s)
+    return p if (p := (p_in - p_th) * eta_s) > 0.0 else 0.0
 
 
 def evaluate_gain(geometry: Mapping[str, float], gain: Mapping[str, float],

@@ -60,29 +60,32 @@ def evaluate_operating_point(cfg: Config,
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
     """
-    stage = _RECEIVER if quantities is None else max(
-        map(_STAGE.__getitem__, quantities), default=_RAY_OPTICS)
+    stage = _RECEIVER if quantities is None else _RAY_OPTICS
+    for name in quantities or ():   # max(..., default=) is ~5x slower
+        stage = _STAGE[name] if _STAGE[name] > stage else stage
     p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
+    running = "ray optics"      # the stage a Python math error comes from
     try:
         w = spot_radius_on_gain(one_trip_matrix(geometry),
                                 geometry["lambda_beam"])
         if stage == _RAY_OPTICS:
             return OperatingPoint(STATUS_STABLE, p_in, w)
         # diffraction survival, the ray optics of the gain aperture, runs
-        # right after the spot radius, so that ray optics is one contiguous
-        # step through its layer in per-layer traces
+        # right after the spot radius: one ray-optics visit in traces
         gain = cfg["gain"]
-        power = evaluate_gain(geometry, gain, cfg["pump"], cfg["losses"],
-                              p_in, diffraction_survival(gain["a"], w))
+        vd, running = diffraction_survival(gain["a"], w), "gain"
+        power, running = evaluate_gain(geometry, gain, cfg["pump"],
+                                       cfg["losses"], p_in, vd), "receiver"
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  if stage == _RECEIVER and p_in > 0 else ())
     except CavityError as e:
         return OperatingPoint(STATUS_UNSTABLE, p_in, detail=str(e))
     except (ValueError, ArithmeticError) as e:
-        # the formula guards: on settings that pass SCHEMA they fail only
-        # when an intermediate value leaves its numeric domain, as on float
-        # overflow or an f2 = -f1 * M that underflows to 0
-        raise ConfigError(f"settings outside the model's numeric domain: "
-                          f"{e}") from None
+        # the formula guards: on settings that pass SCHEMA they fail only on
+        # an intermediate value out of its domain (float overflow, f2 = -f1 *
+        # M underflowing to 0); Python's own math errors get the stage named
+        bare = isinstance(e, ArithmeticError) or str(e) == "math domain error"
+        raise ConfigError(f"settings outside the model's numeric domain: {e}"
+                          + (f" ({running} stage)" if bare else "")) from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
     return OperatingPoint(status, p_in, w, *power, *swipt)

@@ -72,7 +72,8 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     lt = geometry.get("lt", f1 + f2)
     fr1 = geometry.get("fr1", math.inf)
     fr2 = geometry.get("fr2", math.inf)
-    if not all(map(math.isfinite, (d1, d2, lt, d3))):
+    if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(lt)
+            and math.isfinite(d3)):
         raise ValueError(f"free-space distances must be finite: d1={d1}, "
                          f"d2={d2}, lt={lt}, d3={d3}")
     c1 = 0.0 if math.isinf(fr1) else 1.0 / fr1
@@ -80,9 +81,9 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     p2 = 0.0 if math.isinf(f2) else -1.0 / f2
     c2 = 0.0 if math.isinf(fr2) else 1.0 / fr2
     # one line per element in the order above, `element @ out` term for term;
-    # products by 1 and -1 (exact) are dropped, by 0 kept: 0 * inf is nan
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c1 * a - c, c1 * b - d
+    # products by +-1 are exact and dropped, by 0 kept for nan and signed zero;
+    # fr1 @ identity is folded to its terms' values, with c1 * 0.0 nan at inf
+    a, b, c, d = -1.0, 0.0, c1, c1 * 0.0 - 1.0
     a, b, c, d = a + d1 * c, b + d1 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + d2 * c, b + d2 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
@@ -90,7 +91,8 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p2 * a + c, p2 * b + d
     a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
-    return RayTransferMatrix(a, b, c, d)
+    # tuple.__new__ skips the namedtuple's Python-level __new__
+    return tuple.__new__(RayTransferMatrix, (a, b, c, d))
 
 
 def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:

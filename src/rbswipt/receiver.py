@@ -50,7 +50,7 @@ def pv_output(p_pv: float, eta_p: float, p_pth: float) -> tuple[float, float]:
     the clamped value max(0, raw) is the physically delivered power.
     """
     raw = eta_p * p_pv + p_pth
-    return raw, max(0.0, raw)
+    return raw, raw if raw > 0.0 else 0.0
 
 
 def apd_current(p_apd: float, nu: float) -> float:

@@ -59,6 +59,19 @@ class TestEvaluate:
             "lt=-inf, d3=10.0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("gain.g0=1 m^-1", "math range error (gain stage)"),
+        # f2 = -f1 * M underflows to 0 and -1 / f2 divides by zero
+        ("geometry.tim_magnification=5e-324",
+         "float division by zero (ray optics stage)"),
+    ])
+    def test_python_math_error_names_the_stage(self, capsys, setting,
+                                               message):
+        code, _, err = run(capsys, "evaluate", "--set", setting)
+        assert code == 3
+        assert f"numeric domain: {message}\n" in err
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_writes_csv(self, capsys, tmp_path):

@@ -184,6 +184,13 @@ class TestBeamPower:
                  - beam_power(p - 0.5, p_th, eta_s))
             assert d == pytest.approx(eta_s, rel=1e-9)
 
+    @pytest.mark.parametrize("x", (-0.0, 0.0, 5e-324, -5e-324, math.inf,
+                                   -math.inf, math.nan), ids=repr)
+    def test_clamp_is_max_with_zero(self, x):
+        # where a clamp by comparison could part from max: signed zeros,
+        # subnormals, infinities and nan; (x - 0.0) * 1.0 is x bit for bit
+        assert repr(beam_power(x, 0.0, 1.0)) == repr(max(0.0, x))
+
 
 class TestTransmissionEfficiency:
     def test_asymptote(self):

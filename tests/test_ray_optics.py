@@ -207,6 +207,65 @@ class TestOneTrip:
             one_trip_matrix(baseline_geometry(d3=math.inf))
 
 
+# per geometry key, values at the edges of its SCHEMA range: the smallest
+# subnormal, 1e300, both signs where the range allows them, inf for the
+# reflectors; None leaves the key out, to its default
+RANGE_EDGES = dict(
+    d1=(5e-324, 20e-3, 1e300), d2=(5e-324, 20e-3, 1e300),
+    d3=(5e-324, 10.0, 1e300),
+    lt=(None, -1e300, -0.05, -5e-324, 0.0, 5e-324, 0.055, 1e300),
+    # f1 = +-5e-324 is an infinite lens power
+    f1=(-5e-324, 5e-324, -5e-3, 5e-3, -1e300, 1e300),
+    f2=(None, -5e-324, 5e-324, 60e-3, -1e300, 1e300),
+    # with f2 absent, f2 = -f1 * M overflows to inf at M = 1e300
+    tim_magnification=(5e-324, 12.0, 1e300),
+    fr1=(None, math.inf, 5e-324, 18.0, 1e300),
+    fr2=(None, math.inf, 5e-324, 18.0, 1e300),
+)
+
+
+def test_bit_identical_to_compose_at_range_edges():
+    # README's command for this guard: f2 = -f1 * M and lt = f1 + f2
+    # overflow to -inf
+    with pytest.raises(ValueError) as e:
+        one_trip_matrix(dict(d1=20e-3, d2=20e-3, d3=10.0, f1=1e300,
+                             tim_magnification=1e10))
+    assert str(e.value) == ("free-space distances must be finite: d1=0.02, "
+                            "d2=0.02, lt=-inf, d3=10.0")
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(4000):
+        drawn = {k: rng.choice(v) for k, v in RANGE_EDGES.items()}
+        g = {k: v for k, v in drawn.items() if v is not None}
+        c = cavity(g)
+        if not all(map(math.isfinite, (c["d1"], c["d2"], c["lt"], c["d3"]))):
+            # a derived lt = f1 + f2 that overflowed
+            with pytest.raises(ValueError) as e:
+                one_trip_matrix(g)
+            assert str(e.value) == (
+                f"free-space distances must be finite: d1={c['d1']}, "
+                f"d2={c['d2']}, lt={c['lt']}, d3={c['d3']}")
+            seen.add("not finite")
+            continue
+        if c["f2"] == 0:
+            # f2 = -f1 * M underflowed to 0: no lens, a division by zero
+            with pytest.raises(ZeroDivisionError):
+                one_trip_matrix(g)
+            seen.add("f2 = 0")
+            continue
+        expected = compose(
+            retro_reflector(c["fr1"]), free_space(c["d1"]),
+            free_space(c["d2"]), thin_lens(c["f1"]), free_space(c["lt"]),
+            thin_lens(c["f2"]), free_space(c["d3"]),
+            retro_reflector(c["fr2"]))
+        # repr also tells -0.0 from 0.0, and shows inf and nan
+        assert repr(one_trip_matrix(g)) == repr(expected), drawn
+        seen.update(t for t in ("inf", "nan", "-0.0") if t in repr(expected))
+    # the draws reach an overflow to inf, a nan, a negative zero, a
+    # non-finite derived distance and an f2 that underflowed
+    assert seen == {"inf", "nan", "-0.0", "not finite", "f2 = 0"}
+
+
 class TestSpotRadius:
     def test_zero_b_gives_zero(self):
         m = RayTransferMatrix(2.0, 0.0, 1.0, 0.5)  # det = 1, B = 0

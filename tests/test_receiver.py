@@ -65,6 +65,14 @@ class TestPvOutput:
         r2, _ = pv_output(20.0, 0.3487, -1.535)
         assert r12 - r2 == pytest.approx(0.3487 * 30.0, rel=1e-12)
 
+    @pytest.mark.parametrize("x", (-0.0, 0.0, 5e-324, -5e-324, math.inf,
+                                   -math.inf, math.nan), ids=repr)
+    def test_clamp_is_max_with_zero(self, x):
+        # 1.0 * x + -0.0 is x bit for bit, -0.0 and nan included
+        raw, clamped = pv_output(x, 1.0, -0.0)
+        assert repr(raw) == repr(x)
+        assert repr(clamped) == repr(max(0.0, x))
+
 
 def eta_e(p_pv: float, p_in: float) -> float:
     """End-to-end efficiency of the published receiver fed p_pv watts: with

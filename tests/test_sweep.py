@@ -9,7 +9,7 @@ import curve_reference
 import pytest
 from abcd import get_path
 
-from rbswipt import figures, sweep
+from rbswipt import figures, model, sweep
 from rbswipt.config import (
     ConfigError,
     check_value,
@@ -393,6 +393,65 @@ class TestPruning:
         assert gain == full._replace(**dict.fromkeys(receiver))
         assert evaluate_operating_point(cfg, FIELD_UNITS) == full
         assert evaluate_operating_point(cfg, None) == full
+
+    @pytest.mark.parametrize("names, depth", [
+        (("spot_radius",), 0), (("p_in", "status"), 1),
+        (("eta_b", "spot_radius"), 1), (("c_tilde",), 2),
+        (("status", "p_e_out", "p_beam"), 2), (tuple(FIELD_UNITS), 2),
+    ])
+    def test_stage_from_any_iterable_of_names(self, names, depth):
+        # the deepest stage any name needs (0 ray optics, 1 gain, 2
+        # receiver), read the same from any iterable, a one-shot generator
+        # included
+        cfg = get_preset("paper-2022")
+        point = evaluate_operating_point(cfg, names)
+        assert (point.status == "stable") == (depth == 0)
+        assert (point.p_beam is None) == (depth < 1)
+        assert (point.c_tilde is None) == (depth < 2)
+        for quantities in (list(names), dict.fromkeys(names),
+                           (n for n in names)):
+            assert evaluate_operating_point(cfg, quantities) == point
+
+    def test_no_names_runs_ray_optics_only(self):
+        cfg = get_preset("paper-2022")
+        full = evaluate_operating_point(cfg)
+        for quantities in ((), [], {}, iter(())):
+            assert evaluate_operating_point(cfg, quantities) == \
+                OperatingPoint("stable", full.p_in, full.spot_radius)
+
+    @pytest.mark.parametrize("names", [("nope",), ("status", "nope"),
+                                       ("spot_radius", "x")])
+    def test_unknown_name_is_a_key_error(self, names):
+        cfg = get_preset("paper-2022")
+        for quantities in (names, list(names), (n for n in names)):
+            with pytest.raises(KeyError):
+                evaluate_operating_point(cfg, quantities)
+
+    @pytest.mark.parametrize("function, stage", [
+        ("one_trip_matrix", "ray optics"),
+        ("diffraction_survival", "ray optics"),
+        ("evaluate_gain", "gain"), ("evaluate_receiver", "receiver"),
+    ])
+    def test_python_math_error_names_the_stage(self, monkeypatch, function,
+                                               stage):
+        # Python's own math errors get the stage that raised them named; a
+        # formula guard's message names its values and is passed unchanged
+        cfg = get_preset("paper-2022")
+        for error, message in (
+                (OverflowError("math range error"),
+                 f"math range error ({stage} stage)"),
+                (ZeroDivisionError("float division by zero"),
+                 f"float division by zero ({stage} stage)"),
+                (ValueError("math domain error"),
+                 f"math domain error ({stage} stage)"),
+                (ValueError("w = 0"), "w = 0")):
+            def fail(*args, error=error):
+                raise error
+            monkeypatch.setattr(model, function, fail)
+            with pytest.raises(ConfigError) as e:
+                evaluate_operating_point(cfg)
+            assert str(e.value) == \
+                f"settings outside the model's numeric domain: {message}"
 
     @pytest.mark.parametrize("quantities", [None, ("spot_radius",)])
     def test_overflowing_matrix_is_an_error_at_every_depth(self, quantities):
