@@ -19,6 +19,7 @@ from .model import (
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
+    prefix_quantities,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -99,13 +100,15 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
               quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
-    `quantities` names what the caller reads of each point and is passed
-    to every `evaluate_fn(cfg, quantities)` call; None evaluates every
-    stage.  A cell's cfg holds its own copy of each swept section only:
-    the other sections are shared with every cell and with spec.config,
-    so `evaluate_fn` must not mutate cfg.  spec.config and every axis
-    value are checked against SCHEMA here, before any cell, and raise
-    ConfigError when out of range; no cell checks a range again."""
+    `quantities` names what the caller reads of each point and is passed to
+    every `evaluate_fn(cfg, quantities)` call; None evaluates every stage.
+    When model.prefix_quantities gives a prefix for axis 2's section, a row
+    runs `up = evaluate_fn(row, prefix)` once and each cell the three-argument
+    `evaluate_fn(cfg, quantities, up)`.  A cell's cfg holds its own copy of
+    each swept section only: the other sections are shared with every cell and
+    with spec.config, so `evaluate_fn` must not mutate cfg.  spec.config and
+    every axis value are checked against SCHEMA here, before any cell, and
+    raise ConfigError when out of range; no cell checks a range again."""
     validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
@@ -120,9 +123,12 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
     rows = [{**cfg, s1: {**cfg[s1], k1: v1}} for v1 in a1]
     if a2 is None:
         points = [evaluate_fn(row, quantities) for row in rows]
-    else:
+    elif (prefix := prefix_quantities(s2, quantities)) is None:
         points = [evaluate_fn({**row, s2: {**row[s2], k2: v2}}, quantities)
                   for row in rows for v2 in a2]
+    else:   # up, the row's prefix point, is evaluated once per row
+        points = [evaluate_fn({**r, s2: {**r[s2], k2: v}}, quantities, up)
+                  for r in rows for up in [evaluate_fn(r, prefix)] for v in a2]
     return SweepResult(spec=spec, axis1_values=a1, axis2_values=a2,
                        points=points)
 

@@ -11,6 +11,7 @@ from abcd import get_path
 
 from rbswipt import figures, model, sweep
 from rbswipt.config import (
+    SCHEMA,
     ConfigError,
     check_value,
     get_preset,
@@ -494,6 +495,136 @@ class TestPruning:
                          axis1=Axis("geometry.r2", 0.80, 0.99, 39))
         assert find_optimum(spec, objective) == \
             find_optimum(spec, objective, evaluate_fn=unpruned)
+
+
+# axes of the row-staging tests, with every entry stage among their
+# sections; fr2 up from 2 m leaves rows unstable, p_in from 0 gives p_in = 0
+ROW_AXES = (("geometry.fr2", 2.0, 20.0), ("geometry.d3", 2.0, 10.0),
+            ("geometry.r2", 0.85, 0.95),
+            ("geometry.tim_magnification", 1.0, 14.0),
+            ("gain.l", 0.15e-6, 3e-6), ("gain.a", 1e-4, 3e-4),
+            ("gain.g0", 1e5, 3e5), ("pump.eta_pc", 0.3, 0.9),
+            ("losses.vc", 0.9, 1.0), ("link.p_in", 0.0, 150.0),
+            ("receiver.mu", 0.0, 0.99), ("receiver.t_bg", 200.0, 400.0))
+
+
+def p_in_mu_spec(*overrides, counts=(4, 5)) -> SweepSpec:
+    return SweepSpec(preset_with(*overrides),
+                     axis1=Axis("link.p_in", 0.0, 150.0, counts[0]),
+                     axis2=Axis("receiver.mu", 0.0, 0.99, counts[1]))
+
+
+class TestRowStaging:
+    """A 2-D grid evaluates once per row the stages axis 2 does not reach,
+    and every cell is still the point of its own Config."""
+
+    def test_cells_match_single_points(self):
+        rng = random.Random(18)
+        by_path = {a[0]: a for a in ROW_AXES}
+        quantity_sets = [None, ("status",), ("spot_radius",),
+                         *((name,) for name in FIELD_UNITS)]
+        cases = [  # an unstable row with p_in as axis 2; p_in = 0 rows
+            ((), "geometry.fr2", "link.p_in", ("status",)),
+            ((), "link.p_in", "receiver.mu", None),
+            ((("geometry.fr2", 2.0),), "gain.l", "receiver.mu", None)]
+        for _ in range(200):
+            base = rng.choice([(), (("geometry.fr2", 2.0),),
+                               (("link.p_in", 5.0),)])
+            path1, path2 = rng.sample(sorted(by_path), 2)
+            if {path1, path2} != {"geometry.fr2",
+                                  "geometry.tim_magnification"}:
+                cases.append((base, path1, path2, rng.choice(quantity_sets)))
+        statuses, sections, prefixes = set(), set(), set()
+        for base, path1, path2, quantities in cases:
+            spec = SweepSpec(preset_with(*base),
+                             Axis(*by_path[path1], rng.randint(2, 4)),
+                             Axis(*by_path[path2], rng.randint(2, 4)))
+            result = run_sweep(spec, quantities=quantities)
+            cells = [(v1, v2) for v1 in result.axis1_values
+                     for v2 in result.axis2_values]
+            for point, (v1, v2) in zip(result.points, cells, strict=True):
+                cfg = preset_with(*base, (path1, v1), (path2, v2))
+                assert repr(point) == repr(
+                    evaluate_operating_point(cfg, quantities))
+                statuses.add(point.status)
+            section = path2.partition(".")[0]
+            sections.add(section)
+            prefixes.add(model.prefix_quantities(section, quantities))
+        assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
+        assert {"geometry", "receiver", "gain", "link"} <= sections
+        assert prefixes == {None, ("status",)}
+
+    def test_prefix_stops_at_the_deepest_stage_quantities_need(self):
+        # g0 = 1 m^-1 overflows the threshold carrier density in the gain
+        # stage: a spot-radius grid never reaches it, a beam-power grid does
+        spec = p_in_mu_spec(("gain.g0", 1.0))
+        result = run_sweep(spec, quantities=("spot_radius",))
+        assert set(result.statuses()) == {"stable"}
+        with pytest.raises(ConfigError) as e:
+            run_sweep(spec, quantities=("p_beam",))
+        assert str(e.value) == ("settings outside the model's numeric "
+                                "domain: math range error (gain stage)")
+        # the error cell (0, 0) raises evaluated on its own
+        cfg = preset_with(("gain.g0", 1.0), ("link.p_in", 0.0),
+                          ("receiver.mu", 0.0))
+        with pytest.raises(ConfigError) as single:
+            evaluate_operating_point(cfg, ("p_beam",))
+        assert str(single.value) == str(e.value)
+
+    @pytest.mark.parametrize("section", list(SCHEMA))
+    def test_prefix_by_section(self, section):
+        # only a receiver value enters after the gain stage, and a row runs
+        # no stage that its cells would not
+        want = ((("status",),) * 2 + (None,) if section == "receiver"
+                else (None,) * 3)
+        got = tuple(model.prefix_quantities(section, q)
+                    for q in (None, ("c_tilde", "p_beam"), ("spot_radius",)))
+        assert got == want
+
+    def test_two_argument_evaluator_on_a_prefixed_grid(self):
+        # a prefixed grid passes evaluate_fn the row's point as a third
+        # argument, and a geometry axis 2 does not
+        def two_args(cfg, quantities):
+            return evaluate_operating_point(cfg, quantities)
+
+        with pytest.raises(TypeError, match="2 positional arguments"):
+            run_sweep(p_in_mu_spec(), evaluate_fn=two_args)
+        spec = SweepSpec(preset_with(), Axis("link.p_in", 0.0, 150.0, 3),
+                         Axis("geometry.d3", 2.0, 10.0, 3))
+        assert (run_sweep(spec, evaluate_fn=two_args).points
+                == run_sweep(spec).points)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, name=name, function=getattr(model, name)):
+                counts[name] += 1
+                return function(*args)
+            monkeypatch.setattr(model, name, counted)
+        return counts
+
+    def test_stage_calls_on_a_p_in_mu_grid(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+                                  "evaluate_gain", "evaluate_receiver")
+        result = run_sweep(p_in_mu_spec(counts=(4, 5)))
+        # axis 1 starts at p_in = 0, whose row runs no receiver
+        assert counts == {"one_trip_matrix": 4, "evaluate_gain": 4,
+                          "evaluate_receiver": 3 * 5}
+        assert [p.p_in for p in result.points[:5]] == [0.0] * 5
+        # cells that need nothing past the row's gain run no stage
+        counts.update(dict.fromkeys(counts, 0))
+        run_sweep(p_in_mu_spec(counts=(4, 5)), quantities=("p_beam",))
+        assert counts == {"one_trip_matrix": 4, "evaluate_gain": 4,
+                          "evaluate_receiver": 0}
+
+    def test_stage_calls_on_a_geometry_grid(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, "one_trip_matrix")
+        spec = SweepSpec(preset_with(),
+                         Axis("geometry.tim_magnification", 1.0, 14.0, 4),
+                         Axis("geometry.d3", 2.0, 10.0, 5))
+        run_sweep(spec, quantities=("spot_radius",))
+        assert counts == {"one_trip_matrix": 4 * 5}
 
 
 class TestFigures:
