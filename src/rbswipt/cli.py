@@ -98,16 +98,6 @@ def _axis_arg(text: str) -> tuple:
     return parts[0], lo, hi, count, spacing
 
 
-def _axis(parsed: tuple) -> Axis:
-    """Axis from parsed --axis text on a known path (exit 3 otherwise);
-    run_sweep checks its grid values."""
-    schema_entry(parsed[0])
-    try:
-        return Axis(*parsed)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
 def _points_arg(text: str) -> int:
     """argparse type of --points: an integer >= 2 (exit 2 otherwise)."""
     try:
@@ -130,13 +120,10 @@ def _check_fields(names) -> None:
 
 
 def _cfg_spec(args) -> SweepSpec:
-    axes = [_axis(a) for a in args.axis]
+    axes = [Axis(*a) for a in args.axis]
     if len(axes) > 2:
         raise ConfigError("at most two axes are supported")
-    try:
-        return SweepSpec(_load_config(args), *axes)
-    except ValueError as e:     # two axes on one parameter
-        raise ConfigError(str(e)) from None
+    return SweepSpec(_load_config(args), *axes)
 
 
 def cmd_evaluate(args) -> int:

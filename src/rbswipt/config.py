@@ -87,8 +87,8 @@ SCHEMA = {
         "d2": ("length", False, _positive, "finite > 0"),
         "d3": ("length", False, _positive, "finite > 0"),
         "lt": ("length", True, _finite, "finite"),
-        "f1": ("length", False, _nonzero, "nonzero"),
-        "f2": ("length", True, _nonzero, "nonzero"),
+        "f1": ("length", False, _nonzero, "finite, nonzero"),
+        "f2": ("length", True, _nonzero, "finite, nonzero"),
         "tim_magnification": ("dimensionless", True, _positive, "finite > 0"),
         "fr1": ("length", True, _pos_or_inf, "> 0 or inf"),
         "fr2": ("length", True, _pos_or_inf, "> 0 or inf"),
@@ -208,14 +208,15 @@ def parse_config(text: str, base: Config | None = None) -> Config:
         key, value = (p.strip() for p in line.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
-        kind, _, check, bounds = SCHEMA[section][key]
+        path = f"{section}.{key}"
         try:
-            si = parse_quantity(value, kind)
+            si = parse_quantity(value, SCHEMA[section][key][0])
         except ConfigError as e:
-            raise ConfigError(f"line {lineno}: {section}.{key}: {e}") from None
-        if not check(si):
-            raise ConfigError(
-                f"line {lineno}: {section}.{key} = {si} out of range ({bounds})")
+            raise ConfigError(f"line {lineno}: {path}: {e}") from None
+        try:
+            check_value(path, si)
+        except ConfigError as e:
+            raise ConfigError(f"line {lineno}: {e}") from None
         cfg[section][key] = si
     validate_config(cfg)
     return cfg

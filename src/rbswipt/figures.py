@@ -98,7 +98,7 @@ def reproduce_figure(figure_id: str, out_dir: Path,
             statuses = ["gap" if y is None else STATUS_OK for y in ys[0]]
         else:
             ys = [[getattr(p, q) for p in result.points] for q in quantities]
-            statuses = result.statuses()
+            statuses = [p.status for p in result.points]
         for q, y in zip(quantities, ys):
             column = f"{q}[{label}]"
             columns.append(Column(column, FIELD_UNITS[q], y))

@@ -10,21 +10,18 @@ formatted once per file, and nothing is kept from one call to the next.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import Config, config_digest, serialize_config
 from .model import FIELD_UNITS, OperatingPoint
 
 
-@dataclass
-class Column:
-    name: str
-    unit: str
-    # float, None or str only: cells are memoised by value, so an int or
-    # bool prints as the text of the first equal value in the file
-    values: Sequence
+Column = namedtuple("Column", "name unit values")
+Column.__doc__ = """One curve-file column: its name, its unit and its values,
+float, None or str only: cells are memoised by value, so an int or bool
+prints as the text of the first equal value in the file."""
 
 
 def _cells(values: Sequence, memo: dict) -> list[str]:

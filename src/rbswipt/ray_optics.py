@@ -82,9 +82,12 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     c2 = 0.0 if math.isinf(fr2) else 1.0 / fr2
     # one line per element in the order above, `element @ out` term for term;
     # products by +-1 are exact and dropped, by 0 kept for nan and signed zero;
-    # fr1 @ identity is folded to its terms' values, with c1 * 0.0 nan at inf
+    # fr1 @ identity is folded to its terms' values, with c1 * 0.0 nan at inf;
+    # so d1 meets a = -1.0 and b = 0.0, and its c + 0.0 * a = c + -0.0 and
+    # d + 0.0 * b = d + 0.0 are c and d bit for bit (x + -0.0 is x for every
+    # float, and d, -1.0 or nan, is never -0.0): folded to c and d
     a, b, c, d = -1.0, 0.0, c1, c1 * 0.0 - 1.0
-    a, b, c, d = a + d1 * c, b + d1 * d, 0.0 * a + c, 0.0 * b + d
+    a, b = a + d1 * c, b + d1 * d
     a, b, c, d = a + d2 * c, b + d2 * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
     a, b, c, d = a + lt * c, b + lt * d, 0.0 * a + c, 0.0 * b + d

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import (
-    Config,
+    ConfigError,
     check_value,
     copy_config,
     resolve_path,
@@ -34,81 +34,73 @@ class OptimizationError(Exception):
     """No stable operating point found in the search region."""
 
 
-@dataclass(frozen=True)
-class Axis:
-    """One swept parameter: dotted path, inclusive range, grid resolution."""
+class Axis(namedtuple("Axis", "path lo hi count spacing")):
+    """One swept parameter: dotted SCHEMA path, inclusive range, grid
+    resolution and spacing ("linear" or "log").  Raises ConfigError for an
+    unknown path or a range that makes no grid."""
 
-    path: str
-    lo: float
-    hi: float
-    count: int = 121
-    spacing: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in (("lo", self.lo), ("hi", self.hi)):
+    def __new__(cls, path, lo, hi, count=121, spacing="linear"):
+        schema_entry(path)
+        for name, v in (("lo", lo), ("hi", hi)):
             if not math.isfinite(v):
-                raise ValueError(
-                    f"axis {self.path}: {name} = {v} is not finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"axis {self.path}: need lo < hi")
-        if self.count < 2:
-            raise ValueError(f"axis {self.path}: need count >= 2")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"axis {self.path}: unknown spacing {self.spacing}")
-        if self.spacing == "log" and self.lo <= 0:
-            raise ValueError(f"axis {self.path}: log spacing needs lo > 0")
+                raise ConfigError(f"axis {path}: {name} = {v} is not finite")
+        if not lo < hi:
+            raise ConfigError(f"axis {path}: need lo < hi")
+        if count < 2:
+            raise ConfigError(f"axis {path}: need count >= 2")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"axis {path}: unknown spacing {spacing}")
+        if spacing == "log" and lo <= 0:
+            raise ConfigError(f"axis {path}: log spacing needs lo > 0")
+        return super().__new__(cls, path, lo, hi, count, spacing)
 
     def values(self) -> list[float]:
-        n = self.count
+        """count grid values from lo to hi, both ends exactly as given
+        (the rounded formula may land an ulp outside the range)."""
+        lo, hi, n = self.lo, self.hi, self.count - 1
         if self.spacing == "log":
-            la, lb = math.log(self.lo), math.log(self.hi)
-            return [math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
-        return [self.lo + (self.hi - self.lo) * i / (n - 1) for i in range(n)]
+            la, lb = math.log(lo), math.log(hi)
+            inner = (math.exp(la + (lb - la) * i / n) for i in range(1, n))
+        else:
+            inner = (lo + (hi - lo) * i / n for i in range(1, n))
+        return [lo, *inner, hi]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description: the Config swept and one or two axes on it."""
+class SweepSpec(namedtuple("SweepSpec", "config axis1 axis2")):
+    """Grid description: the Config swept and one or two axes on it.
+    Raises ConfigError for two axes that set one parameter."""
 
-    config: Config
-    axis1: Axis
-    axis2: Axis | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        paths = {self.axis1.path, self.axis2 and self.axis2.path}
+    def __new__(cls, config, axis1, axis2=None):
+        paths = {axis1.path, axis2 and axis2.path}
         if len(paths) == 1 or paths == {"geometry.f2",
                                         "geometry.tim_magnification"}:
-            raise ValueError(f"axes {self.axis1.path} and {self.axis2.path} "
-                             f"set the same parameter")
+            raise ConfigError(f"axes {axis1.path} and {axis2.path} "
+                              f"set the same parameter")
+        return super().__new__(cls, config, axis1, axis2)
 
 
-@dataclass
-class SweepResult:
-    """Evaluated grid.  Points are stored axis1-major: point (i, j) of a
-    2-axis sweep sits at index i * len(axis2) + j."""
-
-    spec: SweepSpec
-    axis1_values: list[float]
-    axis2_values: list[float] | None
-    points: list[OperatingPoint]
-
-    def statuses(self) -> list[str]:
-        return [p.status for p in self.points]
+SweepResult = namedtuple(
+    "SweepResult", "spec axis1_values axis2_values points")
+SweepResult.__doc__ = """Evaluated grid.  Points are stored axis1-major:
+point (i, j) of a 2-axis sweep sits at index i * len(axis2_values) + j;
+axis2_values is None for a 1-axis sweep."""
 
 
-def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
-              quantities=None) -> SweepResult:
+def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
     `quantities` names what the caller reads of each point and is passed to
-    every `evaluate_fn(cfg, quantities)` call; None evaluates every stage.
-    When model.prefix_quantities gives a prefix for axis 2's section, a row
-    runs `up = evaluate_fn(row, prefix)` once and each cell the three-argument
-    `evaluate_fn(cfg, quantities, up)`.  A cell's cfg holds its own copy of
-    each swept section only: the other sections are shared with every cell and
-    with spec.config, so `evaluate_fn` must not mutate cfg.  spec.config and
-    every axis value are checked against SCHEMA here, before any cell, and
-    raise ConfigError when out of range; no cell checks a range again."""
+    every evaluate_operating_point call; None evaluates every stage.  When
+    model.prefix_quantities gives a prefix for axis 2's section, each row
+    is evaluated once through it and its cells resume from that point.  A
+    cell's Config holds its own copy of each swept section only: the other
+    sections are shared with every cell and with spec.config.  spec.config
+    and every axis value are checked against SCHEMA here, before any cell,
+    and raise ConfigError when out of range; no cell checks a range again."""
     validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
@@ -121,16 +113,16 @@ def run_sweep(spec: SweepSpec, evaluate_fn=evaluate_operating_point,
     if a2 is not None:
         s2, k2 = resolve_path(cfg, spec.axis2.path)
     rows = [{**cfg, s1: {**cfg[s1], k1: v1}} for v1 in a1]
+    evaluate = evaluate_operating_point
     if a2 is None:
-        points = [evaluate_fn(row, quantities) for row in rows]
+        points = [evaluate(row, quantities) for row in rows]
     elif (prefix := prefix_quantities(s2, quantities)) is None:
-        points = [evaluate_fn({**row, s2: {**row[s2], k2: v2}}, quantities)
+        points = [evaluate({**row, s2: {**row[s2], k2: v2}}, quantities)
                   for row in rows for v2 in a2]
     else:   # up, the row's prefix point, is evaluated once per row
-        points = [evaluate_fn({**r, s2: {**r[s2], k2: v}}, quantities, up)
-                  for r in rows for up in [evaluate_fn(r, prefix)] for v in a2]
-    return SweepResult(spec=spec, axis1_values=a1, axis2_values=a2,
-                       points=points)
+        points = [evaluate({**r, s2: {**r[s2], k2: v}}, quantities, up)
+                  for r in rows for up in [evaluate(r, prefix)] for v in a2]
+    return SweepResult(spec, a1, a2, points)
 
 
 def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
@@ -146,8 +138,8 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
             for i in range(0, len(result.points), n2)]
 
 
-def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
-                 evaluate_fn=evaluate_operating_point) -> tuple[dict, float]:
+def find_optimum(spec: SweepSpec, objective: str,
+                 sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
     axis when the sweep is one-dimensional.
 
@@ -160,7 +152,7 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
         raise ValueError("sense must be 'max' or 'min'")
     sign = 1.0 if sense == "max" else -1.0
     quantities = (objective,)
-    result = run_sweep(spec, evaluate_fn=evaluate_fn, quantities=quantities)
+    result = run_sweep(spec, quantities)
 
     def score(p: OperatingPoint) -> float:
         if p.status not in _EVALUATED or getattr(p, objective) is None:
@@ -193,8 +185,8 @@ def find_optimum(spec: SweepSpec, objective: str, sense: str = "max",
         # a probe between grid values may leave a range with gaps
         if not in_range(x):
             return -math.inf
-        return score(evaluate_fn({**cfg, section: {**cfg[section], key: x}},
-                                 quantities))
+        return score(evaluate_operating_point(
+            {**cfg, section: {**cfg[section], key: x}}, quantities))
 
     lo = a1[max(best_idx - 1, 0)]
     hi = a1[min(best_idx + 1, len(a1) - 1)]

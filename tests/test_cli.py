@@ -251,6 +251,20 @@ def test_rejected_sweep_creates_no_out_dir(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["sweep", "--axis", "receiver.mu:0.2:1:7"], "1.0"),
+    (["optimize", "--axis", "geometry.r2:0.08:1:11", "--objective",
+      "p_beam"], None)], ids=["sweep", "optimize"])
+def test_axis_ends_on_hi_in_range(capsys, tmp_path, argv, last):
+    # the rounded grid formula lands these axes' last value an ulp above 1
+    code = run_cli(argv + ["--out-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if last is not None:
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[-1].split(",")[0] == last
+
+
 def test_sweep_creates_missing_out_dir(capsys, tmp_path):
     out = tmp_path / "a" / "b"
     code = run_cli(["sweep", "--out-dir", str(out),
@@ -529,13 +543,15 @@ def test_import_builds_no_parser():
 
 def test_commands_that_write_no_file_load_no_hashlib_or_json():
     # hashlib (the curve files' config digest) and json (plot descriptions)
-    # are imported where those files are written; -S keeps site hooks,
-    # which may import either, out of the fresh interpreter
+    # are imported where those files are written, and no command loads
+    # dataclasses or inspect; -S keeps site hooks, which may import any of
+    # them, out of the fresh interpreter
     code = (
         "import contextlib, io, sys\n"
         f"sys.path.insert(0, {str(Path(rbswipt.__file__).parents[1])!r})\n"
         "from rbswipt.cli import run_cli\n"
-        "loaded = lambda: sorted({'hashlib', 'json'} & set(sys.modules))\n"
+        "loaded = lambda: sorted({'hashlib', 'json', 'dataclasses',\n"
+        "                         'inspect'} & set(sys.modules))\n"
         "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [run_cli(['evaluate']), run_cli(['presets']),\n"

@@ -54,9 +54,11 @@ class TestParseConfig:
         assert cfg["geometry"]["r2"] == 0.95
 
     def test_reflectivity_out_of_range(self):
-        with pytest.raises(ConfigError, match="r2"):
+        with pytest.raises(ConfigError) as e:
             parse_config("[geometry]\nr2 = 1.2\n",
                          base=get_preset("paper-2022"))
+        assert str(e.value) == \
+            "line 2: geometry.r2 = 1.2 out of range (in (0, 1])"
 
     def test_unknown_key_named_with_line(self):
         with pytest.raises(ConfigError, match="line 2.*gain.bogus"):

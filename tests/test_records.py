@@ -14,6 +14,7 @@ import random
 import pytest
 from abcd import compose, free_space, retro_reflector, thin_lens
 
+from rbswipt import sweep
 from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import one_trip_matrix
@@ -52,6 +53,7 @@ SCHEMA_ONLY = [
     ("losses.vc", 1.5), ("losses.slope_loss_exponent", 3.0),
     ("receiver.eta_p", 0.0), ("receiver.p_pth", math.inf),
     ("link.p_in", -1.0), ("link.p_in", math.inf),
+    ("geometry.f2", -math.inf), ("geometry.f1", math.nan),
 ]
 
 
@@ -78,6 +80,13 @@ def test_set_path_rejects_out_of_range(path, value):
     assert_rejected(path, value)
 
 
+def test_nonzero_range_text_names_finite():
+    # the f1/f2 check also rejects +-inf and nan, and its text says so
+    with pytest.raises(ConfigError) as e:
+        set_path(get_preset("paper-2022"), "geometry.f1", math.inf)
+    assert str(e.value) == "geometry.f1 = inf out of range (finite, nonzero)"
+
+
 RANGE_EDGES = [
     ("geometry", "r1", 1.0), ("geometry", "f2", -60e-3),
     ("pump", "eta_pa", 1.0), ("receiver", "mu", 0.0),
@@ -96,12 +105,11 @@ def test_range_edges_accepted(section, name, value):
     evaluate_operating_point(cfg)
 
 
-def no_cells(cfg, quantities):
+def no_cells(*args):
     raise AssertionError("a cell ran before its inputs were checked")
 
 
-SEARCHES = (run_sweep, lambda spec, evaluate_fn:
-            find_optimum(spec, "p_beam", evaluate_fn=evaluate_fn))
+SEARCHES = (run_sweep, lambda spec: find_optimum(spec, "p_beam"))
 
 
 @pytest.mark.parametrize("axis1, axis2, bad", [
@@ -109,22 +117,25 @@ SEARCHES = (run_sweep, lambda spec, evaluate_fn:
     (Axis("link.p_in", 10.0, 50.0, 3), Axis("receiver.mu", -0.5, 0.5, 3),
      "receiver.mu = -0.5"),
 ], ids=["axis1", "axis2"])
-def test_sweep_checks_axis_values_before_any_cell(axis1, axis2, bad):
+def test_sweep_checks_axis_values_before_any_cell(axis1, axis2, bad,
+                                                  monkeypatch):
     spec = SweepSpec(get_preset("paper-2022"), axis1, axis2)
+    monkeypatch.setattr(sweep, "evaluate_operating_point", no_cells)
     for search in SEARCHES:
         with pytest.raises(ConfigError) as e:
-            search(spec, evaluate_fn=no_cells)
+            search(spec)
         assert str(e.value).startswith(f"{bad} out of range")
 
 
-def test_sweep_checks_its_config_before_any_cell():
+def test_sweep_checks_its_config_before_any_cell(monkeypatch):
     # a Config edited by hand has passed no check on its way in
     cfg = get_preset("paper-2022")
     cfg["receiver"]["mu"] = 1.5
     spec = SweepSpec(cfg, Axis("link.p_in", 10.0, 50.0, 3))
+    monkeypatch.setattr(sweep, "evaluate_operating_point", no_cells)
     for search in SEARCHES:
         with pytest.raises(ConfigError) as e:
-            search(spec, evaluate_fn=no_cells)
+            search(spec)
         assert str(e.value).startswith("receiver.mu = 1.5 out of range")
 
 

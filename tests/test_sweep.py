@@ -56,18 +56,54 @@ class TestAxis:
         assert vals[2] == pytest.approx(1e-5)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            Axis("x", 2.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            Axis("x", 1.0, 2.0, 1)
+        for args, message in [
+                (("link.p_in", 2.0, 1.0, 5), "axis link.p_in: need lo < hi"),
+                (("link.p_in", 1.0, 2.0, 1),
+                 "axis link.p_in: need count >= 2"),
+                (("link.p_in", 1.0, 2.0, 3, "cubic"),
+                 "axis link.p_in: unknown spacing cubic"),
+                (("link.p_in", 0.0, 2.0, 3, "log"),
+                 "axis link.p_in: log spacing needs lo > 0"),
+                (("link.nope", 1.0, 2.0, 3),
+                 "unknown parameter path 'link.nope'"),
+                # the path is checked first
+                (("x", 2.0, 1.0, 1), "unknown parameter path 'x'")]:
+            with pytest.raises(ConfigError) as e:
+                Axis(*args)
+            assert str(e.value) == message
 
     @pytest.mark.parametrize("lo,hi,given", [
         (2.0, float("inf"), "hi = inf"),
         (float("-inf"), 2.0, "lo = -inf"),
         (float("nan"), 2.0, "lo = nan")])
     def test_non_finite_bound_named_as_given(self, lo, hi, given):
-        with pytest.raises(ValueError, match=f"axis x: {given} is not finite"):
-            Axis("x", lo, hi, 5)
+        with pytest.raises(ConfigError) as e:
+            Axis("geometry.d3", lo, hi, 5)
+        assert str(e.value) == f"axis geometry.d3: {given} is not finite"
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        (0.2, 1.0, 7), (0.08, 1.0, 11), (0.1, 1.0, 14)])
+    def test_linear_ends_are_exact(self, lo, hi, count):
+        # the rounded formula puts these grids' last value an ulp above hi
+        assert lo + (hi - lo) * (count - 1) / (count - 1) > hi
+        values = Axis("receiver.mu", lo, hi, count).values()
+        assert len(values) == count
+        assert (values[0], values[-1]) == (lo, hi)
+        assert values == sorted(values)
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        (1e-7, 1e-5, 3), (0.3, 0.7, 5), (0.2, 1.0, 7)])
+    def test_log_ends_are_exact(self, lo, hi, count):
+        # exp(log(x)) need not be x: 1e-7 and 1e-5 come back an ulp off
+        values = Axis("receiver.mu", lo, hi, count, "log").values()
+        assert len(values) == count
+        assert (values[0], values[-1]) == (lo, hi)
+
+    def test_records_are_named_tuples(self):
+        ax = Axis("link.p_in", 1.0, 2.0)
+        assert ax == ("link.p_in", 1.0, 2.0, 121, "linear")
+        spec = SweepSpec(preset_with(), ax)
+        assert spec.axis2 is None and spec == (spec.config, ax, None)
 
 
 class TestRunSweep:
@@ -102,7 +138,7 @@ class TestRunSweep:
                          axis1=Axis("geometry.tim_magnification", 1.0, 14.0, 7),
                          axis2=Axis("geometry.d3", 2.0, 10.0, 6))
         result = run_sweep(spec)
-        assert {"ok", "unstable"} <= set(result.statuses())
+        assert {"ok", "unstable"} <= {p.status for p in result.points}
         for i, m in enumerate(result.axis1_values):
             for j, d3 in enumerate(result.axis2_values):
                 cfg = get_preset("paper-2022")
@@ -139,7 +175,7 @@ class TestRunSweep:
         if quantities != ("spot_radius",):      # it stops at ray optics
             assert point.status == status
 
-    def test_cell_configs_match_set_path(self):
+    def test_cell_configs_match_set_path(self, monkeypatch):
         # axis 2 sets f2 in axis 1's section: every cell drops
         # tim_magnification, as set_path does
         seen = []
@@ -151,7 +187,8 @@ class TestRunSweep:
         spec = SweepSpec(preset_with(("receiver.mu", 0.5)),
                          axis1=Axis("geometry.d3", 2.0, 10.0, 3),
                          axis2=Axis("geometry.f2", 0.02, 0.07, 2))
-        result = run_sweep(spec, evaluate_fn=record)
+        monkeypatch.setattr(sweep, "evaluate_operating_point", record)
+        result = run_sweep(spec)
         cells = [(d3, f2) for d3 in result.axis1_values
                  for f2 in result.axis2_values]
         for cfg, (d3, f2) in zip(seen, cells, strict=True):
@@ -167,16 +204,18 @@ class TestRunSweep:
         ("geometry.tim_magnification", "geometry.f2")])
     def test_two_axes_on_one_parameter_rejected(self, path1, path2):
         # the second axis would overwrite the first in every cell
-        with pytest.raises(ValueError, match="set the same parameter"):
+        with pytest.raises(ConfigError) as e:
             SweepSpec(preset_with(), axis1=Axis(path1, 1.0, 2.0, 3),
                       axis2=Axis(path2, 3.0, 4.0, 3))
+        assert str(e.value) == \
+            f"axes {path1} and {path2} set the same parameter"
 
     def test_unstable_points_are_statuses_not_errors(self):
         # fr2 = 10 m leaves part of the distance range unstable at M = 12
         spec = SweepSpec(preset_with(("geometry.fr2", 10.0)),
                          axis1=Axis("geometry.d3", 2.0, 10.0, 9))
         result = run_sweep(spec)
-        statuses = set(result.statuses())
+        statuses = {p.status for p in result.points}
         assert "unstable" in statuses
         assert "ok" in statuses
 
@@ -245,16 +284,17 @@ def quadratic_stub(vertex, path="receiver.mu"):
 
 
 class TestFindOptimum:
-    def test_recovers_quadratic_vertex(self):
+    def test_recovers_quadratic_vertex(self, monkeypatch):
         vertex = 0.4321
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 21))
-        params, value = find_optimum(spec, "p_beam",
-                                     evaluate_fn=quadratic_stub(vertex))
+        monkeypatch.setattr(sweep, "evaluate_operating_point",
+                            quadratic_stub(vertex))
+        params, value = find_optimum(spec, "p_beam")
         assert params["receiver.mu"] == pytest.approx(vertex, abs=2e-6)
         assert value == pytest.approx(0.0, abs=1e-10)
 
-    def test_minimize(self):
+    def test_minimize(self, monkeypatch):
         vertex = 0.25
         def stub(cfg, quantities=None):
             x = get_path(cfg, "receiver.mu")
@@ -262,8 +302,8 @@ class TestFindOptimum:
                                   p_beam=(x - vertex) ** 2)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 11))
-        params, value = find_optimum(spec, "p_beam", sense="min",
-                                     evaluate_fn=stub)
+        monkeypatch.setattr(sweep, "evaluate_operating_point", stub)
+        params, value = find_optimum(spec, "p_beam", sense="min")
         assert params["receiver.mu"] == pytest.approx(vertex, abs=2e-6)
 
     def test_optimal_output_coupling(self):
@@ -284,7 +324,7 @@ class TestFindOptimum:
         assert p_params["geometry.r2"] == \
             pytest.approx(e_params["geometry.r2"], abs=1e-4)
 
-    def test_probes_stay_in_schema_range(self):
+    def test_probes_stay_in_schema_range(self, monkeypatch):
         # the exponent's range is "1 or 2": every golden-section probe
         # between the two grid values falls outside it
         path = "losses.slope_loss_exponent"
@@ -296,11 +336,12 @@ class TestFindOptimum:
             return evaluate_operating_point(cfg, quantities)
 
         spec = SweepSpec(preset_with(), axis1=Axis(path, 1.0, 2.0, 2))
-        params, _ = find_optimum(spec, "p_beam", evaluate_fn=checked)
+        monkeypatch.setattr(sweep, "evaluate_operating_point", checked)
+        params, _ = find_optimum(spec, "p_beam")
         assert seen == [1.0, 2.0]
         assert params[path] in (1.0, 2.0)
 
-    def test_refines_axis_far_above_one(self):
+    def test_refines_axis_far_above_one(self, monkeypatch):
         # the bracket cannot narrow below the float spacing at 1e24, so the
         # search must stop at a width relative to the axis values
         vertex = 1.7e24
@@ -314,16 +355,18 @@ class TestFindOptimum:
             return stub(cfg, quantities)
 
         spec = SweepSpec(preset_with(), axis1=Axis("gain.n0", 1e24, 3e24, 5))
-        params, _ = find_optimum(spec, "p_beam", evaluate_fn=capped)
+        monkeypatch.setattr(sweep, "evaluate_operating_point", capped)
+        params, _ = find_optimum(spec, "p_beam")
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
-    def test_no_stable_point_raises(self):
+    def test_no_stable_point_raises(self, monkeypatch):
         def never(cfg, quantities=None):
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
+        monkeypatch.setattr(sweep, "evaluate_operating_point", never)
         with pytest.raises(OptimizationError):
-            find_optimum(spec, "p_beam", evaluate_fn=never)
+            find_optimum(spec, "p_beam")
 
 
 class TestDeterminism:
@@ -333,7 +376,7 @@ class TestDeterminism:
             cols = [Column("mu", "", result.axis1_values),
                     Column("c_tilde", "bit/s/Hz",
                            [p.c_tilde for p in result.points]),
-                    Column("status", "", result.statuses())]
+                    Column("status", "", [p.status for p in result.points])]
             write_curve_file(tmp_path / name, "det-check", result.spec.config,
                              cols)
         assert (tmp_path / "a.csv").read_bytes() == \
@@ -467,7 +510,7 @@ class TestPruning:
             assert quantities == ("spot_radius",) and reduced
             pruned = run_sweep(spec, quantities=quantities)
             full = run_sweep(spec)
-            statuses.update(pruned.statuses())
+            statuses.update(p.status for p in pruned.points)
             for p, f in zip(pruned.points, full.points, strict=True):
                 assert repr(p.spot_radius) == repr(f.spot_radius)
                 assert (p.status == "unstable") == (f.status == "unstable")
@@ -489,12 +532,14 @@ class TestPruning:
                 (tmp_path / "full" / name).read_bytes(), name
 
     @pytest.mark.parametrize("objective", ["p_beam", "p_e_out", "c_tilde"])
-    def test_find_optimum_identical_without_pruning(self, objective):
+    def test_find_optimum_identical_without_pruning(self, objective,
+                                                     monkeypatch):
         spec = SweepSpec(preset_with(("gain.l", 0.15e-6),
                                      ("receiver.mu", 0.5)),
                          axis1=Axis("geometry.r2", 0.80, 0.99, 39))
-        assert find_optimum(spec, objective) == \
-            find_optimum(spec, objective, evaluate_fn=unpruned)
+        pruned = find_optimum(spec, objective)
+        monkeypatch.setattr(sweep, "evaluate_operating_point", unpruned)
+        assert find_optimum(spec, objective) == pruned
 
 
 # axes of the row-staging tests, with every entry stage among their
@@ -559,7 +604,7 @@ class TestRowStaging:
         # stage: a spot-radius grid never reaches it, a beam-power grid does
         spec = p_in_mu_spec(("gain.g0", 1.0))
         result = run_sweep(spec, quantities=("spot_radius",))
-        assert set(result.statuses()) == {"stable"}
+        assert {p.status for p in result.points} == {"stable"}
         with pytest.raises(ConfigError) as e:
             run_sweep(spec, quantities=("p_beam",))
         assert str(e.value) == ("settings outside the model's numeric "
@@ -580,19 +625,6 @@ class TestRowStaging:
         got = tuple(model.prefix_quantities(section, q)
                     for q in (None, ("c_tilde", "p_beam"), ("spot_radius",)))
         assert got == want
-
-    def test_two_argument_evaluator_on_a_prefixed_grid(self):
-        # a prefixed grid passes evaluate_fn the row's point as a third
-        # argument, and a geometry axis 2 does not
-        def two_args(cfg, quantities):
-            return evaluate_operating_point(cfg, quantities)
-
-        with pytest.raises(TypeError, match="2 positional arguments"):
-            run_sweep(p_in_mu_spec(), evaluate_fn=two_args)
-        spec = SweepSpec(preset_with(), Axis("link.p_in", 0.0, 150.0, 3),
-                         Axis("geometry.d3", 2.0, 10.0, 3))
-        assert (run_sweep(spec, evaluate_fn=two_args).points
-                == run_sweep(spec).points)
 
     @staticmethod
     def count_calls(monkeypatch, *names):
