@@ -18,10 +18,8 @@ from .config import (
     ConfigError,
     get_preset,
     parse_config,
-    parse_quantity,
     path_unit,
-    schema_entry,
-    set_path,
+    set_text,
 )
 from .figures import FIGURE_IDS, reproduce_figure
 from .model import (
@@ -74,11 +72,9 @@ def _load_config(args):
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects path=value, got {item!r}")
-        path, value = (p.strip() for p in item.split("=", 1))
-        kind = schema_entry(path)[0]
-        set_path(cfg, path, parse_quantity(value, kind))
+        set_text(cfg, *(p.strip() for p in item.split("=", 1)))
     if getattr(args, "p_in", None) is not None:
-        set_path(cfg, "link.p_in", parse_quantity(args.p_in, "power"))
+        set_text(cfg, "link.p_in", args.p_in)
     return cfg
 
 

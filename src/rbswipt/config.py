@@ -9,7 +9,8 @@ A Config is a plain nested dict ``{section: {key: float}}`` addressable by
 dotted parameter paths such as ``"geometry.fr2"``.  `SCHEMA` is the one
 range table: a value is checked against it once, where it enters a Config
 (`parse_config`, `validate_config`, `set_path`, `check_value`), and nothing
-downstream checks a range again.
+downstream checks a range again.  Text a user types enters through
+`set_text`, which parses it in its path's unit and calls `set_path`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ Config = dict[str, dict[str, float]]
 
 class ConfigError(Exception):
     """Malformed or out-of-range configuration input."""
+
+
+# the error of a config naming both keys of the pair, or neither
+_ONE_OF_F2_OR_M = (
+    "geometry must define exactly one of f2 or tim_magnification")
 
 
 # unit name -> factor to the SI base unit, grouped by dimension kind
@@ -48,100 +54,81 @@ _CANONICAL_UNIT = {
 }
 
 
-def _positive(v):
-    return v > 0 and math.isfinite(v)
+# range text -> check of a value; a SCHEMA entry names its range by the
+# text, which check_value reports when the check fails
+_RANGES = {
+    "finite > 0": lambda v: v > 0 and math.isfinite(v),
+    "finite >= 0": lambda v: v >= 0 and math.isfinite(v),
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "finite, nonzero": lambda v: v != 0 and math.isfinite(v),
+    "finite": math.isfinite,
+    "> 0 or inf": lambda v: v > 0,
+    "1 or 2": lambda v: v in (1.0, 2.0),
+}
 
-
-def _nonneg(v):
-    return v >= 0 and math.isfinite(v)
-
-
-def _unit_open(v):
-    return 0 < v <= 1
-
-
-def _unit_closed(v):
-    return 0 <= v <= 1
-
-
-def _nonzero(v):
-    return v != 0 and math.isfinite(v)
-
-
-def _finite(v):
-    return math.isfinite(v)
-
-
-def _pos_or_inf(v):
-    return v > 0
-
-
-def _exponent(v):
-    return v in (1.0, 2.0)
-
-
-# section -> key -> (kind, optional?, range check, description of the range)
+# section -> key -> (kind, optional?, range text: a key of _RANGES)
 SCHEMA = {
     "geometry": {
-        "d1": ("length", False, _positive, "finite > 0"),
-        "d2": ("length", False, _positive, "finite > 0"),
-        "d3": ("length", False, _positive, "finite > 0"),
-        "lt": ("length", True, _finite, "finite"),
-        "f1": ("length", False, _nonzero, "finite, nonzero"),
-        "f2": ("length", True, _nonzero, "finite, nonzero"),
-        "tim_magnification": ("dimensionless", True, _positive, "finite > 0"),
-        "fr1": ("length", True, _pos_or_inf, "> 0 or inf"),
-        "fr2": ("length", True, _pos_or_inf, "> 0 or inf"),
-        "r1": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "r2": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "lambda_beam": ("length", False, _positive, "finite > 0"),
+        "d1": ("length", False, "finite > 0"),
+        "d2": ("length", False, "finite > 0"),
+        "d3": ("length", False, "finite > 0"),
+        "lt": ("length", True, "finite"),
+        "f1": ("length", False, "finite, nonzero"),
+        "f2": ("length", True, "finite, nonzero"),
+        "tim_magnification": ("dimensionless", True, "finite > 0"),
+        "fr1": ("length", True, "> 0 or inf"),
+        "fr2": ("length", True, "> 0 or inf"),
+        "r1": ("dimensionless", False, "in (0, 1]"),
+        "r2": ("dimensionless", False, "in (0, 1]"),
+        "lambda_beam": ("length", False, "finite > 0"),
     },
     "gain": {
         # small-signal gain coefficient
-        "g0": ("inv_length", False, _positive, "finite > 0"),
+        "g0": ("inv_length", False, "finite > 0"),
         # transparency carrier density
-        "n0": ("inv_volume", False, _positive, "finite > 0"),
+        "n0": ("inv_volume", False, "finite > 0"),
         # longitudinal confinement factor; the tabulated value 2.0 is used
         # as-is even though confinement factors are conventionally <= 1
-        "gamma_conf": ("dimensionless", False, _positive, "finite > 0"),
+        "gamma_conf": ("dimensionless", False, "finite > 0"),
         # defect, radiative and Auger recombination coefficients
-        "alpha": ("inv_time", False, _positive, "finite > 0"),
-        "beta": ("vol_rate", False, _positive, "finite > 0"),
-        "auger": ("vol2_rate", False, _positive, "finite > 0"),
+        "alpha": ("inv_time", False, "finite > 0"),
+        "beta": ("vol_rate", False, "finite > 0"),
+        "auger": ("vol2_rate", False, "finite > 0"),
         # effective gain layer thickness
-        "l": ("length", False, _positive, "finite > 0"),
+        "l": ("length", False, "finite > 0"),
         # effective active cross-section
-        "a_s": ("area", False, _positive, "finite > 0"),
+        "a_s": ("area", False, "finite > 0"),
         # gain medium radius, the aperture of diffraction survival
-        "a": ("length", False, _positive, "finite > 0"),
+        "a": ("length", False, "finite > 0"),
     },
     "pump": {
         # pump conversion and absorption efficiencies, and pump wavelength
-        "eta_pc": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "eta_pa": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "lambda_pump": ("length", False, _positive, "finite > 0"),
+        "eta_pc": ("dimensionless", False, "in (0, 1]"),
+        "eta_pa": ("dimensionless", False, "in (0, 1]"),
+        "lambda_pump": ("length", False, "finite > 0"),
     },
     "losses": {
-        "vc": ("dimensionless", False, _unit_open, "in (0, 1]"),
-        "slope_loss_exponent": ("dimensionless", True, _exponent, "1 or 2"),
+        "vc": ("dimensionless", False, "in (0, 1]"),
+        "slope_loss_exponent": ("dimensionless", True, "1 or 2"),
     },
     "receiver": {
         # fraction of the beam routed to the PV converter
-        "mu": ("dimensionless", False, _unit_closed, "in [0, 1]"),
+        "mu": ("dimensionless", False, "in [0, 1]"),
         # PV linear-fit slope efficiency and intercept (typically negative)
-        "eta_p": ("dimensionless", False, _positive, "finite > 0"),
-        "p_pth": ("power", False, _finite, "finite"),
+        "eta_p": ("dimensionless", False, "finite > 0"),
+        "p_pth": ("power", False, "finite"),
         # APD responsivity
-        "nu": ("responsivity", False, _positive, "finite > 0"),
+        "nu": ("responsivity", False, "finite > 0"),
         # APD noise: bandwidth, background current, load resistance and
         # background temperature
-        "b_x": ("frequency", False, _positive, "finite > 0"),
-        "i_bg": ("current", False, _nonneg, "finite >= 0"),
-        "r_l": ("resistance", False, _positive, "finite > 0"),
-        "t_bg": ("temperature", False, _positive, "finite > 0"),
+        "b_x": ("frequency", False, "finite > 0"),
+        "i_bg": ("current", False, "finite >= 0"),
+        "r_l": ("resistance", False, "finite > 0"),
+        "t_bg": ("temperature", False, "finite > 0"),
     },
     "link": {
-        "p_in": ("power", False, _nonneg, "finite >= 0"),
+        "p_in": ("power", False, "finite >= 0"),
     },
 }
 
@@ -187,10 +174,12 @@ def parse_config(text: str, base: Config | None = None) -> Config:
     """Parse sectioned unit-suffixed text into an SI-normalized Config.
 
     Keys missing from the text are filled from `base` (a preset); unknown
-    sections or keys are rejected with the offending line number.
+    sections or keys are rejected with the offending line number.  Each
+    value is set with set_text, so a key of the exclusive pair f2 /
+    tim_magnification drops the other from `base`; naming both is an error.
     """
     cfg: Config = copy_config(base) if base is not None else {}
-    section = None
+    section, named = None, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,16 +197,13 @@ def parse_config(text: str, base: Config | None = None) -> Config:
         key, value = (p.strip() for p in line.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
-        path = f"{section}.{key}"
+        named.add(key)
         try:
-            si = parse_quantity(value, SCHEMA[section][key][0])
-        except ConfigError as e:
-            raise ConfigError(f"line {lineno}: {path}: {e}") from None
-        try:
-            check_value(path, si)
+            set_text(cfg, f"{section}.{key}", value)
         except ConfigError as e:
             raise ConfigError(f"line {lineno}: {e}") from None
-        cfg[section][key] = si
+    if {"f2", "tim_magnification"} <= named:
+        raise ConfigError(_ONE_OF_F2_OR_M)
     validate_config(cfg)
     return cfg
 
@@ -227,7 +213,7 @@ def validate_config(cfg: Config) -> None:
     for section, keys in SCHEMA.items():
         if section not in cfg:
             raise ConfigError(f"missing section [{section}]")
-        for key, (_, optional, _, _) in keys.items():
+        for key, (_, optional, _) in keys.items():
             if key in cfg[section]:
                 check_value(f"{section}.{key}", cfg[section][key])
             elif not optional:
@@ -237,8 +223,7 @@ def validate_config(cfg: Config) -> None:
                 raise ConfigError(f"unknown key {section}.{key}")
     geo = cfg["geometry"]
     if ("f2" in geo) == ("tim_magnification" in geo):
-        raise ConfigError(
-            "geometry must define exactly one of f2 or tim_magnification")
+        raise ConfigError(_ONE_OF_F2_OR_M)
 
 
 def serialize_config(cfg: Config) -> str:
@@ -270,8 +255,8 @@ def copy_config(cfg: Config) -> Config:
 
 
 def schema_entry(path: str) -> tuple:
-    """SCHEMA entry (kind, optional?, range check, range description) of a
-    dotted parameter path."""
+    """SCHEMA entry (kind, optional?, range text) of a dotted parameter
+    path."""
     section, _, key = path.partition(".")
     try:
         return SCHEMA[section][key]
@@ -282,8 +267,8 @@ def schema_entry(path: str) -> tuple:
 def check_value(path: str, value: float) -> None:
     """Raise ConfigError unless value lies in the SCHEMA range of the dotted
     parameter path."""
-    _, _, check, bounds = schema_entry(path)
-    if not check(value):
+    bounds = schema_entry(path)[2]
+    if not _RANGES[bounds](value):
         raise ConfigError(f"{path} = {value} out of range ({bounds})")
 
 
@@ -309,6 +294,17 @@ def set_path(cfg: Config, path: str, value: float) -> None:
     check_value(path, value)
     section, key = resolve_path(cfg, path)
     cfg[section][key] = value
+
+
+def set_text(cfg: Config, path: str, text: str) -> None:
+    """Parse text in the unit kind of the dotted path and set it with
+    set_path; a parse error is prefixed with the path."""
+    kind = schema_entry(path)[0]
+    try:
+        value = parse_quantity(text, kind)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    set_path(cfg, path, value)
 
 
 # ---------------------------------------------------------------------------

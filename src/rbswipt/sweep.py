@@ -54,6 +54,11 @@ class Axis(namedtuple("Axis", "path lo hi count spacing")):
             raise ConfigError(f"axis {path}: unknown spacing {spacing}")
         if spacing == "log" and lo <= 0:
             raise ConfigError(f"axis {path}: log spacing needs lo > 0")
+        # values() computes (hi - lo) * i for i up to count - 2
+        if spacing == "linear" and count > 2 and not math.isfinite(
+                (hi - lo) * (count - 2)):
+            raise ConfigError(f"axis {path}: lo = {lo} and hi = {hi} "
+                              f"overflow a linear grid of {count} values")
         return super().__new__(cls, path, lo, hi, count, spacing)
 
     def values(self) -> list[float]:
@@ -179,11 +184,12 @@ def find_optimum(spec: SweepSpec, objective: str,
 
     cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
-    in_range = schema_entry(spec.axis1.path)[2]
 
     def f(x: float) -> float:
         # a probe between grid values may leave a range with gaps
-        if not in_range(x):
+        try:
+            check_value(spec.axis1.path, x)
+        except ConfigError:
             return -math.inf
         return score(evaluate_operating_point(
             {**cfg, section: {**cfg[section], key: x}}, quantities))

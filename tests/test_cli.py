@@ -215,6 +215,8 @@ BAD_INPUT = [
     (3, ["optimize", "--axis", "geometry.f2:0.05:0.07:3",
          "--axis", "geometry.tim_magnification:8:12:3"]),
     (3, ["sweep", "--axis", "geometry.d3:2:inf:3"]),
+    (3, ["sweep", "--axis", "receiver.p_pth:-1e308:5e307:4"]),
+    (3, ["sweep", "--axis", "receiver.p_pth:-1e308:1e308:3"]),
 ]
 
 
@@ -240,6 +242,15 @@ def test_infinite_axis_bound_named_as_given(capsys, tmp_path):
     assert "geometry.d3: hi = inf" in err
     assert "nan" not in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_two_value_axis_spanning_the_floats(capsys, tmp_path):
+    # the grid [lo, hi] computes no step, so hi - lo = inf is harmless
+    code = run_cli(["sweep", "--axis", "receiver.p_pth:-1e308:1e308:2",
+                    "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[-2:]] == ["-1e+308", "1e+308"]
 
 
 def test_rejected_sweep_creates_no_out_dir(capsys, tmp_path):
@@ -463,6 +474,36 @@ class TestPresetsAndValidate:
         assert code == 3
         assert out == ""
         assert err.startswith("config error: ")
+
+    def test_config_file_f2_displaces_the_preset_magnification(
+            self, capsys, tmp_path):
+        f2 = tmp_path / "f2.cfg"
+        f2.write_text("[geometry]\nf2 = 60 mm\n")
+        code, out, err = run(capsys, "validate", "--config", str(f2))
+        assert (code, out, err) == (0, f"{f2}: ok\n", "")
+        code, from_file, _ = run(capsys, "evaluate", "--config", str(f2))
+        assert code == 0
+        _, from_set, _ = run(capsys, "evaluate", "--set", "geometry.f2=60 mm")
+        assert from_file == from_set
+
+    def test_config_file_naming_both_keys_rejected(self, capsys, tmp_path):
+        both = tmp_path / "both.cfg"
+        both.write_text("[geometry]\nf2 = 60 mm\ntim_magnification = 12\n")
+        code, out, err = run(capsys, "validate", "--config", str(both))
+        assert (code, out) == (3, "")
+        assert err == "config error: geometry must define exactly one of " \
+            "f2 or tim_magnification\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "gain.l=3"], "gain.l: expected '<number> <unit>' "
+         "with unit in ['cm', 'm', 'mm', 'nm', 'um'], got '3'"),
+        (["--p-in", "3"], "link.p_in: expected '<number> <unit>' "
+         "with unit in ['W', 'kW', 'mW'], got '3'"),
+        # an unknown path is named once, without a path prefix
+        (["--set", "gain.nope=3"], "unknown parameter path 'gain.nope'")])
+    def test_typed_value_error_names_its_path(self, capsys, argv, message):
+        code, out, err = run(capsys, "evaluate", *argv)
+        assert (code, out, err) == (3, "", f"config error: {message}\n")
 
     def test_validate_names_what_passed(self, capsys, tmp_path):
         code, out, _ = run(capsys, "validate", "--set", "gain.l=0.15 um")

@@ -4,6 +4,8 @@ import pytest
 from abcd import get_path
 
 from rbswipt.config import (
+    _RANGES,
+    SCHEMA,
     ConfigError,
     config_digest,
     copy_config,
@@ -74,9 +76,36 @@ class TestParseConfig:
         assert cfg["link"]["p_in"] == 150.0
 
     def test_f2_and_magnification_exclusive(self):
-        with pytest.raises(ConfigError, match="exactly one"):
-            parse_config("[geometry]\nf2 = 60 mm\n",
-                         base=get_preset("paper-2022"))
+        # a file naming both keys of the pair is rejected, whether or not
+        # a base fills the other keys
+        both = "[geometry]\nf2 = 60 mm\ntim_magnification = 12\n"
+        preset = get_preset("paper-2022")
+        for text, base in ((both, preset),
+                           (serialize_config(preset) + both, None)):
+            with pytest.raises(ConfigError) as e:
+                parse_config(text, base=base)
+            assert str(e.value) == \
+                "geometry must define exactly one of f2 or tim_magnification"
+
+    def test_file_f2_displaces_base_magnification(self):
+        cfg = parse_config("[geometry]\nf2 = 60 mm\n",
+                           base=get_preset("paper-2022"))
+        assert cfg["geometry"]["f2"] == pytest.approx(60e-3)
+        assert "tim_magnification" not in cfg["geometry"]
+
+    def test_file_magnification_displaces_base_f2(self):
+        base = get_preset("paper-2022")
+        set_path(base, "geometry.f2", 60e-3)
+        cfg = parse_config("[geometry]\ntim_magnification = 10\n", base=base)
+        assert cfg["geometry"]["tim_magnification"] == 10.0
+        assert "f2" not in cfg["geometry"]
+        assert "f2" in base["geometry"]         # the base is left as given
+
+
+def test_ranges_and_schema_agree():
+    # a range text missing from _RANGES would be a KeyError in check_value
+    used = {entry[2] for keys in SCHEMA.values() for entry in keys.values()}
+    assert used == set(_RANGES)
 
 
 class TestRoundTrip:

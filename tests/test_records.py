@@ -63,7 +63,7 @@ def assert_rejected(path, value):
         set_path(cfg, path, value)
     section, _, key = path.partition(".")
     assert str(e.value) == \
-        f"{path} = {value} out of range ({SCHEMA[section][key][3]})"
+        f"{path} = {value} out of range ({SCHEMA[section][key][2]})"
     assert cfg == get_preset("paper-2022")      # nothing was set or dropped
 
 

@@ -67,7 +67,14 @@ class TestAxis:
                 (("link.nope", 1.0, 2.0, 3),
                  "unknown parameter path 'link.nope'"),
                 # the path is checked first
-                (("x", 2.0, 1.0, 1), "unknown parameter path 'x'")]:
+                (("x", 2.0, 1.0, 1), "unknown parameter path 'x'"),
+                # finite bounds whose grid steps (hi - lo) * i overflow
+                (("receiver.p_pth", -1e308, 5e307, 4),
+                 "axis receiver.p_pth: lo = -1e+308 and hi = 5e+307 "
+                 "overflow a linear grid of 4 values"),
+                (("receiver.p_pth", -1e308, 1e308, 3),
+                 "axis receiver.p_pth: lo = -1e+308 and hi = 1e+308 "
+                 "overflow a linear grid of 3 values")]:
             with pytest.raises(ConfigError) as e:
                 Axis(*args)
             assert str(e.value) == message
@@ -97,6 +104,15 @@ class TestAxis:
         # exp(log(x)) need not be x: 1e-7 and 1e-5 come back an ulp off
         values = Axis("receiver.mu", lo, hi, count, "log").values()
         assert len(values) == count
+        assert (values[0], values[-1]) == (lo, hi)
+
+    @pytest.mark.parametrize("lo, hi, count, spacing", [
+        (-1e308, 1e308, 2, "linear"), (-1e308, 5e307, 2, "linear"),
+        (1e-300, 1e308, 5, "log")])
+    def test_wide_finite_grids_accepted(self, lo, hi, count, spacing):
+        # a 2-value grid computes no step, and a log grid steps in log(x)
+        values = Axis("receiver.p_pth", lo, hi, count, spacing).values()
+        assert len(values) == count and all(map(math.isfinite, values))
         assert (values[0], values[-1]) == (lo, hi)
 
     def test_records_are_named_tuples(self):
