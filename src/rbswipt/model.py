@@ -2,8 +2,9 @@
 
 The chain has three stages: ray optics (the spot radius and whether the
 cavity is stable), gain (beam power and whether the link is above
-threshold) and receiver (harvested power and spectral efficiency).  A
-caller that names the fields it reads runs only up to the deepest stage
+threshold) and receiver (harvested power and spectral efficiency).
+`_CHAIN` is the one place their order, fields and section entries live.
+A caller that names the fields it reads runs only up to the deepest stage
 those fields need; a 2-D sweep's cell resumes from its row's point.
 """
 
@@ -27,17 +28,29 @@ STATUS_SUB_THRESHOLD = "sub-threshold"
 # a stable cavity evaluated through ray optics only
 STATUS_STABLE = "stable"
 
+# the chain in order: each stage's name as errors print it, its fields
+# (name -> unit, in OperatingPoint order) and the Config sections it is the
+# first to read.  Survival runs right after the spot radius: errors name it
+# ray optics, but its vd is a gain field
+_Stage = namedtuple("_Stage", "name units sections")
+_CHAIN = (
+    _Stage("ray optics", {"p_in": "W", "spot_radius": "m"}, ("geometry",)),
+    _Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link")),
+    _Stage("receiver", SWIPT_UNITS, ("receiver",)),
+)
+_RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
+
 # column name -> unit, for report/CSV emission, in OperatingPoint order
-FIELD_UNITS = {"p_in": "W", "spot_radius": "m", **POWER_UNITS, **SWIPT_UNITS}
-
-_RAY_OPTICS, _GAIN, _RECEIVER = 0, 1, 2
-
-# stage each readable name needs: a field belongs to the stage whose record
-# holds it; ok versus sub-threshold needs the gain
-_STAGE = {"p_in": _RAY_OPTICS, "spot_radius": _RAY_OPTICS, "status": _GAIN,
-          **dict.fromkeys(POWER_UNITS, _GAIN),
-          **dict.fromkeys(SWIPT_UNITS, _RECEIVER)}
-_POWER = slice(3, 3 + len(POWER_UNITS))     # an OperatingPoint's PowerResult
+FIELD_UNITS = {f: unit for stage in _CHAIN for f, unit in stage.units.items()}
+# stage each readable name needs; ok versus sub-threshold needs the gain
+_STAGE = {"status": _GAIN, **{f: i for i, stage in enumerate(_CHAIN)
+                              for f in stage.units}}
+# stage at which each Config section enters the chain
+_ENTRY = {s: i for i, stage in enumerate(_CHAIN) for s in stage.sections}
+# an OperatingPoint's PowerResult: the gain's fields, after status and the
+# ray-optics fields
+_POWER = slice(1 + len(_CHAIN[_RAY_OPTICS].units),
+               1 + len(_CHAIN[_RAY_OPTICS].units) + len(_CHAIN[_GAIN].units))
 
 OperatingPoint = namedtuple(
     "OperatingPoint", ("status", *FIELD_UNITS, "detail"),
@@ -48,9 +61,9 @@ FIELD_UNITS fields, then detail; fields of stages that did not run are None."""
 
 def prefix_quantities(section: str, quantities=None) -> tuple | None:
     """A 2-D grid row's prefix when axis 2 sets a key of `section`: "status"
-    if that is receiver (read after the gain) and cells need the gain."""
+    if `section` enters the chain after the gain and cells need the gain."""
     to_gain = quantities is None or any(_STAGE[q] >= _GAIN for q in quantities)
-    return ("status",) if section == "receiver" and to_gain else None
+    return ("status",) if _ENTRY[section] > _GAIN and to_gain else None
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
@@ -72,7 +85,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     for name in quantities or ():   # max(..., default=) is ~5x slower
         stage = _STAGE[name] if _STAGE[name] > stage else stage
     p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
-    running = "ray optics"      # the stage a Python math error comes from
+    running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
         if upstream is None:
             w = spot_radius_on_gain(one_trip_matrix(geometry),
@@ -82,13 +95,13 @@ def evaluate_operating_point(cfg: Config, quantities=None,
             # diffraction survival, the ray optics of the gain aperture, runs
             # right after the spot radius: one ray-optics visit in traces
             gain = cfg["gain"]
-            vd, running = diffraction_survival(gain["a"], w), "gain"
+            vd, running = diffraction_survival(gain["a"], w), _GAIN
             power, running = evaluate_gain(geometry, gain, cfg["pump"],
-                                           cfg["losses"], p_in, vd), "receiver"
+                                           cfg["losses"], p_in, vd), _RECEIVER
         elif upstream.status == STATUS_UNSTABLE:
             return upstream._replace(p_in=p_in)
         else:   # tuple.__new__ skips the namedtuple's Python-level __new__
-            w, running = upstream.spot_radius, "receiver"
+            w, running = upstream.spot_radius, _RECEIVER
             power = tuple.__new__(PowerResult, upstream[_POWER])
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  if stage == _RECEIVER and p_in > 0 else ())
@@ -99,7 +112,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
         # an intermediate value out of its domain (float overflow, f2 = -f1 *
         # M underflowing to 0); Python's own math errors get the stage named
         bare = isinstance(e, ArithmeticError) or str(e) == "math domain error"
-        raise ConfigError(f"settings outside the model's numeric domain: {e}"
-                          + (f" ({running} stage)" if bare else "")) from None
+        where = f" ({_CHAIN[running].name} stage)" if bare else ""
+        raise ConfigError("settings outside the model's numeric domain: "
+                          f"{e}{where}") from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
     return OperatingPoint(status, p_in, w, *power, *swipt)

@@ -100,12 +100,14 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
 
     `quantities` names what the caller reads of each point and is passed to
     every evaluate_operating_point call; None evaluates every stage.  When
-    model.prefix_quantities gives a prefix for axis 2's section, each row
-    is evaluated once through it and its cells resume from that point.  A
-    cell's Config holds its own copy of each swept section only: the other
-    sections are shared with every cell and with spec.config.  spec.config
-    and every axis value are checked against SCHEMA here, before any cell,
-    and raise ConfigError when out of range; no cell checks a range again."""
+    model.prefix_quantities gives a prefix for axis 2's section (derived
+    from model._CHAIN, the one place the chain's order, fields and section
+    entries live), each row is evaluated once through it and its cells
+    resume from that point.  A cell's Config holds its own copy of each
+    swept section only: the other sections are shared with every cell and
+    with spec.config.  spec.config and every axis value are checked
+    against SCHEMA here, before any cell, and raise ConfigError when out of
+    range; no cell checks a range again."""
     validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None

@@ -675,6 +675,64 @@ class TestRowStaging:
         assert counts == {"one_trip_matrix": 4 * 5}
 
 
+def _other_value(rng, cfg, path):
+    """An in-range value for `path` other than cfg's (None if absent)."""
+    section, _, key = path.partition(".")
+    value = cfg[section].get(key)
+    base = value or 1.0
+    while True:
+        v = rng.choice((base * rng.uniform(0.5, 1.5), 1.0, 2.0))
+        try:
+            check_value(path, v)
+        except ConfigError:
+            continue
+        if v != value:
+            return v
+
+
+def _outcome(cfg, names):
+    """cfg's status and `names` fields, evaluated through `names`, or
+    "error" and the text of its ConfigError."""
+    try:
+        point = evaluate_operating_point(cfg, names)
+    except ConfigError as e:
+        return "error", str(e)
+    return point.status, [getattr(point, name) for name in names]
+
+
+def test_no_key_moves_a_field_written_before_its_section_enters():
+    # model._CHAIN says at which stage each section enters the chain; a row
+    # point shares every field of the stages before, so no key of the
+    # section may move one of them (the echoed p_in aside)
+    rng = random.Random(21)
+    paths = sorted(f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s])
+    configs = [get_preset("paper-2022")]
+    while len(configs) < 5:
+        cfg = get_preset("paper-2022")
+        for path in rng.sample(paths, 6):
+            set_path(cfg, path, _other_value(rng, cfg, path))
+        configs.append(cfg)
+    moved, statuses = set(), set()
+    for cfg in configs:
+        for path in paths:
+            section = path.partition(".")[0]
+            other = copy.deepcopy(cfg)
+            set_path(other, path, _other_value(rng, cfg, path))
+            if repr(_outcome(other, FIELD_UNITS)) != repr(
+                    _outcome(cfg, FIELD_UNITS)):
+                moved.add(section)
+            shared = [name for name, stage in model._STAGE.items()
+                      if stage < model._ENTRY[section] and name != "p_in"]
+            if shared:
+                before = _outcome(cfg, shared)
+                assert repr(_outcome(other, shared)) == repr(before), path
+                statuses.add(before[0])
+    # each section's keys move some field, and the shared fields held
+    # numbers: a spot radius through ray optics, a gain above threshold
+    assert moved == set(SCHEMA)
+    assert {"stable", "ok"} <= statuses
+
+
 class TestFigures:
     REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
