@@ -3,9 +3,9 @@
 The chain has three stages: ray optics (the spot radius and whether the
 cavity is stable), gain (beam power and whether the link is above
 threshold) and receiver (harvested power and spectral efficiency).
-`_CHAIN` is the one place their order, fields and section entries live.
+`_CHAIN` is the one place their order, fields and entries live.
 A caller that names the fields it reads runs only up to the deepest stage
-those fields need; a 2-D sweep's cell resumes from its row's point.
+those fields need; a sweep's point resumes from an earlier point's stages.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ STATUS_SUB_THRESHOLD = "sub-threshold"
 STATUS_STABLE = "stable"
 
 # the chain in order: each stage's name as errors print it, its fields
-# (name -> unit, in OperatingPoint order) and the Config sections it is the
-# first to read.  Survival runs right after the spot radius: errors name it
-# ray optics, but its vd is a gain field
+# (name -> unit, in OperatingPoint order) and the Config sections (or keys,
+# where later than their section) it is the first to read.  Survival runs
+# right after the spot radius: errors name it ray optics, its vd is gain's
 _Stage = namedtuple("_Stage", "name units sections")
 _CHAIN = (
     _Stage("ray optics", {"p_in": "W", "spot_radius": "m"}, ("geometry",)),
-    _Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link")),
+    _Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),
 )
 _RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
@@ -45,7 +46,7 @@ FIELD_UNITS = {f: unit for stage in _CHAIN for f, unit in stage.units.items()}
 # stage each readable name needs; ok versus sub-threshold needs the gain
 _STAGE = {"status": _GAIN, **{f: i for i, stage in enumerate(_CHAIN)
                               for f in stage.units}}
-# stage at which each Config section enters the chain
+# stage at which each Config section, or key entering later, enters
 _ENTRY = {s: i for i, stage in enumerate(_CHAIN) for s in stage.sections}
 # an OperatingPoint's PowerResult: the gain's fields, after status and the
 # ray-optics fields
@@ -59,11 +60,24 @@ OperatingPoint.__doc__ = """One evaluated link state, all SI: status, the
 FIELD_UNITS fields, then detail; fields of stages that did not run are None."""
 
 
-def prefix_quantities(section: str, quantities=None) -> tuple | None:
-    """A 2-D grid row's prefix when axis 2 sets a key of `section`: "status"
-    if `section` enters the chain after the gain and cells need the gain."""
+def _entry(path: str) -> int:     # a dotted path's stage, or a section's
+    return _ENTRY.get(path, _ENTRY[path.partition(".")[0]])
+
+
+def prefix_quantities(path: str, quantities=None) -> tuple | None:
+    """A 2-D grid row's prefix when axis 2 sets `path` (or its section):
+    "status" if it enters the chain after the gain and cells need the gain."""
     to_gain = quantities is None or any(_STAGE[q] >= _GAIN for q in quantities)
-    return ("status",) if _ENTRY[section] > _GAIN and to_gain else None
+    return ("status",) if _entry(path) > _GAIN and to_gain else None
+
+
+def line_upstream(path: str, first: OperatingPoint) -> OperatingPoint | None:
+    """The point a line's later points resume from when `path` enters after
+    ray optics: `first`, the line's first point, cut to its ray optics."""
+    if _entry(path) == _RAY_OPTICS:
+        return None
+    return first if first.status == STATUS_UNSTABLE else OperatingPoint(
+        STATUS_STABLE, first.p_in, first.spot_radius)
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
@@ -76,7 +90,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
-    `upstream`, cfg's row evaluated for prefix_quantities, lends the gain.
+    `upstream`, from prefix_quantities or line_upstream, lends its stages.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
@@ -87,9 +101,9 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
     running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
-        if upstream is None:
-            w = spot_radius_on_gain(one_trip_matrix(geometry),
-                                    geometry["lambda_beam"])
+        if upstream is None or upstream.status == STATUS_STABLE:
+            w = upstream.spot_radius if upstream else spot_radius_on_gain(
+                one_trip_matrix(geometry), geometry["lambda_beam"])
             if stage == _RAY_OPTICS:
                 return OperatingPoint(STATUS_STABLE, p_in, w)
             # diffraction survival, the ray optics of the gain aperture, runs

@@ -19,6 +19,7 @@ from .model import (
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
+    line_upstream,
     prefix_quantities,
 )
 
@@ -99,11 +100,11 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
     `quantities` names what the caller reads of each point and is passed to
-    every evaluate_operating_point call; None evaluates every stage.  When
-    model.prefix_quantities gives a prefix for axis 2's section (derived
-    from model._CHAIN, the one place the chain's order, fields and section
-    entries live), each row is evaluated once through it and its cells
-    resume from that point.  A cell's Config holds its own copy of each
+    every evaluate_operating_point call; None evaluates every stage.  A
+    cell resumes from an earlier point where its axis enters the chain
+    (model._CHAIN) late: a line's later points from the first point's ray
+    optics (model.line_upstream), a 2-D row's cells from the row's gain
+    (model.prefix_quantities).  A cell's Config holds its own copy of each
     swept section only: the other sections are shared with every cell and
     with spec.config.  spec.config and every axis value are checked
     against SCHEMA here, before any cell, and raise ConfigError when out of
@@ -122,8 +123,10 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     rows = [{**cfg, s1: {**cfg[s1], k1: v1}} for v1 in a1]
     evaluate = evaluate_operating_point
     if a2 is None:
-        points = [evaluate(row, quantities) for row in rows]
-    elif (prefix := prefix_quantities(s2, quantities)) is None:
+        points = [evaluate(rows[0], quantities)]
+        up = line_upstream(spec.axis1.path, points[0])
+        points += [evaluate(row, quantities, up) for row in rows[1:]]
+    elif (prefix := prefix_quantities(spec.axis2.path, quantities)) is None:
         points = [evaluate({**row, s2: {**row[s2], k2: v2}}, quantities)
                   for row in rows for v2 in a2]
     else:   # up, the row's prefix point, is evaluated once per row
@@ -148,13 +151,13 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
-    axis when the sweep is one-dimensional.
+    axis when the sweep is one-dimensional; like the grid's later points,
+    each probe resumes from the first grid point (model.line_upstream).
 
     Returns ({path: value, ...}, objective value).  Ties break toward the
     lower parameter value (the grid is scanned in increasing order and only
     strict improvements move the incumbent).  A probe outside the axis
-    path's SCHEMA range scores like an unstable point, so it never wins.
-    """
+    path's SCHEMA range scores like an unstable point, so it never wins."""
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     sign = 1.0 if sense == "max" else -1.0
@@ -178,12 +181,11 @@ def find_optimum(spec: SweepSpec, objective: str,
 
     a1 = result.axis1_values
     if spec.axis2 is not None:
-        n2 = len(result.axis2_values)
-        i, j = divmod(best_idx, n2)
-        params = {spec.axis1.path: a1[i],
-                  spec.axis2.path: result.axis2_values[j]}
-        return params, sign * best
+        i, j = divmod(best_idx, len(result.axis2_values))
+        return ({spec.axis1.path: a1[i],
+                 spec.axis2.path: result.axis2_values[j]}, sign * best)
 
+    up = line_upstream(spec.axis1.path, result.points[0])
     cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
 
@@ -194,11 +196,10 @@ def find_optimum(spec: SweepSpec, objective: str,
         except ConfigError:
             return -math.inf
         return score(evaluate_operating_point(
-            {**cfg, section: {**cfg[section], key: x}}, quantities))
+            {**cfg, section: {**cfg[section], key: x}}, quantities, up))
 
-    lo = a1[max(best_idx - 1, 0)]
-    hi = a1[min(best_idx + 1, len(a1) - 1)]
-    x_opt, s_opt = _golden_section(f, lo, hi)
+    x_opt, s_opt = _golden_section(f, a1[max(best_idx - 1, 0)],
+                                   a1[min(best_idx + 1, len(a1) - 1)])
     # keep the grid winner if refinement landed on a worse or unstable point
     if s_opt < best:
         x_opt, s_opt = a1[best_idx], best

@@ -27,6 +27,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 ROW = "tests/test_sweep.py::TestRowStaging::"
 PRUNING = "tests/test_sweep.py::TestPruning::"
+LINE = "tests/test_sweep.py::TestLineStaging::"
 TABLE = ("tests/test_sweep.py::"
          "test_no_key_moves_a_field_written_before_its_section_enters")
 
@@ -35,23 +36,27 @@ TABLE = ("tests/test_sweep.py::"
 MUTANTS = [
     # the stage table of model.py
     ("link enters at the receiver", "model.py",
-     '''("gain", "pump", "losses", "link")),
+     '''"link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),''',
-     '''("gain", "pump", "losses")),
+     '''
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver", "link")),''',
      (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points",
       TABLE)),
     ("receiver enters at the gain", "model.py",
-     '''("gain", "pump", "losses", "link")),
+     '''"geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),''',
-     '''("gain", "pump", "losses", "link", "receiver")),
+     '''"geometry.r1", "geometry.r2", "receiver")),
     _Stage("receiver", SWIPT_UNITS, ()),''',
      (ROW + "test_prefix_by_section",
       ROW + "test_stage_calls_on_a_p_in_mu_grid")),
     ("gain and receiver stage names swapped", "model.py",
-     '''_Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link")),
+     '''_Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS,''',
-     '''_Stage("receiver", POWER_UNITS, ("gain", "pump", "losses", "link")),
+     '''_Stage("receiver", POWER_UNITS, ("gain", "pump", "losses", "link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("gain", SWIPT_UNITS,''',
      (PRUNING + "test_python_math_error_names_the_stage",
       "tests/test_cli.py::TestEvaluate::test_python_math_error_names_the_stage")),
@@ -67,14 +72,16 @@ MUTANTS = [
      (ROW + "test_prefix_by_section",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
     ("no prefix at all", "model.py",
-     'return ("status",) if _ENTRY[section] > _GAIN and to_gain else None',
+     'return ("status",) if _entry(path) > _GAIN and to_gain else None',
      "return None",
      (ROW + "test_prefix_by_section",
       ROW + "test_stage_calls_on_a_p_in_mu_grid")),
     ("gain axes staged as receiver ones", "model.py",
-     '''("gain", "pump", "losses", "link")),
+     '''("gain", "pump", "losses", "link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),''',
-     '''("pump", "losses", "link")),
+     '''("pump", "losses", "link",
+                                 "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver", "gain")),''',
      (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points",
       TABLE)),
@@ -83,6 +90,41 @@ MUTANTS = [
             return upstream._replace(p_in=p_in)
 ''', "",
      (ROW + "test_cells_match_single_points",)),
+    # line staging: a 1-D sweep's points and a search's probes resume from
+    # the first point's ray optics when the axis enters after ray optics
+    ("r2 enters at ray optics", "model.py",
+     '''"geometry.r1", "geometry.r2")),
+    _Stage("receiver",''',
+     '''"geometry.r1")),
+    _Stage("receiver",''',
+     (LINE + "test_stage_calls_on_an_r2_line",
+      LINE + "test_stage_calls_in_a_search", TABLE)),
+    ("d3 lines share ray optics", "model.py",
+     "if _entry(path) == _RAY_OPTICS:",
+     'if path != "geometry.d3" and _entry(path) == _RAY_OPTICS:',
+     (LINE + "test_stage_calls_on_a_geometry_line",
+      LINE + "test_points_match_single_points",
+      LINE + "test_probes_match_single_points")),
+    ("every line shares ray optics", "model.py",
+     "if _entry(path) == _RAY_OPTICS:",
+     "if _entry(path) < _RAY_OPTICS:",
+     (LINE + "test_stage_calls_on_a_geometry_line",
+      LINE + "test_points_match_single_points",
+      LINE + "test_probes_match_single_points")),
+    ("probes lent the whole first point", "sweep.py",
+     "up = line_upstream(spec.axis1.path, result.points[0])",
+     "up = result.points[0]",
+     (LINE + "test_probes_match_single_points",
+      PRUNING + "test_find_optimum_identical_without_pruning")),
+    ("an unstable first point cut to a stable one", "model.py",
+     "return first if first.status == STATUS_UNSTABLE else",
+     "return first if first.status == STATUS_OK else",
+     (LINE + "test_points_match_single_points",)),
+    ("receiver lines lend the gain", "sweep.py",
+     "up = line_upstream(spec.axis1.path, points[0])",
+     "up = (points[0] if spec.axis1.path.startswith(\"receiver\") else\n"
+     "              line_upstream(spec.axis1.path, points[0]))",
+     (LINE + "test_stage_calls_on_a_receiver_line",)),
     # per-cell overhead: the folded first element and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",
      "a, b, c, d = -1.0, 0.0, c1, c1 * 0.0 - 1.0",

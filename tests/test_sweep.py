@@ -292,7 +292,7 @@ class TestReduceMax:
 
 
 def quadratic_stub(vertex, path="receiver.mu"):
-    def evaluate(cfg, quantities=None):
+    def evaluate(cfg, quantities=None, upstream=None):
         x = get_path(cfg, path)
         return OperatingPoint(status="ok", p_in=0.0,
                               p_beam=-(x - vertex) ** 2)
@@ -312,7 +312,7 @@ class TestFindOptimum:
 
     def test_minimize(self, monkeypatch):
         vertex = 0.25
-        def stub(cfg, quantities=None):
+        def stub(cfg, quantities=None, upstream=None):
             x = get_path(cfg, "receiver.mu")
             return OperatingPoint(status="ok", p_in=0.0,
                                   p_beam=(x - vertex) ** 2)
@@ -346,7 +346,7 @@ class TestFindOptimum:
         path = "losses.slope_loss_exponent"
         seen = []
 
-        def checked(cfg, quantities=None):
+        def checked(cfg, quantities=None, upstream=None):
             seen.append(get_path(cfg, path))
             check_value(path, seen[-1])
             return evaluate_operating_point(cfg, quantities)
@@ -364,7 +364,7 @@ class TestFindOptimum:
         probes = []
         stub = quadratic_stub(vertex, path="gain.n0")
 
-        def capped(cfg, quantities=None):
+        def capped(cfg, quantities=None, upstream=None):
             probes.append(get_path(cfg, "gain.n0"))
             if len(probes) > 1000:
                 raise RuntimeError("golden-section search does not stop")
@@ -376,7 +376,7 @@ class TestFindOptimum:
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
     def test_no_stable_point_raises(self, monkeypatch):
-        def never(cfg, quantities=None):
+        def never(cfg, quantities=None, upstream=None):
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
@@ -434,7 +434,7 @@ class TestDeterminism:
             [["0.0", "-0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]]
 
 
-def unpruned(cfg, quantities=None):
+def unpruned(cfg, quantities=None, upstream=None):
     return evaluate_operating_point(cfg)
 
 
@@ -675,6 +675,118 @@ class TestRowStaging:
         assert counts == {"one_trip_matrix": 4 * 5}
 
 
+class TestLineStaging:
+    """A line, the points of a 1-D sweep or the probes of a search, runs ray
+    optics once when its axis enters after ray optics: each later point
+    resumes from the first point cut to its ray optics, and is still the
+    point of its own Config."""
+
+    count_calls = staticmethod(TestRowStaging.count_calls)
+
+    def test_stage_calls_on_an_r2_line(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+                                  "diffraction_survival", "evaluate_gain")
+        run_sweep(SweepSpec(preset_with(), Axis("geometry.r2", 0.85, 0.95, 7)))
+        assert counts == {"one_trip_matrix": 1, "diffraction_survival": 7,
+                          "evaluate_gain": 7}
+
+    def test_stage_calls_in_a_search(self, monkeypatch):
+        # the 39 grid cells and every golden-section probe share one cavity
+        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+                                  "evaluate_gain")
+        spec = SweepSpec(preset_with(("gain.l", 0.15e-6)),
+                         Axis("geometry.r2", 0.80, 0.99, 39))
+        find_optimum(spec, "p_beam")
+        assert counts["one_trip_matrix"] == 1
+        assert counts["evaluate_gain"] > 39 + 20
+
+    def test_stage_calls_on_a_receiver_line(self, monkeypatch):
+        # a receiver line (fig 9) lends ray optics only: every point runs
+        # survival, the gain and the receiver
+        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+                                  "diffraction_survival", "evaluate_gain",
+                                  "evaluate_receiver")
+        run_sweep(SweepSpec(preset_with(), Axis("receiver.mu", 0.0, 0.99, 6)))
+        assert counts == {"one_trip_matrix": 1, "diffraction_survival": 6,
+                          "evaluate_gain": 6, "evaluate_receiver": 6}
+
+    def test_stage_calls_on_a_geometry_line(self, monkeypatch):
+        # a geometry key other than r1 and r2 moves the cavity: no sharing
+        counts = self.count_calls(monkeypatch, "one_trip_matrix")
+        by_path = {a[0]: a for a in ROW_AXES}
+        for path in ("geometry.d3", "geometry.fr2",
+                     "geometry.tim_magnification"):
+            counts["one_trip_matrix"] = 0
+            run_sweep(SweepSpec(preset_with(), Axis(*by_path[path], 5)))
+            assert counts == {"one_trip_matrix": 5}, path
+
+    @staticmethod
+    def line_cases(rng, n):
+        """(base overrides, axis path) pairs: unstable first points (fr2 =
+        2 m), first points at p_in = 0, every ROW_AXES path on the preset,
+        then n drawn at random."""
+        bases = [(), (("geometry.fr2", 2.0),), (("link.p_in", 0.0),),
+                 (("link.p_in", 5.0),)]
+        paths = [a[0] for a in ROW_AXES]
+        return [((("geometry.fr2", 2.0),), "geometry.r2"),
+                ((("geometry.fr2", 2.0),), "receiver.mu"),
+                ((), "link.p_in"), ((("link.p_in", 0.0),), "gain.l"),
+                *(((), path) for path in paths),
+                *((rng.choice(bases), rng.choice(paths)) for _ in range(n))]
+
+    def test_points_match_single_points(self):
+        rng = random.Random(22)
+        by_path = {a[0]: a for a in ROW_AXES}
+        quantity_sets = [None, ("status",), ("spot_radius",),
+                         *((name,) for name in FIELD_UNITS)]
+        statuses, firsts = set(), set()
+        for base, path in self.line_cases(rng, 150):
+            quantities = rng.choice(quantity_sets)
+            spec = SweepSpec(preset_with(*base),
+                             Axis(*by_path[path], rng.randint(2, 5)))
+            result = run_sweep(spec, quantities=quantities)
+            for point, v in zip(result.points, result.axis1_values,
+                                strict=True):
+                cfg = preset_with(*base, (path, v))
+                assert repr(point) == repr(
+                    evaluate_operating_point(cfg, quantities)), (path, v)
+                statuses.add(point.status)
+            first = result.points[0]
+            firsts.add((first.status, first.p_in == 0.0))
+        assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
+        assert {("unstable", False), ("sub-threshold", True)} <= firsts
+
+    def test_probes_match_single_points(self, monkeypatch):
+        # every grid cell and golden-section probe, evaluated with what the
+        # search lends it, equals its own Config evaluated alone
+        seen = []
+
+        def recorded(cfg, quantities=None, upstream=None):
+            point = evaluate_operating_point(cfg, quantities, upstream)
+            seen.append((cfg, quantities, upstream, point))
+            return point
+
+        monkeypatch.setattr(sweep, "evaluate_operating_point", recorded)
+        rng = random.Random(22)
+        by_path = {a[0]: a for a in ROW_AXES}
+        objectives = ("p_beam", "eta_b", "p_e_out", "c_tilde", "spot_radius")
+        lent = 0
+        for base, path in self.line_cases(rng, 40):
+            spec = SweepSpec(preset_with(*base),
+                             Axis(*by_path[path], rng.randint(2, 7)))
+            seen.clear()
+            try:
+                find_optimum(spec, rng.choice(objectives))
+            except OptimizationError:
+                pass
+            assert seen
+            for cfg, quantities, upstream, point in seen:
+                assert repr(point) == repr(
+                    evaluate_operating_point(cfg, quantities)), path
+                lent += upstream is not None
+        assert lent > 0
+
+
 def _other_value(rng, cfg, path):
     """An in-range value for `path` other than cfg's (None if absent)."""
     section, _, key = path.partition(".")
@@ -701,9 +813,10 @@ def _outcome(cfg, names):
 
 
 def test_no_key_moves_a_field_written_before_its_section_enters():
-    # model._CHAIN says at which stage each section enters the chain; a row
-    # point shares every field of the stages before, so no key of the
-    # section may move one of them (the echoed p_in aside)
+    # model._CHAIN says at which stage each section, or a key entering later
+    # than its section (r1 and r2 at the gain), enters the chain; a row or
+    # line point shares every field of the stages before, so no key may
+    # move one of them (the echoed p_in aside)
     rng = random.Random(21)
     paths = sorted(f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s])
     configs = [get_preset("paper-2022")]
@@ -712,25 +825,29 @@ def test_no_key_moves_a_field_written_before_its_section_enters():
         for path in rng.sample(paths, 6):
             set_path(cfg, path, _other_value(rng, cfg, path))
         configs.append(cfg)
-    moved, statuses = set(), set()
+    moved, statuses, keyed = set(), set(), set()
     for cfg in configs:
         for path in paths:
             section = path.partition(".")[0]
+            if model._entry(path) != model._entry(section):
+                keyed.add(path)
             other = copy.deepcopy(cfg)
             set_path(other, path, _other_value(rng, cfg, path))
             if repr(_outcome(other, FIELD_UNITS)) != repr(
                     _outcome(cfg, FIELD_UNITS)):
                 moved.add(section)
             shared = [name for name, stage in model._STAGE.items()
-                      if stage < model._ENTRY[section] and name != "p_in"]
+                      if stage < model._entry(path) and name != "p_in"]
             if shared:
                 before = _outcome(cfg, shared)
                 assert repr(_outcome(other, shared)) == repr(before), path
                 statuses.add(before[0])
     # each section's keys move some field, and the shared fields held
-    # numbers: a spot radius through ray optics, a gain above threshold
+    # numbers: a spot radius through ray optics, a gain above threshold; no
+    # r1 or r2 change moved the spot radius or the stable status
     assert moved == set(SCHEMA)
     assert {"stable", "ok"} <= statuses
+    assert keyed == {"geometry.r1", "geometry.r2"}
 
 
 class TestFigures:
