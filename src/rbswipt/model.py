@@ -64,20 +64,23 @@ def _entry(path: str) -> int:     # a dotted path's stage, or a section's
     return _ENTRY.get(path, _ENTRY[path.partition(".")[0]])
 
 
-def prefix_quantities(path: str, quantities=None) -> tuple | None:
-    """A 2-D grid row's prefix when axis 2 sets `path` (or its section):
-    "status" if it enters the chain after the gain and cells need the gain."""
-    to_gain = quantities is None or any(_STAGE[q] >= _GAIN for q in quantities)
-    return ("status",) if _entry(path) > _GAIN and to_gain else None
-
-
-def line_upstream(path: str, first: OperatingPoint) -> OperatingPoint | None:
-    """The point a line's later points resume from when `path` enters after
-    ray optics: `first`, the line's first point, cut to its ray optics."""
-    if _entry(path) == _RAY_OPTICS:
+def upstream(path: str, point: OperatingPoint,
+             one_axis: bool = False) -> OperatingPoint | None:
+    """What a line that sets `path` resumes its later points from: `point`,
+    its first point, cut to the stages before `path` enters the chain; None
+    if that is ray optics, and an `unstable` point as it is."""
+    entry = _entry(path)
+    # a 1-D line (a 1-D sweep or search) lends at most ray optics: lent the
+    # gain, fig 9's receiver line would skip ray optics, and CI pins traced
+    # figures' ray_optics.calls to its cells until a benchmark change
+    entry = min(entry, _GAIN) if one_axis else entry
+    if entry == _RAY_OPTICS:
         return None
-    return first if first.status == STATUS_UNSTABLE else OperatingPoint(
-        STATUS_STABLE, first.p_in, first.spot_radius)
+    if point.status == STATUS_UNSTABLE:
+        return point
+    if entry == _GAIN:
+        return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)
+    return OperatingPoint(point.status, *point[1:_POWER.stop])
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
@@ -90,7 +93,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
-    `upstream`, from prefix_quantities or line_upstream, lends its stages.
+    `upstream`, a point cut by upstream(), lends its stages.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.

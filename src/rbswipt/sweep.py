@@ -19,8 +19,7 @@ from .model import (
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
-    line_upstream,
-    prefix_quantities,
+    upstream,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -101,37 +100,35 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
 
     `quantities` names what the caller reads of each point and is passed to
     every evaluate_operating_point call; None evaluates every stage.  A
-    cell resumes from an earlier point where its axis enters the chain
-    (model._CHAIN) late: a line's later points from the first point's ray
-    optics (model.line_upstream), a 2-D row's cells from the row's gain
-    (model.prefix_quantities).  A cell's Config holds its own copy of each
-    swept section only: the other sections are shared with every cell and
-    with spec.config.  spec.config and every axis value are checked
-    against SCHEMA here, before any cell, and raise ConfigError when out of
-    range; no cell checks a range again."""
+    1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
+    value.  A line's first point is evaluated on its own, and every later
+    point resumes from it cut to the stages before the line's axis enters
+    the chain (model.upstream).  A cell's Config holds its own copy of
+    each swept section only: the other sections are shared with every
+    cell and with a copy of spec.config, never with spec.config itself.
+    spec.config and every axis value are checked against SCHEMA here,
+    before any cell, and raise ConfigError when out of range; no cell
+    checks a range again."""
     validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
     for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
         for v in values:
             check_value(axis.path, v)
+    line, values = (spec.axis1, a1) if a2 is None else (spec.axis2, a2)
     # resolved on a copy, as resolving may drop an excluded key
     cfg = copy_config(spec.config)
     s1, k1 = resolve_path(cfg, spec.axis1.path)
-    if a2 is not None:
-        s2, k2 = resolve_path(cfg, spec.axis2.path)
-    rows = [{**cfg, s1: {**cfg[s1], k1: v1}} for v1 in a1]
-    evaluate = evaluate_operating_point
-    if a2 is None:
-        points = [evaluate(rows[0], quantities)]
-        up = line_upstream(spec.axis1.path, points[0])
-        points += [evaluate(row, quantities, up) for row in rows[1:]]
-    elif (prefix := prefix_quantities(spec.axis2.path, quantities)) is None:
-        points = [evaluate({**row, s2: {**row[s2], k2: v2}}, quantities)
-                  for row in rows for v2 in a2]
-    else:   # up, the row's prefix point, is evaluated once per row
-        points = [evaluate({**r, s2: {**r[s2], k2: v}}, quantities, up)
-                  for r in rows for up in [evaluate(r, prefix)] for v in a2]
+    s, k = resolve_path(cfg, line.path) if a2 else (s1, k1)
+    starts = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
+    evaluate, points = evaluate_operating_point, []
+    for r in starts:
+        section = r[s]
+        first = evaluate({**r, s: {**section, k: values[0]}}, quantities)
+        up = upstream(line.path, first, one_axis=a2 is None)
+        points.append(first)
+        points += [evaluate({**r, s: {**section, k: v}}, quantities, up)
+                   for v in values[1:]]
     return SweepResult(spec, a1, a2, points)
 
 
@@ -152,7 +149,7 @@ def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
     axis when the sweep is one-dimensional; like the grid's later points,
-    each probe resumes from the first grid point (model.line_upstream).
+    each probe resumes from the first grid point (model.upstream).
 
     Returns ({path: value, ...}, objective value).  Ties break toward the
     lower parameter value (the grid is scanned in increasing order and only
@@ -185,7 +182,7 @@ def find_optimum(spec: SweepSpec, objective: str,
         return ({spec.axis1.path: a1[i],
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
-    up = line_upstream(spec.axis1.path, result.points[0])
+    up = upstream(spec.axis1.path, result.points[0], one_axis=True)
     cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
 

@@ -65,17 +65,17 @@ MUTANTS = [
      'running = _GAIN\n            vd = diffraction_survival(gain["a"], w)',
      (PRUNING + "test_python_math_error_names_the_stage"
       "[diffraction_survival-ray optics]",)),
-    # row staging (restated from the hand-run checks of row-staged sweeps)
-    ("a prefix that ignores quantities", "model.py",
-     "to_gain = quantities is None or any(_STAGE[q] >= _GAIN for q in quantities)",
-     "to_gain = True",
-     (ROW + "test_prefix_by_section",
+    # row staging (restated from the hand-run checks of row-staged sweeps):
+    # a 2-D row's later cells resume from its first cell
+    ("a line's first point runs every stage", "sweep.py",
+     "first = evaluate({**r, s: {**section, k: values[0]}}, quantities)",
+     "first = evaluate({**r, s: {**section, k: values[0]}})",
+     (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
-    ("no prefix at all", "model.py",
-     'return ("status",) if _entry(path) > _GAIN and to_gain else None',
-     "return None",
-     (ROW + "test_prefix_by_section",
-      ROW + "test_stage_calls_on_a_p_in_mu_grid")),
+    ("rows lend nothing", "sweep.py",
+     "up = upstream(line.path, first, one_axis=a2 is None)",
+     "up = upstream(line.path, first, True) if a2 is None else None",
+     (ROW + "test_stage_calls_on_a_p_in_mu_grid",)),
     ("gain axes staged as receiver ones", "model.py",
      '''("gain", "pump", "losses", "link",
                                  "geometry.r1", "geometry.r2")),
@@ -100,31 +100,57 @@ MUTANTS = [
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
     ("d3 lines share ray optics", "model.py",
-     "if _entry(path) == _RAY_OPTICS:",
-     'if path != "geometry.d3" and _entry(path) == _RAY_OPTICS:',
+     "if entry == _RAY_OPTICS:",
+     'if path != "geometry.d3" and entry == _RAY_OPTICS:',
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points")),
     ("every line shares ray optics", "model.py",
-     "if _entry(path) == _RAY_OPTICS:",
-     "if _entry(path) < _RAY_OPTICS:",
+     "if entry == _RAY_OPTICS:",
+     "if entry < _RAY_OPTICS:",
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points")),
     ("probes lent the whole first point", "sweep.py",
-     "up = line_upstream(spec.axis1.path, result.points[0])",
+     "up = upstream(spec.axis1.path, result.points[0], one_axis=True)",
      "up = result.points[0]",
      (LINE + "test_probes_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
-    ("an unstable first point cut to a stable one", "model.py",
-     "return first if first.status == STATUS_UNSTABLE else",
-     "return first if first.status == STATUS_OK else",
+    ("an unstable first point relabelled stable", "model.py",
+     '''    if point.status == STATUS_UNSTABLE:
+        return point
+''',
+     '''    if point.status == STATUS_UNSTABLE:
+        return point._replace(status=STATUS_STABLE)
+''',
      (LINE + "test_points_match_single_points",)),
     ("receiver lines lend the gain", "sweep.py",
-     "up = line_upstream(spec.axis1.path, points[0])",
-     "up = (points[0] if spec.axis1.path.startswith(\"receiver\") else\n"
-     "              line_upstream(spec.axis1.path, points[0]))",
+     "up = upstream(line.path, first, one_axis=a2 is None)",
+     "up = upstream(line.path, first, one_axis=False)",
      (LINE + "test_stage_calls_on_a_receiver_line",)),
+    # one rule, model.upstream, decides what a line's first point lends
+    ("rows capped at ray optics", "model.py",
+     "entry = min(entry, _GAIN) if one_axis else entry",
+     "entry = min(entry, _GAIN)",
+     (ROW + "test_stage_calls_on_a_p_in_mu_grid",
+      ROW + "test_prefix_by_section")),
+    ("the 1-D cap removed", "model.py",
+     "    entry = min(entry, _GAIN) if one_axis else entry\n", "",
+     (LINE + "test_stage_calls_on_a_receiver_line",
+      ROW + "test_prefix_by_section")),
+    ("a gain cut that keeps the receiver fields", "model.py",
+     "return OperatingPoint(point.status, *point[1:_POWER.stop])",
+     "return point",
+     (ROW + "test_prefix_by_section",)),
+    ("an unstable point cut to stable", "model.py",
+     '''    if point.status == STATUS_UNSTABLE:
+        return point
+''', "",
+     (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    ("a point evaluated only to be lent", "sweep.py",
+     "up = upstream(line.path, first, one_axis=a2 is None)",
+     "up = upstream(line.path, evaluate(r, quantities), a2 is None)",
+     (ROW + "test_one_evaluation_per_cell",)),
     # per-cell overhead: the folded first element and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",
      "a, b, c, d = -1.0, 0.0, c1, c1 * 0.0 - 1.0",

@@ -196,7 +196,7 @@ class TestRunSweep:
         # tim_magnification, as set_path does
         seen = []
 
-        def record(cfg, quantities=None):
+        def record(cfg, quantities=None, upstream=None):
             seen.append(cfg)
             return OperatingPoint("stable", 0.0)
 
@@ -576,27 +576,35 @@ def p_in_mu_spec(*overrides, counts=(4, 5)) -> SweepSpec:
 
 
 class TestRowStaging:
-    """A 2-D grid evaluates once per row the stages axis 2 does not reach,
-    and every cell is still the point of its own Config."""
+    """A 2-D grid's row is a line: its first cell lends the later cells the
+    stages before axis 2 enters, and every cell is still the point of its
+    own Config."""
+
+    @staticmethod
+    def grid_cases(rng, n):
+        """(base overrides, axis-1 path, axis-2 path, quantities): an
+        unstable row with p_in as axis 2, p_in = 0 rows, then n drawn at
+        random from ROW_AXES."""
+        quantity_sets = [None, ("status",), ("spot_radius",),
+                         *((name,) for name in FIELD_UNITS)]
+        cases = [((), "geometry.fr2", "link.p_in", ("status",)),
+                 ((), "link.p_in", "receiver.mu", None),
+                 ((("geometry.fr2", 2.0),), "gain.l", "receiver.mu", None)]
+        paths = sorted(a[0] for a in ROW_AXES)
+        for _ in range(n):
+            base = rng.choice([(), (("geometry.fr2", 2.0),),
+                               (("link.p_in", 5.0),)])
+            path1, path2 = rng.sample(paths, 2)
+            if {path1, path2} != {"geometry.fr2",
+                                  "geometry.tim_magnification"}:
+                cases.append((base, path1, path2, rng.choice(quantity_sets)))
+        return cases
 
     def test_cells_match_single_points(self):
         rng = random.Random(18)
         by_path = {a[0]: a for a in ROW_AXES}
-        quantity_sets = [None, ("status",), ("spot_radius",),
-                         *((name,) for name in FIELD_UNITS)]
-        cases = [  # an unstable row with p_in as axis 2; p_in = 0 rows
-            ((), "geometry.fr2", "link.p_in", ("status",)),
-            ((), "link.p_in", "receiver.mu", None),
-            ((("geometry.fr2", 2.0),), "gain.l", "receiver.mu", None)]
-        for _ in range(200):
-            base = rng.choice([(), (("geometry.fr2", 2.0),),
-                               (("link.p_in", 5.0),)])
-            path1, path2 = rng.sample(sorted(by_path), 2)
-            if {path1, path2} != {"geometry.fr2",
-                                  "geometry.tim_magnification"}:
-                cases.append((base, path1, path2, rng.choice(quantity_sets)))
-        statuses, sections, prefixes = set(), set(), set()
-        for base, path1, path2, quantities in cases:
+        statuses, sections, cuts = set(), set(), set()
+        for base, path1, path2, quantities in self.grid_cases(rng, 200):
             spec = SweepSpec(preset_with(*base),
                              Axis(*by_path[path1], rng.randint(2, 4)),
                              Axis(*by_path[path2], rng.randint(2, 4)))
@@ -608,12 +616,17 @@ class TestRowStaging:
                 assert repr(point) == repr(
                     evaluate_operating_point(cfg, quantities))
                 statuses.add(point.status)
-            section = path2.partition(".")[0]
-            sections.add(section)
-            prefixes.add(model.prefix_quantities(section, quantities))
+            sections.add(path2.partition(".")[0])
+            # what each row's first cell lent the row's later cells
+            n2 = len(result.axis2_values)
+            for first in result.points[::n2]:
+                cut = model.upstream(path2, first)
+                cuts.add("none" if cut is None else
+                         "unstable" if cut.status == "unstable" else
+                         "ray optics" if cut.p_beam is None else "gain")
         assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
         assert {"geometry", "receiver", "gain", "link"} <= sections
-        assert prefixes == {None, ("status",)}
+        assert cuts == {"none", "ray optics", "gain", "unstable"}
 
     def test_prefix_stops_at_the_deepest_stage_quantities_need(self):
         # g0 = 1 m^-1 overflows the threshold carrier density in the gain
@@ -632,15 +645,64 @@ class TestRowStaging:
             evaluate_operating_point(cfg, ("p_beam",))
         assert str(single.value) == str(e.value)
 
-    @pytest.mark.parametrize("section", list(SCHEMA))
-    def test_prefix_by_section(self, section):
-        # only a receiver value enters after the gain stage, and a row runs
-        # no stage that its cells would not
-        want = ((("status",),) * 2 + (None,) if section == "receiver"
-                else (None,) * 3)
-        got = tuple(model.prefix_quantities(section, q)
-                    for q in (None, ("c_tilde", "p_beam"), ("spot_radius",)))
-        assert got == want
+    def test_one_evaluation_per_cell(self, monkeypatch):
+        # a line's first point lends: no point is evaluated only to be lent
+        calls = []
+
+        def counted(cfg, quantities=None, upstream=None):
+            calls.append(cfg)
+            return evaluate_operating_point(cfg, quantities, upstream)
+
+        monkeypatch.setattr(sweep, "evaluate_operating_point", counted)
+        rng = random.Random(23)
+        by_path = {a[0]: a for a in ROW_AXES}
+        for base, path1, path2, quantities in self.grid_cases(rng, 60):
+            axis1 = Axis(*by_path[path1], rng.randint(2, 5))
+            axis2 = Axis(*by_path[path2], rng.randint(2, 5))
+            for axes, cells in (((axis1,), axis1.count),
+                                ((axis1, axis2), axis1.count * axis2.count)):
+                calls.clear()
+                run_sweep(SweepSpec(preset_with(*base), *axes), quantities)
+                assert len(calls) == cells, (path1, path2, quantities)
+
+    @pytest.mark.parametrize("path",
+                             [*SCHEMA, "geometry.r1", "geometry.r2"])
+    def test_prefix_by_section(self, path):
+        # what a point lends a line that sets the path, as a 2-D row and as
+        # a 1-D line (which lends at most ray optics): nothing when the
+        # path enters at ray optics, the point's ray optics when it enters
+        # at the gain, its ray optics and gain when it enters at the
+        # receiver; an unstable point lends itself
+        row, line = {"geometry": (None, None),
+                     "receiver": ("gain", "ray optics")}.get(
+            path, ("ray optics", "ray optics"))
+        receiver = dict.fromkeys(SwiptResult._fields)
+        points = {
+            "ok": evaluate_operating_point(preset_with()),
+            "stable": evaluate_operating_point(preset_with(),
+                                               ("spot_radius",)),
+            "sub-threshold": evaluate_operating_point(
+                preset_with(("link.p_in", 0.0))),
+            "unstable": evaluate_operating_point(
+                preset_with(("geometry.fr2", 2.0)))}
+        assert [p.status for p in points.values()] == list(points)
+        assert points["sub-threshold"].p_in == 0.0
+        for one_axis, lends in ((False, row), (True, line)):
+            for status, point in points.items():
+                if lends is None:
+                    want = None
+                elif status == "unstable":
+                    want = point
+                elif lends == "ray optics":
+                    want = OperatingPoint("stable", point.p_in,
+                                          point.spot_radius)
+                else:
+                    want = point._replace(**receiver)
+                got = model.upstream(path, point, one_axis=one_axis)
+                assert repr(got) == repr(want), (status, one_axis)
+        # the gain a row borrows keeps the point's status and PowerResult
+        ok = model.upstream("receiver", points["ok"])
+        assert ok.status == "ok" and ok.p_beam > 0 and ok.c_tilde is None
 
     @staticmethod
     def count_calls(monkeypatch, *names):
