@@ -3,7 +3,8 @@
 Written independently of the fused code paths in `rbswipt`: element
 matrices multiplied one by one, the round trip, the self-consistent
 Gaussian mode, and the gain-stage formulas spelled out from the model's
-equations.  Nothing in the package imports this module.
+equations (none of them calls rbswipt.gain_power).  Nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 from rbswipt import ray_optics
 from rbswipt.config import Config, ConfigError
-from rbswipt.gain_power import beam_power, saturation_gain
 from rbswipt.ray_optics import UnstableResonatorError
 
 
@@ -185,9 +185,11 @@ def threshold_carrier_density(gain: dict, r1: float, r2: float,
                               v: float) -> float:
     """Carrier density (m^-3) needed to reach the saturation gain, for a
     Config's gain section:
-    N_th = N0 exp(g_sat / g0) = N0 (r1 r2 v^2) ** (-1 / (2 g0 l Gamma))."""
-    g = saturation_gain(r1, r2, v, gain["l"], gain["gamma_conf"])
-    return gain["n0"] * math.exp(g / gain["g0"])
+    N_th = N0 exp(g_sat / g0) = N0 (r1 r2 v^2) ** (-1 / (2 g0 l Gamma)),
+    with g_sat = -ln(r1 r2 v^2) / (2 Gamma l) the gain at which round-trip
+    gain balances round-trip loss."""
+    g_sat = -math.log(r1 * r2 * v * v) / (2.0 * gain["gamma_conf"] * gain["l"])
+    return gain["n0"] * math.exp(g_sat / gain["g0"])
 
 
 def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:
@@ -195,7 +197,7 @@ def transmission_efficiency(p_in: float, p_th: float, eta_s: float) -> float:
     threshold."""
     if p_in <= 0:
         raise ValueError("input power must be positive")
-    return beam_power(p_in, p_th, eta_s) / p_in
+    return max(0.0, (p_in - p_th) * eta_s) / p_in
 
 
 def get_path(cfg: Config, path: str) -> float:

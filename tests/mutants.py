@@ -5,7 +5,8 @@ it exits 0 when every mutant is killed.  For each entry of MUTANTS it
 copies src/ to a temporary directory, replaces the exact old text (which
 must occur once) in the named file, checks that `rbswipt` imports from
 the copy, runs only the named tests against the copy through PYTHONPATH,
-and requires each of them to fail.  An old text missing from its file
+with pytest's plugin autoload off (it roughly triples each start), and
+requires each of them to fail.  An old text missing from its file
 fails the run, so a refactor that moves mutated code restates its mutants
 here.  pytest does not collect this file, and tier 1 does not run it: it
 runs pytest once per mutant, two mutants at a time.
@@ -28,6 +29,8 @@ REPO = Path(__file__).resolve().parents[1]
 ROW = "tests/test_sweep.py::TestRowStaging::"
 PRUNING = "tests/test_sweep.py::TestPruning::"
 LINE = "tests/test_sweep.py::TestLineStaging::"
+GAIN = "tests/test_gain_power.py::"
+RECEIVER = "tests/test_receiver.py::"
 TABLE = ("tests/test_sweep.py::"
          "test_no_key_moves_a_field_written_before_its_section_enters")
 
@@ -157,9 +160,38 @@ MUTANTS = [
      "a, b, c, d = -1.0, 0.0, c1, -1.0",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
     ("PV clamp keeps -0.0", "receiver.py",
-     "return raw, raw if raw > 0.0 else 0.0",
-     "return raw, raw if raw >= 0.0 else 0.0",
-     ("tests/test_receiver.py::TestPvOutput::test_clamp_is_max_with_zero",)),
+     "p_e_out = p_e_out_raw if p_e_out_raw > 0.0 else 0.0",
+     "p_e_out = p_e_out_raw if p_e_out_raw >= 0.0 else 0.0",
+     (RECEIVER + "TestPvOutput::test_clamp_is_max_with_zero",)),
+    # the stage formulas, each written once in evaluate_gain or
+    # evaluate_receiver and tested through the stage
+    ("saturation gain with v for v^2", "gain_power.py",
+     "g_sat = -math.log(r1 * r2 * v * v)",
+     "g_sat = -math.log(r1 * r2 * v)",
+     (GAIN + "TestSaturationGain::test_round_trip_identity",
+      GAIN + "TestSaturationGain::test_frozen_value",
+      "tests/test_acceptance.py::test_criterion_7_property_suites")),
+    ("slope efficiency ignoring slope_loss_exponent", "gain_power.py",
+     'k = int(losses.get("slope_loss_exponent", 1))',
+     "k = 1",
+     (GAIN + "TestSlopeEfficiency::test_loss_exponent_two",)),
+    ("beam power clamp keeps -0.0", "gain_power.py",
+     "p_beam = p if (p := (p_in - p_th) * eta_s) > 0.0 else 0.0",
+     "p_beam = p if (p := (p_in - p_th) * eta_s) >= 0.0 else 0.0",
+     (GAIN + "TestBeamPower::test_clamp_is_max_with_zero",)),
+    ("the APD fed the whole beam", "receiver.py",
+     'i_d = receiver["nu"] * p_apd_in',
+     'i_d = receiver["nu"] * p_beam',
+     (RECEIVER + "TestSpectralEfficiency::test_full_chain_hand_oracle",)),
+    ("both splitter arms mu p_beam", "receiver.py",
+     "p_apd_in = p_beam - p_pv_in",
+     "p_apd_in = p_pv_in",
+     (RECEIVER + "TestSplitBeam::test_conservation",
+      "tests/test_acceptance.py::test_criterion_7_property_suites")),
+    ("shot noise without i_bg", "receiver.py",
+     'n_shot_sq = 2.0 * ELECTRON_CHARGE * (i_d + receiver["i_bg"]) * b_x',
+     "n_shot_sq = 2.0 * ELECTRON_CHARGE * i_d * b_x",
+     (RECEIVER + "TestShotNoise::test_background_only",)),
     # formula guards only where a validated Config can fail
     ("losses.vc widened to > 0", "config.py",
      '"vc": ("dimensionless", False, "in (0, 1]"),',
@@ -221,8 +253,10 @@ def run_mutant(file: str, old: str, new: str, tests) -> str:
         if text.count(old) != 1:
             return f"old text found {text.count(old)} times in {file}"
         target.write_text(text.replace(old, new))
-        # a wide terminal keeps pytest's summary lines whole
-        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "400"}
+        # a wide terminal keeps pytest's summary lines whole; the suite
+        # needs no third-party pytest plugin, whose loading dominates a start
+        env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "400",
+               "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
         where = subprocess.run(
             [sys.executable, "-c", "import rbswipt; print(rbswipt.__file__)"],
             env=env, capture_output=True, text=True).stdout.strip()

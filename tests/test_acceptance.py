@@ -24,15 +24,13 @@ from abcd import (
 )
 
 from rbswipt.config import get_preset, set_path
-from rbswipt.gain_power import saturation_gain
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
     one_trip_matrix,
     spot_radius_on_gain,
 )
-from rbswipt.receiver import split_beam
-from rbswipt.sweep import Axis, SweepSpec, find_optimum
+from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
 
 LAMBDA = 980e-9
 FIG5_FR2 = 11.0  # documented assumed curvature for the compression study
@@ -167,23 +165,53 @@ def test_criterion_7_property_suites():
         assert t.a == pytest.approx(1.0 / mag, rel=1e-9)
         assert abs(t.c) < 1e-9
 
-    # saturation identity exp(2 Gamma g l) r1 r2 v^2 = 1
-    for _ in range(50):
-        r1 = rng.uniform(0.9, 1.0)
-        r2 = rng.uniform(0.7, 1.0)
-        v = rng.uniform(0.9, 1.0)
-        l = rng.uniform(0.05e-6, 3e-6)
-        gamma = rng.uniform(0.5, 2.5)
-        g = saturation_gain(r1, r2, v, l, gamma)
-        assert math.exp(2 * gamma * g * l) * r1 * r2 * v * v == \
-            pytest.approx(1.0, rel=1e-9)
+    # saturation identity exp(2 Gamma g l) r1 r2 v^2 = 1 and splitter
+    # conservation to within one rounding step, on evaluated points: single
+    # points, the cells of a p_in x mu grid (each resuming from its row's
+    # gain) and of an r2 line (each resuming from its ray optics)
+    def check_point(cfg, op):
+        assert op.status in ("ok", "sub-threshold")
+        g, gm = cfg["geometry"], cfg["gain"]
+        assert math.exp(2 * gm["gamma_conf"] * op.g_sat * gm["l"]) \
+            * g["r1"] * g["r2"] * op.v * op.v == pytest.approx(1.0, rel=1e-9)
+        assert op.p_pv_in + op.p_apd_in == pytest.approx(op.p_beam,
+                                                         rel=1e-15)
 
-    # splitter conservation to within one rounding step
-    for _ in range(100):
-        p = rng.uniform(0, 100)
-        mu = rng.uniform(0, 1)
-        pv, apd = split_beam(p, mu)
-        assert pv + apd == pytest.approx(p, rel=1e-15)
+    statuses = set()
+    for _ in range(50):
+        cfg = get_preset("paper-2022")
+        for path, lo, hi in (("geometry.r1", 0.9, 1.0),
+                             ("geometry.r2", 0.7, 1.0),
+                             ("losses.vc", 0.9, 1.0),
+                             ("gain.l", 0.05e-6, 3e-6),
+                             ("gain.gamma_conf", 0.5, 2.5),
+                             ("link.p_in", 1.0, 150.0),
+                             ("receiver.mu", 0.0, 1.0)):
+            set_path(cfg, path, rng.uniform(lo, hi))
+        op = evaluate_operating_point(cfg)
+        check_point(cfg, op)
+        statuses.add(op.status)
+    assert statuses == {"ok", "sub-threshold"}
+
+    # at 14 W, r2 below about 0.85 leaves the link under threshold
+    for p_in, axes in ((100.0, (Axis("link.p_in", 1.0, 150.0, 15),
+                                Axis("receiver.mu", 0.0, 1.0, 11))),
+                       (14.0, (Axis("geometry.r2", 0.7, 0.99, 30),))):
+        cfg = get_preset("paper-2022")
+        set_path(cfg, "link.p_in", p_in)
+        result = run_sweep(SweepSpec(cfg, *axes))
+        cells = [(a, b) for a in result.axis1_values
+                 for b in result.axis2_values or (None,)]
+        assert len(cells) == len(result.points)
+        statuses = set()
+        for values, op in zip(cells, result.points):
+            cell = get_preset("paper-2022")
+            set_path(cell, "link.p_in", p_in)
+            for axis, value in zip(axes, values):
+                set_path(cell, axis.path, value)
+            check_point(cell, op)
+            statuses.add(op.status)
+        assert statuses == {"ok", "sub-threshold"}
 
     # piecewise-linear beam power: finite differences recover the slope
     op_lo = power_point(100.0)

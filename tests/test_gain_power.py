@@ -6,14 +6,7 @@ import pytest
 from abcd import threshold_carrier_density, transmission_efficiency
 
 from rbswipt.config import ConfigError, get_preset, set_path
-from rbswipt.gain_power import (
-    beam_power,
-    carrier_lifetime,
-    evaluate_gain,
-    saturation_gain,
-    slope_efficiency,
-    threshold_power,
-)
+from rbswipt.gain_power import LIGHT_SPEED, PLANCK, evaluate_gain
 from rbswipt.ray_optics import (
     diffraction_survival,
     one_trip_matrix,
@@ -21,6 +14,8 @@ from rbswipt.ray_optics import (
 )
 
 LAMBDA_BEAM = 980e-9
+# the slope-efficiency guard's message for a lossless cavity
+UNITY_PRODUCT = r"^r1\*r2\*v\^1 = 1\.0 >= 1$"
 
 
 def table_gain() -> dict:
@@ -34,9 +29,61 @@ def table_pump() -> dict:
     return dict(eta_pc=0.6, eta_pa=0.85, lambda_pump=808e-9)
 
 
+def gain_stage(r1, r2, v, gain=None, pump=None, p_in=0.0, loss_exponent=1):
+    """evaluate_gain for mirror reflectivities r1, r2 and overall loss
+    factor v (vc = v, vd = 1), on the table sections unless given."""
+    geometry = {"r1": r1, "r2": r2, "lambda_beam": LAMBDA_BEAM}
+    losses = {"vc": v, "slope_loss_exponent": float(loss_exponent)}
+    return evaluate_gain(geometry, gain or table_gain(), pump or table_pump(),
+                         losses, p_in, 1.0)
+
+
+def at_density(gain: dict, n: float) -> dict:
+    """The gain section with threshold carrier density n exactly: with
+    g0 = inf, N_th = N0 exp(g_sat / g0) is N0."""
+    return {**gain, "n0": n, "g0": math.inf}
+
+
+def lifetime(n: float, gain: dict) -> float:
+    """The stage's carrier lifetime at threshold carrier density n."""
+    res = gain_stage(0.999, 0.93, 0.98, at_density(gain, n))
+    assert res.n_th == n
+    return res.tau
+
+
+def threshold(gain: dict, pump: dict, n_th: float, tau: float) -> float:
+    """The stage's threshold power at carrier density n_th and lifetime
+    tau: 1 / tau is the only recombination term."""
+    res = gain_stage(0.999, 0.93, 0.98,
+                     {**at_density(gain, n_th), "alpha": 1.0 / tau,
+                      "beta": 0.0, "auger": 0.0}, pump)
+    assert res.n_th == n_th and res.tau == pytest.approx(tau, rel=1e-15)
+    return res.p_th
+
+
+def beam(p_in: float, p_th: float, eta_s: float) -> float:
+    """The stage's beam power at input p_in, on sections that make its
+    threshold power p_th and its slope efficiency eta_s exactly: unit r1,
+    v, l and tau, ln r2 = -1, N_th = p_th, a_s = 1 / (h c), eta_pc = eta_s
+    and lambda_pump = lambda_beam = 1 / eta_s."""
+    lam = 1.0 / eta_s
+    gain = {**at_density(table_gain(), p_th), "l": 1.0, "alpha": 1.0,
+            "beta": 0.0, "auger": 0.0, "a_s": 1.0 / (PLANCK * LIGHT_SPEED)}
+    pump = {"eta_pc": eta_s, "eta_pa": 1.0, "lambda_pump": lam}
+    geometry = {"r1": 1.0, "r2": math.exp(-1.0), "lambda_beam": lam}
+    res = evaluate_gain(geometry, gain, pump, {"vc": 1.0}, p_in, 1.0)
+    assert (res.p_th, res.eta_s) == (p_th, eta_s)
+    return res.p_beam
+
+
 class TestSaturationGain:
     def test_lossless_cavity(self):
-        assert saturation_gain(1.0, 1.0, 1.0, 3e-6, 2.0) == 0.0
+        # the stage names g_sat, then stops at the slope efficiency, which a
+        # lossless cavity leaves without a value (ln 1 = 0 divides)
+        gm = {**table_gain(), "l": 3e-6, "gamma_conf": 2.0}
+        with pytest.raises(ValueError, match=UNITY_PRODUCT) as e:
+            gain_stage(1.0, 1.0, 1.0, gm)
+        assert e.traceback[-1].locals["g_sat"] == 0.0
 
     def test_round_trip_identity(self):
         # exp(2 Gamma g l) * r1 r2 v^2 = 1 by construction
@@ -47,13 +94,15 @@ class TestSaturationGain:
             v = rng.uniform(0.9, 1.0)
             l = rng.uniform(0.05e-6, 3e-6)
             gamma = rng.uniform(0.5, 2.5)
-            g = saturation_gain(r1, r2, v, l, gamma)
+            gm = {**table_gain(), "l": l, "gamma_conf": gamma}
+            g = gain_stage(r1, r2, v, gm).g_sat
             assert math.exp(2 * gamma * g * l) * r1 * r2 * v * v == \
                 pytest.approx(1.0, rel=1e-9)
 
     def test_frozen_value(self):
         # independent closed-form evaluation: 9498.0506502881...
-        g = saturation_gain(0.999, 0.93, 0.98, 3e-6, 2.0)
+        gm = {**table_gain(), "l": 3e-6, "gamma_conf": 2.0}
+        g = gain_stage(0.999, 0.93, 0.98, gm).g_sat
         assert g == pytest.approx(9498.050650288153, rel=1e-12)
 
     def test_gain_exceeding_unity_product_rejected(self):
@@ -99,16 +148,16 @@ class TestThresholdCarrierDensity:
 
 class TestCarrierLifetime:
     def test_zero_density(self):
-        assert carrier_lifetime(0.0, table_gain()) == pytest.approx(1e-7)
+        assert lifetime(0.0, table_gain()) == pytest.approx(1e-7)
 
     def test_transparency_density(self):
-        tau = carrier_lifetime(1.7e24, table_gain())
+        tau = lifetime(1.7e24, table_gain())
         assert tau == pytest.approx(5.0673963717441974e-09, rel=1e-12)
 
     def test_strictly_decreasing(self):
         gm = table_gain()
         grid = np.linspace(0.0, 5e24, 100)
-        taus = [carrier_lifetime(float(n), gm) for n in grid]
+        taus = [lifetime(float(n), gm) for n in grid]
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
 
@@ -116,33 +165,32 @@ class TestThresholdPower:
     def test_linearity_in_cross_section(self):
         gm, pm = table_gain(), table_pump()
         gm2 = {**gm, "a_s": 2 * gm["a_s"]}
-        p1 = threshold_power(gm, pm, 1.78e24, 4.8e-9, LAMBDA_BEAM)
-        p2 = threshold_power(gm2, pm, 1.78e24, 4.8e-9, LAMBDA_BEAM)
+        p1 = threshold(gm, pm, 1.78e24, 4.8e-9)
+        p2 = threshold(gm2, pm, 1.78e24, 4.8e-9)
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
 
     def test_full_chain_value(self):
-        # hand chain N_th -> tau -> threshold, tens of watts regime
-        gm, pm = table_gain(), table_pump()
-        n_th = threshold_carrier_density(gm, 0.999, 0.93, 0.98)
-        tau = carrier_lifetime(n_th, gm)
-        p_th = threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM)
+        # the stage's chain N_th -> tau -> threshold, tens of watts regime
+        p_th = gain_stage(0.999, 0.93, 0.98).p_th
         assert p_th == pytest.approx(13.230355716931989, rel=1e-12)
         assert 5 < p_th < 30
 
     def test_zero_lifetime_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_power(table_gain(), table_pump(), 1e24, 0.0,
-                            LAMBDA_BEAM)
+        # an infinite recombination rate leaves tau = 1 / inf = 0
+        gm = {**at_density(table_gain(), 1e24), "alpha": math.inf}
+        with pytest.raises(ValueError,
+                           match="^carrier lifetime must be positive$"):
+            gain_stage(0.999, 0.93, 0.98, gm)
 
 
 class TestSlopeEfficiency:
     def test_output_coupling_only(self):
         pm = table_pump()
-        eta = slope_efficiency(pm, 1.0, 0.93, 1.0, LAMBDA_BEAM)
+        eta = gain_stage(1.0, 0.93, 1.0, pump=pm).eta_s
         assert eta == pytest.approx(0.6 * 0.85 * 808 / 980, rel=1e-12)
 
     def test_frozen_value(self):
-        eta = slope_efficiency(table_pump(), 0.999, 0.93, 0.98, LAMBDA_BEAM)
+        eta = gain_stage(0.999, 0.93, 0.98).eta_s
         assert eta == pytest.approx(0.32541288846516847, rel=1e-12)
 
     def test_bounds(self):
@@ -150,38 +198,37 @@ class TestSlopeEfficiency:
         cap = pm["eta_pc"] * pm["eta_pa"] * pm["lambda_pump"] / LAMBDA_BEAM
         rng = random.Random(31)
         for _ in range(50):
-            eta = slope_efficiency(pm, rng.uniform(0.9, 0.9999),
-                                   rng.uniform(0.7, 0.99),
-                                   rng.uniform(0.9, 1.0), LAMBDA_BEAM)
+            eta = gain_stage(rng.uniform(0.9, 0.9999),
+                             rng.uniform(0.7, 0.99),
+                             rng.uniform(0.9, 1.0), pump=pm).eta_s
             assert 0 < eta <= cap + 1e-15
 
     def test_loss_exponent_two(self):
         pm = table_pump()
-        eta1 = slope_efficiency(pm, 0.999, 0.93, 0.98, LAMBDA_BEAM, 1)
-        eta2 = slope_efficiency(pm, 0.999, 0.93, 0.98, LAMBDA_BEAM, 2)
+        eta1 = gain_stage(0.999, 0.93, 0.98, pump=pm, loss_exponent=1).eta_s
+        eta2 = gain_stage(0.999, 0.93, 0.98, pump=pm, loss_exponent=2).eta_s
         assert eta2 < eta1  # more loss in the denominator log
 
     def test_unity_product_rejected(self):
-        with pytest.raises(ValueError):
-            slope_efficiency(table_pump(), 1.0, 1.0, 1.0, LAMBDA_BEAM)
+        with pytest.raises(ValueError, match=UNITY_PRODUCT):
+            gain_stage(1.0, 1.0, 1.0)
 
 
 class TestBeamPower:
     def test_at_threshold(self):
-        assert beam_power(10.0, 10.0, 0.3) == 0.0
+        assert beam(10.0, 10.0, 0.3) == 0.0
 
     def test_below_threshold_clamped(self):
-        assert beam_power(5.0, 10.0, 0.3) == 0.0
+        assert beam(5.0, 10.0, 0.3) == 0.0
 
     def test_linear_above_threshold(self):
-        assert beam_power(150.0, 10.0, 0.3) == pytest.approx(42.0)
+        assert beam(150.0, 10.0, 0.3) == pytest.approx(42.0)
 
     def test_piecewise_linear_slope(self):
         # finite differences above threshold recover eta_s
         p_th, eta_s = 13.0, 0.35
         for p in (20.0, 80.0, 140.0):
-            d = (beam_power(p + 0.5, p_th, eta_s)
-                 - beam_power(p - 0.5, p_th, eta_s))
+            d = beam(p + 0.5, p_th, eta_s) - beam(p - 0.5, p_th, eta_s)
             assert d == pytest.approx(eta_s, rel=1e-9)
 
     @pytest.mark.parametrize("x", (-0.0, 0.0, 5e-324, -5e-324, math.inf,
@@ -189,7 +236,7 @@ class TestBeamPower:
     def test_clamp_is_max_with_zero(self, x):
         # where a clamp by comparison could part from max: signed zeros,
         # subnormals, infinities and nan; (x - 0.0) * 1.0 is x bit for bit
-        assert repr(beam_power(x, 0.0, 1.0)) == repr(max(0.0, x))
+        assert repr(beam(x, 0.0, 1.0)) == repr(max(0.0, x))
 
 
 class TestTransmissionEfficiency:
@@ -246,11 +293,14 @@ class TestEvaluateGain:
     def test_matches_chained_oracles(self):
         geo, gm, pm = stable_geometry(), table_gain(), table_pump()
         res = gain_chain(geo, gm, pm, vc=0.99, p_in=150.0)
-        v = 0.99 * res.vd
-        n_th = threshold_carrier_density(gm, geo["r1"], geo["r2"], v)
-        tau = carrier_lifetime(n_th, gm)
-        p_th = threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM)
-        eta_s = slope_efficiency(pm, geo["r1"], geo["r2"], v, LAMBDA_BEAM)
+        # references written here and in abcd, none from the stage
+        r1, r2, v = geo["r1"], geo["r2"], 0.99 * res.vd
+        n_th = threshold_carrier_density(gm, r1, r2, v)
+        tau = 1.0 / (gm["alpha"] + gm["beta"] * n_th + gm["auger"] * n_th**2)
+        p_th = (gm["a_s"] * 6.6260693e-34 * 3e8 * gm["l"] * n_th
+                / (LAMBDA_BEAM * pm["eta_pc"] * pm["eta_pa"] * tau))
+        eta_s = (pm["eta_pc"] * pm["eta_pa"] * pm["lambda_pump"] / LAMBDA_BEAM
+                 * math.log(r2) / math.log(r1 * r2 * v))
         assert res.n_th == pytest.approx(n_th, rel=1e-12)
         assert res.p_th == pytest.approx(p_th, rel=1e-12)
         assert res.eta_s == pytest.approx(eta_s, rel=1e-12)
@@ -285,8 +335,8 @@ class TestEvaluateGain:
         assert cfg["losses"] == get_preset("paper-2022")["losses"]
 
     def test_formulas_shared_with_stage_functions(self):
-        # n_th and eta_b come from the public formulas, bit for bit; the
-        # closed-form power law for n_th agrees with them only to ~1e-15
+        # the stage's n_th and eta_b equal the oracles' formulas bit for
+        # bit; the closed-form power law for n_th agrees only to ~1e-15
         gm, pm = table_gain(), table_pump()
         vd = survival(stable_geometry(), gm)
         rng = random.Random(41)
@@ -314,9 +364,7 @@ class TestThresholdVersusThickness:
         p_ths = []
         for l in grid:
             gm = {**gm0, "l": float(l)}
-            n_th = threshold_carrier_density(gm, r1, r2, v)
-            tau = carrier_lifetime(n_th, gm)
-            p_ths.append(threshold_power(gm, pm, n_th, tau, LAMBDA_BEAM))
+            p_ths.append(gain_stage(r1, r2, v, gm, pm).p_th)
         i_min = int(np.argmin(p_ths))
         assert 0 < i_min < len(grid) - 1
         assert p_ths[0] > p_ths[i_min] and p_ths[-1] > p_ths[i_min]

@@ -6,16 +6,10 @@ import pytest
 
 from rbswipt.config import ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
-from rbswipt.receiver import (
-    SWIPT_UNITS,
-    apd_current,
-    evaluate_receiver,
-    pv_output,
-    shot_noise_sq,
-    spectral_efficiency,
-    split_beam,
-    thermal_noise_sq,
-)
+from rbswipt.receiver import BOLTZMANN, SWIPT_UNITS, evaluate_receiver
+
+# the spectral-efficiency guard's message
+NO_NOISE = "^total noise power must be positive$"
 
 
 def paper_receiver(mu=0.99) -> dict:
@@ -24,22 +18,74 @@ def paper_receiver(mu=0.99) -> dict:
                 i_bg=5100e-6, r_l=10e3, t_bg=300.0)
 
 
+def receiver_stage(p_beam: float, **keys):
+    """evaluate_receiver for beam power p_beam at 1 W input, on the
+    published receiver section with `keys` replaced."""
+    return evaluate_receiver(p_beam, 1.0, {**paper_receiver(), **keys})
+
+
+def split(p_beam: float, mu: float) -> tuple[float, float]:
+    """The stage's (PV, APD) split of p_beam at split ratio mu."""
+    res = receiver_stage(p_beam, mu=mu)
+    return res.p_pv_in, res.p_apd_in
+
+
+def pv(p_pv: float, eta_p: float, p_pth: float) -> tuple[float, float]:
+    """The stage's (raw, clamped) PV output for p_pv on the PV converter:
+    mu = 1 sends it the whole beam."""
+    res = receiver_stage(p_pv, mu=1.0, eta_p=eta_p, p_pth=p_pth)
+    assert repr(res.p_pv_in) == repr(p_pv)
+    return res.p_e_out_raw, res.p_e_out
+
+
+def apd(p_apd: float, nu: float) -> float:
+    """The stage's APD photocurrent for p_apd on the APD: mu = 0 sends it
+    the whole beam."""
+    res = receiver_stage(p_apd, mu=0.0, nu=nu)
+    assert res.p_apd_in == p_apd
+    return res.i_d
+
+
+def thermal(t: float, b_x: float, r_l: float) -> float:
+    """The stage's thermal noise power at temperature t, bandwidth b_x and
+    load r_l."""
+    return receiver_stage(30.0, t_bg=t, b_x=b_x, r_l=r_l).n_thermal_sq
+
+
+def shot(i_d: float, i_bg: float, b_x: float) -> float:
+    """The stage's shot noise power for photocurrent i_d: the whole beam
+    (i_d watts) reaches an APD of unit responsivity."""
+    res = receiver_stage(i_d, mu=0.0, nu=1.0, i_bg=i_bg, b_x=b_x)
+    assert res.i_d == i_d
+    return res.n_shot_sq
+
+
+def capacity(i_d: float, n_total_sq: float) -> float:
+    """The stage's spectral efficiency for photocurrent i_d against total
+    noise n_total_sq: i_bg = -i_d cancels the shot noise, and unit 4 k T
+    and R_L make the thermal noise B_x = n_total_sq."""
+    res = receiver_stage(i_d, mu=0.0, nu=1.0, i_bg=-i_d, r_l=1.0,
+                         t_bg=1.0 / (4.0 * BOLTZMANN), b_x=n_total_sq)
+    assert (res.i_d, res.n_total_sq) == (i_d, n_total_sq)
+    return res.c_tilde
+
+
 class TestSplitBeam:
     def test_all_to_pv(self):
-        assert split_beam(7.0, 1.0) == (7.0, 0.0)
+        assert split(7.0, 1.0) == (7.0, 0.0)
 
     def test_half_split(self):
-        assert split_beam(10.0, 0.5) == (5.0, 5.0)
+        assert split(10.0, 0.5) == (5.0, 5.0)
 
     def test_conservation(self):
         rng = random.Random(13)
         for _ in range(100):
             p = rng.uniform(0.0, 100.0)
             mu = rng.uniform(0.0, 1.0)
-            pv, apd = split_beam(p, mu)
+            p_pv, p_apd = split(p, mu)
             # apd is computed as the remainder, so the sum recovers the
             # input to within one rounding step
-            assert pv + apd == pytest.approx(p, rel=1e-15)
+            assert p_pv + p_apd == pytest.approx(p, rel=1e-15)
 
     def test_out_of_range_mu(self):
         # the split ratio is checked where it enters the Config
@@ -51,25 +97,25 @@ class TestSplitBeam:
 
 class TestPvOutput:
     def test_zero_input_clamps(self):
-        raw, clamped = pv_output(0.0, 0.3487, -1.535)
+        raw, clamped = pv(0.0, 0.3487, -1.535)
         assert raw == pytest.approx(-1.535)
         assert clamped == 0.0
 
     def test_linear_fit_at_50_watts(self):
-        raw, _ = pv_output(50.0, 0.3487, -1.535)
+        raw, _ = pv(50.0, 0.3487, -1.535)
         assert raw == pytest.approx(0.3487 * 50.0 - 1.535)
         assert raw == pytest.approx(15.9, abs=0.01)
 
     def test_linearity(self):
-        r12, _ = pv_output(30.0 + 20.0, 0.3487, -1.535)
-        r2, _ = pv_output(20.0, 0.3487, -1.535)
+        r12, _ = pv(30.0 + 20.0, 0.3487, -1.535)
+        r2, _ = pv(20.0, 0.3487, -1.535)
         assert r12 - r2 == pytest.approx(0.3487 * 30.0, rel=1e-12)
 
     @pytest.mark.parametrize("x", (-0.0, 0.0, 5e-324, -5e-324, math.inf,
                                    -math.inf, math.nan), ids=repr)
     def test_clamp_is_max_with_zero(self, x):
         # 1.0 * x + -0.0 is x bit for bit, -0.0 and nan included
-        raw, clamped = pv_output(x, 1.0, -0.0)
+        raw, clamped = pv(x, 1.0, -0.0)
         assert repr(raw) == repr(x)
         assert repr(clamped) == repr(max(0.0, x))
 
@@ -106,61 +152,65 @@ class TestEndToEndEfficiency:
 
 class TestApdCurrent:
     def test_zero(self):
-        assert apd_current(0.0, 0.6) == 0.0
+        assert apd(0.0, 0.6) == 0.0
 
     def test_responsivity(self):
-        assert apd_current(0.5, 0.6) == pytest.approx(0.3)
+        assert apd(0.5, 0.6) == pytest.approx(0.3)
 
     def test_linearity(self):
         rng = random.Random(19)
         for _ in range(20):
             p = rng.uniform(0, 5)
-            assert apd_current(2 * p, 0.6) == pytest.approx(
-                2 * apd_current(p, 0.6), rel=1e-12)
+            assert apd(2 * p, 0.6) == pytest.approx(2 * apd(p, 0.6),
+                                                    rel=1e-12)
 
 
 class TestThermalNoise:
     def test_reference_value(self):
         # 4 k T B / R with T=300 K, B=811.7 MHz, R=10 kOhm
-        n = thermal_noise_sq(300.0, 811.7e6, 10e3)
+        n = thermal(300.0, 811.7e6, 10e3)
         assert n == pytest.approx(1.3441752e-15, rel=1e-9)
 
     def test_bandwidth_scaling(self):
-        assert thermal_noise_sq(300.0, 2 * 811.7e6, 10e3) == \
-            pytest.approx(2 * thermal_noise_sq(300.0, 811.7e6, 10e3))
+        assert thermal(300.0, 2 * 811.7e6, 10e3) == \
+            pytest.approx(2 * thermal(300.0, 811.7e6, 10e3))
 
     def test_load_scaling(self):
-        assert thermal_noise_sq(300.0, 811.7e6, 20e3) == \
-            pytest.approx(0.5 * thermal_noise_sq(300.0, 811.7e6, 10e3))
+        assert thermal(300.0, 811.7e6, 20e3) == \
+            pytest.approx(0.5 * thermal(300.0, 811.7e6, 10e3))
 
 
 class TestShotNoise:
     def test_background_only(self):
-        n = shot_noise_sq(0.0, 5100e-6, 811.7e6)
+        n = shot(0.0, 5100e-6, 811.7e6)
         assert n == pytest.approx(1.3246944e-12, rel=1e-9)
 
     def test_linear_in_current(self):
-        base = shot_noise_sq(0.0, 5100e-6, 811.7e6)
-        n1 = shot_noise_sq(0.1, 5100e-6, 811.7e6) - base
-        n2 = shot_noise_sq(0.2, 5100e-6, 811.7e6) - base
+        base = shot(0.0, 5100e-6, 811.7e6)
+        n1 = shot(0.1, 5100e-6, 811.7e6) - base
+        n2 = shot(0.2, 5100e-6, 811.7e6) - base
         assert n2 == pytest.approx(2 * n1, rel=1e-9)
 
     def test_zero_bandwidth(self):
-        assert shot_noise_sq(0.1, 5100e-6, 0.0) == 0.0
+        # no bandwidth, no noise at all: the stage names n_shot_sq, then
+        # stops at the spectral-efficiency guard
+        with pytest.raises(ValueError, match=NO_NOISE) as e:
+            shot(0.1, 5100e-6, 0.0)
+        assert e.traceback[-1].locals["n_shot_sq"] == 0.0
 
 
 class TestSpectralEfficiency:
     def test_zero_current(self):
-        assert spectral_efficiency(0.0, 1e-12) == 0.0
+        assert capacity(0.0, 1e-12) == 0.0
 
     def test_half_bit_point(self):
         n_sq = 1e-12
         i_d = math.sqrt(2 * math.pi * math.e * n_sq)
-        assert spectral_efficiency(i_d, n_sq) == pytest.approx(0.5, rel=1e-12)
+        assert capacity(i_d, n_sq) == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_efficiency(0.1, 0.0)
+        with pytest.raises(ValueError, match=NO_NOISE):
+            capacity(0.1, 0.0)
 
     def test_full_chain_hand_oracle(self):
         # receiver chain for a 32.76 W beam at 100 W input, mu = 0.99
@@ -202,7 +252,7 @@ class TestReceiverChain:
     def test_capacity_increasing_in_current(self):
         n_sq = 1.3e-12
         grid = np.linspace(0.0, 0.5, 40)
-        caps = [spectral_efficiency(float(i), n_sq) for i in grid]
+        caps = [capacity(float(i), n_sq) for i in grid]
         assert all(a < b for a, b in zip(caps, caps[1:]))
 
 
