@@ -5,7 +5,8 @@ cavity is stable), gain (beam power and whether the link is above
 threshold) and receiver (harvested power and spectral efficiency).
 `_CHAIN` is the one place their order, fields and entries live.
 A caller that names the fields it reads runs only up to the deepest stage
-those fields need; a sweep's point resumes from an earlier point's stages.
+those fields need; a line's later points resume from what its first point
+lends them (`upstream`): nothing, its ray optics, or the whole point.
 """
 
 from __future__ import annotations
@@ -66,21 +67,21 @@ def _entry(path: str) -> int:     # a dotted path's stage, or a section's
 
 def upstream(path: str, point: OperatingPoint,
              one_axis: bool = False) -> OperatingPoint | None:
-    """What a line that sets `path` resumes its later points from: `point`,
-    its first point, cut to the stages before `path` enters the chain; None
-    if that is ray optics, and an `unstable` point as it is."""
+    """What a line that sets `path` resumes its later points from, given
+    `point`, its first point: None when `path` enters at ray optics or the
+    point is `unstable`, the point cut to its ray optics (status `stable`)
+    when `path` enters at the gain, and the point itself when it enters at
+    the receiver, whose cells read its status, spot radius and PowerResult."""
     entry = _entry(path)
     # a 1-D line (a 1-D sweep or search) lends at most ray optics: lent the
     # gain, fig 9's receiver line would skip ray optics, and CI pins traced
     # figures' ray_optics.calls to its cells until a benchmark change
     entry = min(entry, _GAIN) if one_axis else entry
-    if entry == _RAY_OPTICS:
+    if entry == _RAY_OPTICS or point.status == STATUS_UNSTABLE:
         return None
-    if point.status == STATUS_UNSTABLE:
-        return point
     if entry == _GAIN:
         return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)
-    return OperatingPoint(point.status, *point[1:_POWER.stop])
+    return point
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
@@ -93,7 +94,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
-    `upstream`, a point cut by upstream(), lends its stages.
+    `upstream`, what upstream() lends, supplies the stages it ran.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
@@ -115,8 +116,6 @@ def evaluate_operating_point(cfg: Config, quantities=None,
             vd, running = diffraction_survival(gain["a"], w), _GAIN
             power, running = evaluate_gain(geometry, gain, cfg["pump"],
                                            cfg["losses"], p_in, vd), _RECEIVER
-        elif upstream.status == STATUS_UNSTABLE:
-            return upstream._replace(p_in=p_in)
         else:   # tuple.__new__ skips the namedtuple's Python-level __new__
             w, running = upstream.spot_radius, _RECEIVER
             power = tuple.__new__(PowerResult, upstream[_POWER])

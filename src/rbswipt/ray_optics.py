@@ -76,10 +76,11 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
             and math.isfinite(d3)):
         raise ValueError(f"free-space distances must be finite: d1={d1}, "
                          f"d2={d2}, lt={lt}, d3={d3}")
-    c1 = 0.0 if math.isinf(fr1) else 1.0 / fr1
-    p1 = 0.0 if math.isinf(f1) else -1.0 / f1
+    c1 = 1.0 / fr1
+    p1 = -1.0 / f1
+    # a derived f2 = -f1 * M may overflow to inf, where -1.0 / f2 is -0.0
     p2 = 0.0 if math.isinf(f2) else -1.0 / f2
-    c2 = 0.0 if math.isinf(fr2) else 1.0 / fr2
+    c2 = 1.0 / fr2
     # one line per element in the order above, `element @ out` term for term;
     # products by +-1 are exact and dropped, by 0 kept for nan and signed zero;
     # fr1 @ identity is folded to its terms' values, with c1 * 0.0 nan at inf;

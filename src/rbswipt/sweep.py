@@ -102,10 +102,10 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     every evaluate_operating_point call; None evaluates every stage.  A
     1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
     value.  A line's first point is evaluated on its own, and every later
-    point resumes from it cut to the stages before the line's axis enters
-    the chain (model.upstream).  A cell's Config holds its own copy of
-    each swept section only: the other sections are shared with every
-    cell and with a copy of spec.config, never with spec.config itself.
+    point resumes from what it lends (model.upstream).  A cell's Config
+    holds its own copy of each swept section only: the other sections are
+    shared with every cell and with a copy of spec.config, never with
+    spec.config itself.
     spec.config and every axis value are checked against SCHEMA here,
     before any cell, and raise ConfigError when out of range; no cell
     checks a range again."""
@@ -171,7 +171,7 @@ def find_optimum(spec: SweepSpec, objective: str,
         s = score(p)
         if s > best:
             best_idx, best = idx, s
-    if best_idx is None or best == -math.inf:
+    if best_idx is None:
         raise OptimizationError(
             f"no stable point for objective {objective!r} over "
             + " and ".join(a.path for a in (spec.axis1, spec.axis2) if a))

@@ -88,11 +88,6 @@ MUTANTS = [
     _Stage("receiver", SWIPT_UNITS, ("receiver", "gain")),''',
      (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points",
       TABLE)),
-    ("no unstable-upstream branch", "model.py",
-     '''        elif upstream.status == STATUS_UNSTABLE:
-            return upstream._replace(p_in=p_in)
-''', "",
-     (ROW + "test_cells_match_single_points",)),
     # line staging: a 1-D sweep's points and a search's probes resume from
     # the first point's ray optics when the axis enters after ray optics
     ("r2 enters at ray optics", "model.py",
@@ -103,14 +98,14 @@ MUTANTS = [
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
     ("d3 lines share ray optics", "model.py",
-     "if entry == _RAY_OPTICS:",
-     'if path != "geometry.d3" and entry == _RAY_OPTICS:',
+     "if entry == _RAY_OPTICS or",
+     'if path != "geometry.d3" and entry == _RAY_OPTICS or',
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points")),
     ("every line shares ray optics", "model.py",
-     "if entry == _RAY_OPTICS:",
-     "if entry < _RAY_OPTICS:",
+     "if entry == _RAY_OPTICS or",
+     "if entry < _RAY_OPTICS or",
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points")),
@@ -119,14 +114,6 @@ MUTANTS = [
      "up = result.points[0]",
      (LINE + "test_probes_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
-    ("an unstable first point relabelled stable", "model.py",
-     '''    if point.status == STATUS_UNSTABLE:
-        return point
-''',
-     '''    if point.status == STATUS_UNSTABLE:
-        return point._replace(status=STATUS_STABLE)
-''',
-     (LINE + "test_points_match_single_points",)),
     ("receiver lines lend the gain", "sweep.py",
      "up = upstream(line.path, first, one_axis=a2 is None)",
      "up = upstream(line.path, first, one_axis=False)",
@@ -141,23 +128,30 @@ MUTANTS = [
      "    entry = min(entry, _GAIN) if one_axis else entry\n", "",
      (LINE + "test_stage_calls_on_a_receiver_line",
       ROW + "test_prefix_by_section")),
-    ("a gain cut that keeps the receiver fields", "model.py",
-     "return OperatingPoint(point.status, *point[1:_POWER.stop])",
-     "return point",
-     (ROW + "test_prefix_by_section",)),
-    ("an unstable point cut to stable", "model.py",
-     '''    if point.status == STATUS_UNSTABLE:
-        return point
-''', "",
-     (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    ("an unstable first point lent", "model.py",
+     "if entry == _RAY_OPTICS or point.status == STATUS_UNSTABLE:",
+     "if entry == _RAY_OPTICS:",
+     (LINE + "test_points_match_single_points",
+      LINE + "test_unstable_lines_evaluate_every_point",
+      ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    ("a receiver row lent only its ray optics", "model.py",
+     "    return point\n",
+     "    return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)\n",
+     (ROW + "test_stage_calls_on_a_p_in_mu_grid",
+      ROW + "test_prefix_by_section")),
     ("a point evaluated only to be lent", "sweep.py",
      "up = upstream(line.path, first, one_axis=a2 is None)",
      "up = upstream(line.path, evaluate(r, quantities), a2 is None)",
      (ROW + "test_one_evaluation_per_cell",)),
-    # per-cell overhead: the folded first element and the plain clamps
+    # per-cell overhead: the folded first element, the element powers without
+    # isinf tests and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",
      "a, b, c, d = -1.0, 0.0, c1, c1 * 0.0 - 1.0",
      "a, b, c, d = -1.0, 0.0, c1, -1.0",
+     ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
+    ("fr2 ignored", "ray_optics.py",
+     "c2 = 1.0 / fr2",
+     "c2 = 0.0",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
     ("PV clamp keeps -0.0", "receiver.py",
      "p_e_out = p_e_out_raw if p_e_out_raw > 0.0 else 0.0",

@@ -769,3 +769,22 @@ def test_random_argv_exit_codes(capsys, tmp_path):
             failures.append(f"{argv}: {code}")
     assert failures == []
     assert {0, 2, 3} <= seen      # the draws reach past argument parsing
+
+
+def _rbswipt_lines(text):
+    return [line.strip() for line in text.splitlines()
+            if line.strip().startswith("rbswipt ")]
+
+
+def test_ci_runs_the_readme_usage_lines_verbatim():
+    # CI's console-script job runs README's usage block as written there
+    repo = Path(__file__).resolve().parents[1]
+    readme = (repo / "README.md").read_text()
+    usage = readme.split("\n## Command line\n")[1].split("```sh\n")[1]
+    usage = usage.split("```")[0]
+    workflow = (repo / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split(
+        "- name: README usage through the installed console script\n")[1]
+    step = step.split("- name:")[0]
+    assert len(_rbswipt_lines(usage)) == 8
+    assert _rbswipt_lines(step) == _rbswipt_lines(usage)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import random
@@ -617,16 +618,18 @@ class TestRowStaging:
                     evaluate_operating_point(cfg, quantities))
                 statuses.add(point.status)
             sections.add(path2.partition(".")[0])
-            # what each row's first cell lent the row's later cells
+            # what each row's first cell lent the row's later cells, and
+            # whether that cell was unstable
             n2 = len(result.axis2_values)
             for first in result.points[::n2]:
                 cut = model.upstream(path2, first)
-                cuts.add("none" if cut is None else
-                         "unstable" if cut.status == "unstable" else
-                         "ray optics" if cut.p_beam is None else "gain")
+                cuts.add((first.status == "unstable",
+                          "none" if cut is None else
+                          "point" if cut is first else "ray optics"))
         assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
         assert {"geometry", "receiver", "gain", "link"} <= sections
-        assert cuts == {"none", "ray optics", "gain", "unstable"}
+        assert cuts == {(True, "none"), (False, "none"),
+                        (False, "ray optics"), (False, "point")}
 
     def test_prefix_stops_at_the_deepest_stage_quantities_need(self):
         # g0 = 1 m^-1 overflows the threshold carrier density in the gain
@@ -671,12 +674,11 @@ class TestRowStaging:
         # what a point lends a line that sets the path, as a 2-D row and as
         # a 1-D line (which lends at most ray optics): nothing when the
         # path enters at ray optics, the point's ray optics when it enters
-        # at the gain, its ray optics and gain when it enters at the
-        # receiver; an unstable point lends itself
+        # at the gain, the point itself when it enters at the receiver; an
+        # unstable point lends nothing
         row, line = {"geometry": (None, None),
-                     "receiver": ("gain", "ray optics")}.get(
+                     "receiver": ("point", "ray optics")}.get(
             path, ("ray optics", "ray optics"))
-        receiver = dict.fromkeys(SwiptResult._fields)
         points = {
             "ok": evaluate_operating_point(preset_with()),
             "stable": evaluate_operating_point(preset_with(),
@@ -689,20 +691,17 @@ class TestRowStaging:
         assert points["sub-threshold"].p_in == 0.0
         for one_axis, lends in ((False, row), (True, line)):
             for status, point in points.items():
-                if lends is None:
+                if lends is None or status == "unstable":
                     want = None
-                elif status == "unstable":
-                    want = point
                 elif lends == "ray optics":
                     want = OperatingPoint("stable", point.p_in,
                                           point.spot_radius)
                 else:
-                    want = point._replace(**receiver)
+                    want = point
                 got = model.upstream(path, point, one_axis=one_axis)
                 assert repr(got) == repr(want), (status, one_axis)
-        # the gain a row borrows keeps the point's status and PowerResult
-        ok = model.upstream("receiver", points["ok"])
-        assert ok.status == "ok" and ok.p_beam > 0 and ok.c_tilde is None
+        # a receiver row borrows the point itself, not a copy
+        assert model.upstream("receiver", points["ok"]) is points["ok"]
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -739,9 +738,9 @@ class TestRowStaging:
 
 class TestLineStaging:
     """A line, the points of a 1-D sweep or the probes of a search, runs ray
-    optics once when its axis enters after ray optics: each later point
-    resumes from the first point cut to its ray optics, and is still the
-    point of its own Config."""
+    optics once when its axis enters after ray optics and its first point
+    is stable: each later point resumes from the first point cut to its ray
+    optics, and is still the point of its own Config."""
 
     count_calls = staticmethod(TestRowStaging.count_calls)
 
@@ -781,6 +780,26 @@ class TestLineStaging:
             counts["one_trip_matrix"] = 0
             run_sweep(SweepSpec(preset_with(), Axis(*by_path[path], 5)))
             assert counts == {"one_trip_matrix": 5}, path
+
+    def test_unstable_lines_evaluate_every_point(self, monkeypatch):
+        # an unstable first point lends nothing: a line on an unstable
+        # cavity runs ray optics at every point, as a geometry line does
+        counts = self.count_calls(monkeypatch, "one_trip_matrix")
+        base = (("geometry.fr2", 2.0),)
+        for spec, n in ((SweepSpec(preset_with(*base),
+                                   Axis("geometry.r2", 0.85, 0.95, 5)), 5),
+                        (p_in_mu_spec(*base, counts=(3, 4)), 3 * 4)):
+            counts["one_trip_matrix"] = 0
+            result = run_sweep(spec)
+            assert counts == {"one_trip_matrix": n}
+            axes = [a for a in (spec.axis1, spec.axis2) if a]
+            grids = (result.axis1_values, result.axis2_values)[:len(axes)]
+            for point, values in zip(result.points, itertools.product(*grids),
+                                     strict=True):
+                cfg = preset_with(*base, *((a.path, v) for a, v
+                                           in zip(axes, values)))
+                assert point.status == "unstable"
+                assert repr(point) == repr(evaluate_operating_point(cfg))
 
     @staticmethod
     def line_cases(rng, n):
