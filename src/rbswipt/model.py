@@ -6,7 +6,8 @@ threshold) and receiver (harvested power and spectral efficiency).
 `_CHAIN` is the one place their order, fields and entries live.
 A caller that names the fields it reads runs only up to the deepest stage
 those fields need; a line's later points resume from what its first point
-lends them (`upstream`): nothing, its ray optics, or the whole point.
+lends them (`start_line`): nothing, the cavity up to lens f2, its ray
+optics, or the whole point.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from .config import Config, ConfigError
 from .gain_power import POWER_UNITS, PowerResult, evaluate_gain
 from .ray_optics import (
     CavityError,
+    close_cavity,
     diffraction_survival,
     one_trip_matrix,
+    open_cavity,
     spot_radius_on_gain,
 )
 from .receiver import SWIPT_UNITS, evaluate_receiver
@@ -84,6 +87,20 @@ def upstream(path: str, point: OperatingPoint,
     return point
 
 
+def start_line(cfg: Config, quantities, path: str, one_axis=False):
+    """Evaluate a line's first point, `cfg`, and return it with what the
+    line's later points resume from: on a key that only close_cavity reads
+    (a d3 or fr2 line), the cavity up to lens f2, opened in this same call
+    whatever the point's status; else what upstream() lends."""
+    closing = path in ("geometry.d3", "geometry.fr2")
+    try:
+        cavity = open_cavity(cfg["geometry"]) if closing else None
+    except (ValueError, ArithmeticError):
+        cavity = None   # evaluated without it, the point raises as it names
+    point = evaluate_operating_point(cfg, quantities, cavity)
+    return point, cavity if closing else upstream(path, point, one_axis)
+
+
 def evaluate_operating_point(cfg: Config, quantities=None,
                              upstream=None) -> OperatingPoint:
     """Evaluate one Config through the stages `quantities` needs.
@@ -94,7 +111,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
-    `upstream`, what upstream() lends, supplies the stages it ran.
+    `upstream`, what start_line() lends, supplies the stages it ran: an
+    open cavity (a RayTransferMatrix) is closed on cfg's d3 and fr2.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
@@ -105,9 +123,11 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
     running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
-        if upstream is None or upstream.status == STATUS_STABLE:
-            w = upstream.spot_radius if upstream else spot_radius_on_gain(
-                one_trip_matrix(geometry), geometry["lambda_beam"])
+        lent = type(upstream) is OperatingPoint    # else None or a cavity
+        if not lent or upstream.status == STATUS_STABLE:
+            w = upstream.spot_radius if lent else spot_radius_on_gain(
+                close_cavity(upstream, geometry) if upstream
+                else one_trip_matrix(geometry), geometry["lambda_beam"])
             if stage == _RAY_OPTICS:
                 return OperatingPoint(STATUS_STABLE, p_in, w)
             # diffraction survival, the ray optics of the gain aperture, runs

@@ -49,18 +49,19 @@ class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
         return f"[[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]]"
 
 
-def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
-    """Single-pass matrix from reflector M1 to reflector M2 inclusive, for
-    the Config's geometry section, read and never written.
+def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
+    """Matrix from reflector M1 through lens f2 inclusive, for the Config's
+    geometry section, read and never written: the part of the one-trip
+    product that d3 and fr2 do not reach, so a line on either opens it once.
 
     Element order from M1: retro-reflector fr1, free space d1 (to the gain
-    medium) and d2 (to the first telescope lens), lens f1, spacing lt, lens
-    f2, free space d3 and retro-reflector fr2.  f2 is given or derived from
-    the telescope magnification, lt defaults to the afocal f1 + f2 and fr1
-    and fr2 to the ideal retro-reflector (inf); all lengths in m.  The
-    product is multiplied on floats, bit for bit the element-by-element
-    product of tests/abcd.py.  Raises ValueError when a distance is not
-    finite, as a derived lt = f1 + f2 is on overflow.
+    medium) and d2 (to the first telescope lens), lens f1, spacing lt and
+    lens f2.  f2 is given or derived from the telescope magnification, lt
+    defaults to the afocal f1 + f2 and fr1 to the ideal retro-reflector
+    (inf); all lengths in m.  The product is multiplied on floats, bit for
+    bit the element-by-element product of tests/abcd.py.  Raises ValueError
+    when d1, d2, lt or the section's d3 is not finite, as a derived lt =
+    f1 + f2 is on overflow.
     """
     d1, d2, d3, f1 = (geometry["d1"], geometry["d2"], geometry["d3"],
                       geometry["f1"])
@@ -70,17 +71,15 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
           else -f1 * geometry["tim_magnification"])
     # afocal spacing; may be negative for a Galilean telescope
     lt = geometry.get("lt", f1 + f2)
-    fr1 = geometry.get("fr1", math.inf)
-    fr2 = geometry.get("fr2", math.inf)
     if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(lt)
             and math.isfinite(d3)):
         raise ValueError(f"free-space distances must be finite: d1={d1}, "
                          f"d2={d2}, lt={lt}, d3={d3}")
-    c1 = 1.0 / fr1
+    c1 = 1.0 / geometry.get("fr1", math.inf)
     p1 = -1.0 / f1
-    # a derived f2 = -f1 * M may overflow to inf, where -1.0 / f2 is -0.0
-    p2 = 0.0 if math.isinf(f2) else -1.0 / f2
-    c2 = 1.0 / fr2
+    # a derived f2 = -f1 * M that overflowed to +-inf is a flat lens whose
+    # power -1.0 / f2 is a signed zero, taken as it is, like any lens's
+    p2 = -1.0 / f2
     # one line per element in the order above, `element @ out` term for term;
     # products by +-1 are exact and dropped, by 0 kept for nan and signed zero;
     # fr1 @ identity is folded to its terms' values, with c1 * 0.0 nan at inf;
@@ -93,10 +92,26 @@ def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
     a, b, c, d = a + lt * c, b + lt * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p2 * a + c, p2 * b + d
-    a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
-    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
     # tuple.__new__ skips the namedtuple's Python-level __new__
     return tuple.__new__(RayTransferMatrix, (a, b, c, d))
+
+
+def close_cavity(cavity, geometry: Mapping[str, float]) -> RayTransferMatrix:
+    """Single-pass matrix from reflector M1 to reflector M2 inclusive:
+    `cavity`, what open_cavity returns, then free space d3 and
+    retro-reflector fr2 (default inf) of the geometry section.  d3 is
+    finite in every Config that passes SCHEMA and is not checked again."""
+    d3, c2 = geometry["d3"], 1.0 / geometry.get("fr2", math.inf)
+    a, b, c, d = cavity
+    a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
+    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
+    return tuple.__new__(RayTransferMatrix, (a, b, c, d))
+
+
+def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
+    """Single-pass matrix from reflector M1 to reflector M2 inclusive: the
+    cavity opened and closed on one geometry section."""
+    return close_cavity(open_cavity(geometry), geometry)
 
 
 def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:

@@ -19,6 +19,7 @@ from .model import (
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
+    start_line,
     upstream,
 )
 
@@ -102,7 +103,7 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     every evaluate_operating_point call; None evaluates every stage.  A
     1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
     value.  A line's first point is evaluated on its own, and every later
-    point resumes from what it lends (model.upstream).  A cell's Config
+    point resumes from what it lends (model.start_line).  A cell's Config
     holds its own copy of each swept section only: the other sections are
     shared with every cell and with a copy of spec.config, never with
     spec.config itself.
@@ -124,11 +125,10 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     evaluate, points = evaluate_operating_point, []
     for r in starts:
         section = r[s]
-        first = evaluate({**r, s: {**section, k: values[0]}}, quantities)
-        up = upstream(line.path, first, one_axis=a2 is None)
-        points.append(first)
-        points += [evaluate({**r, s: {**section, k: v}}, quantities, up)
-                   for v in values[1:]]
+        first, up = start_line({**r, s: {**section, k: values[0]}},
+                               quantities, line.path, one_axis=a2 is None)
+        points += [first] + [evaluate({**r, s: {**section, k: v}},
+                                      quantities, up) for v in values[1:]]
     return SweepResult(spec, a1, a2, points)
 
 

@@ -77,12 +77,10 @@ def free_space(distance: float) -> RayTransferMatrix:
 
 
 def thin_lens(f: float) -> RayTransferMatrix:
-    """Thin lens of focal length f (m).  f may be negative (diverging) or
-    infinite (flat window, identity)."""
+    """Thin lens of focal length f (m), of power -1/f.  f may be negative
+    (diverging) or infinite (a flat window: power -1/f, a signed zero)."""
     if f == 0:
         raise ValueError("thin lens focal length must be nonzero")
-    if math.isinf(f):
-        return IDENTITY
     return RayTransferMatrix(1.0, 0.0, -1.0 / f, 1.0)
 
 
@@ -107,12 +105,11 @@ def reflector_matrix(f: float, d: float) -> RayTransferMatrix:
 def retro_reflector(f_r: float = math.inf) -> RayTransferMatrix:
     """Reflector expressed directly by its effective curvature factor f_r.
 
-    f_r = inf gives the ideal retro-reflector -I.
+    f_r = inf gives the ideal retro-reflector -I (1/f_r is a signed zero).
     """
     if f_r == 0:
         raise ValueError("effective curvature factor must be nonzero")
-    c = 0.0 if math.isinf(f_r) else 1.0 / f_r
-    return RayTransferMatrix(-1.0, 0.0, c, -1.0)
+    return RayTransferMatrix(-1.0, 0.0, 1.0 / f_r, -1.0)
 
 
 def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
@@ -135,6 +132,59 @@ def cavity(geometry: dict) -> dict:
     g.setdefault("fr1", math.inf)
     g.setdefault("fr2", math.inf)
     return g
+
+
+def one_trip_elements(g: dict) -> list[RayTransferMatrix]:
+    """The one-trip elements of a cavity() section `g`, in the order a ray
+    meets them from M1: fr1, d1, d2, f1, lt, f2, d3, fr2.  The first six
+    make the cavity up to lens f2, the part that d3 and fr2 do not reach."""
+    return [retro_reflector(g["fr1"]), free_space(g["d1"]),
+            free_space(g["d2"]), thin_lens(g["f1"]), free_space(g["lt"]),
+            thin_lens(g["f2"]), free_space(g["d3"]), retro_reflector(g["fr2"])]
+
+
+def d3_factors(geometry: dict) -> list[tuple[float, float]]:
+    """The four affine functions of d3 whose signs decide where along d3 a
+    Config's geometry section is stable, each as (value at d3 = 0, slope).
+
+    With (a, b, c, d) the compose-built product up to lens f2 and c2 =
+    1/fr2, the one-trip matrix at d3 is A = -(a + c d3), B = -(b + d d3),
+    C = c2 (a + c d3) - c and D = c2 (b + d d3) - d; the factors are -A,
+    -B, C and D, so A B C D is their product."""
+    g = cavity(geometry)
+    a, b, c, d = compose(*one_trip_elements(g)[:6])
+    c2 = 1.0 / g["fr2"]
+    return [(a, c), (b, d), (c2 * a - c, c2 * c), (c2 * b - d, c2 * d)]
+
+
+def d3_roots(geometry: dict) -> list[float]:
+    """The d3 > 0 at which one of the d3_factors vanishes, ascending."""
+    return sorted({-v / s for v, s in d3_factors(geometry)
+                   if s != 0 and -v / s > 0})
+
+
+def stable_d3_intervals(geometry: dict) -> list[tuple[float, float]]:
+    """Open d3 intervals (m), over d3 > 0, on which a Config's geometry
+    section is stable, in closed form.
+
+    The spot-radius radicand -lam^2 B D / (pi^2 A C) is negative where
+    A B C D > 0 and undefined (a degenerate cavity) where A C = 0, so the
+    cavity is stable where A C != 0 and A B C D <= 0.  Between consecutive
+    d3_roots each factor keeps one sign: a constant factor (zero slope, as
+    c = 0 makes for an afocal telescope behind a flat M1) its value's, any
+    other its slope's right of its root and the opposite left of it.
+    Stable neighbours stay two intervals; their common end is a root."""
+    factors = d3_factors(geometry)
+    edges = [0.0, *d3_roots(geometry), math.inf]
+    stable = []
+    for lo, hi in zip(edges, edges[1:]):
+        alpha, beta, gamma, delta = (
+            (v > 0) - (v < 0) if s == 0
+            else ((s > 0) - (s < 0)) * (1 if -v / s <= lo else -1)
+            for v, s in factors)
+        if alpha * gamma != 0 and alpha * beta * gamma * delta <= 0:
+            stable.append((lo, hi))
+    return stable
 
 
 def round_trip_matrix(geometry: dict) -> RayTransferMatrix:

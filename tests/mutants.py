@@ -71,13 +71,13 @@ MUTANTS = [
     # row staging (restated from the hand-run checks of row-staged sweeps):
     # a 2-D row's later cells resume from its first cell
     ("a line's first point runs every stage", "sweep.py",
-     "first = evaluate({**r, s: {**section, k: values[0]}}, quantities)",
-     "first = evaluate({**r, s: {**section, k: values[0]}})",
+     "quantities, line.path, one_axis=a2 is None)",
+     "None, line.path, one_axis=a2 is None)",
      (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
-    ("rows lend nothing", "sweep.py",
-     "up = upstream(line.path, first, one_axis=a2 is None)",
-     "up = upstream(line.path, first, True) if a2 is None else None",
+    ("rows lend nothing", "model.py",
+     "else upstream(path, point, one_axis)",
+     "else (upstream(path, point, True) if one_axis else None)",
      (ROW + "test_stage_calls_on_a_p_in_mu_grid",)),
     ("gain axes staged as receiver ones", "model.py",
      '''("gain", "pump", "losses", "link",
@@ -97,12 +97,10 @@ MUTANTS = [
     _Stage("receiver",''',
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
-    ("d3 lines share ray optics", "model.py",
+    ("d3 probes share ray optics", "model.py",
      "if entry == _RAY_OPTICS or",
      'if path != "geometry.d3" and entry == _RAY_OPTICS or',
-     (LINE + "test_stage_calls_on_a_geometry_line",
-      LINE + "test_points_match_single_points",
-      LINE + "test_probes_match_single_points")),
+     (LINE + "test_probes_match_single_points",)),
     ("every line shares ray optics", "model.py",
      "if entry == _RAY_OPTICS or",
      "if entry < _RAY_OPTICS or",
@@ -114,9 +112,9 @@ MUTANTS = [
      "up = result.points[0]",
      (LINE + "test_probes_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
-    ("receiver lines lend the gain", "sweep.py",
-     "up = upstream(line.path, first, one_axis=a2 is None)",
-     "up = upstream(line.path, first, one_axis=False)",
+    ("receiver lines lend the gain", "model.py",
+     "else upstream(path, point, one_axis)",
+     "else upstream(path, point, False)",
      (LINE + "test_stage_calls_on_a_receiver_line",)),
     # one rule, model.upstream, decides what a line's first point lends
     ("rows capped at ray optics", "model.py",
@@ -139,10 +137,31 @@ MUTANTS = [
      "    return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)\n",
      (ROW + "test_stage_calls_on_a_p_in_mu_grid",
       ROW + "test_prefix_by_section")),
-    ("a point evaluated only to be lent", "sweep.py",
-     "up = upstream(line.path, first, one_axis=a2 is None)",
-     "up = upstream(line.path, evaluate(r, quantities), a2 is None)",
+    ("a point evaluated only to be lent", "model.py",
+     "else upstream(path, point, one_axis)",
+     "else upstream(path, evaluate_operating_point(cfg, quantities),"
+     " one_axis)",
      (ROW + "test_one_evaluation_per_cell",)),
+    # a d3 or fr2 line opens its cavity once, in its first point's call,
+    # and closes it per point
+    ("a cavity opened once per sweep", "sweep.py",
+     "quantities, line.path, one_axis=a2 is None)\n",
+     "quantities, line.path, one_axis=a2 is None)\n"
+     "        up = lent = up if r is starts[0] else lent\n",
+     (ROW + "test_cells_match_single_points",
+      "tests/test_sweep.py::TestRunSweep::"
+      "test_geometry_grid_with_unstable_cells")),
+    ("a d3 line lends nothing", "model.py",
+     "return point, cavity if closing else",
+     "return point, None if closing else",
+     (LINE + "test_stage_calls_on_a_geometry_line",
+      ROW + "test_stage_calls_on_a_geometry_grid")),
+    ("close_cavity without its fr2 line", "ray_optics.py",
+     "    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d\n",
+     "",
+     ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
+      "tests/test_sweep.py::"
+      "test_statuses_follow_the_closed_form_stable_d3_intervals")),
     # per-cell overhead: the folded first element, the element powers without
     # isinf tests and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",
@@ -150,9 +169,15 @@ MUTANTS = [
      "a, b, c, d = -1.0, 0.0, c1, -1.0",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
     ("fr2 ignored", "ray_optics.py",
-     "c2 = 1.0 / fr2",
-     "c2 = 0.0",
+     '1.0 / geometry.get("fr2", math.inf)',
+     "0.0",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
+    # lens f2's power is -1/f2 at f2 = inf too, as every element's is
+    ("p2's infinity test put back", "ray_optics.py",
+     "p2 = -1.0 / f2",
+     "p2 = 0.0 if math.isinf(f2) else -1.0 / f2",
+     ("tests/test_ray_optics.py::"
+      "test_infinite_focal_lengths_take_no_special_case",)),
     ("PV clamp keeps -0.0", "receiver.py",
      "p_e_out = p_e_out_raw if p_e_out_raw > 0.0 else 0.0",
      "p_e_out = p_e_out_raw if p_e_out_raw >= 0.0 else 0.0",

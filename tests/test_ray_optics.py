@@ -10,6 +10,7 @@ from abcd import (
     compose,
     det,
     free_space,
+    one_trip_elements,
     reflector_matrix,
     retro_reflector,
     round_trip_matrix,
@@ -21,8 +22,10 @@ from abcd import (
 from rbswipt.ray_optics import (
     DegenerateCavityError,
     UnstableResonatorError,
+    close_cavity,
     diffraction_survival,
     one_trip_matrix,
+    open_cavity,
     spot_radius_on_gain,
 )
 
@@ -193,12 +196,7 @@ class TestOneTrip:
                 fr2=rng.choice((None, rng.uniform(1.0, 50.0))),
                 r1=0.999, r2=0.9, lambda_beam=LAMBDA)
             g = {k: v for k, v in drawn.items() if v is not None}
-            c = cavity(g)
-            expected = compose(
-                retro_reflector(c["fr1"]), free_space(c["d1"]),
-                free_space(c["d2"]), thin_lens(c["f1"]), free_space(c["lt"]),
-                thin_lens(c["f2"]), free_space(c["d3"]),
-                retro_reflector(c["fr2"]))
+            expected = compose(*one_trip_elements(cavity(g)))
             # repr also tells -0.0 from 0.0
             assert repr(one_trip_matrix(g)) == repr(expected)
 
@@ -248,30 +246,59 @@ def test_bit_identical_to_compose_at_range_edges():
         c = cavity(g)
         if not all(map(math.isfinite, (c["d1"], c["d2"], c["lt"], c["d3"]))):
             # a derived lt = f1 + f2 that overflowed
-            with pytest.raises(ValueError) as e:
-                one_trip_matrix(g)
-            assert str(e.value) == (
-                f"free-space distances must be finite: d1={c['d1']}, "
-                f"d2={c['d2']}, lt={c['lt']}, d3={c['d3']}")
+            for function in (one_trip_matrix, open_cavity):
+                with pytest.raises(ValueError) as e:
+                    function(g)
+                assert str(e.value) == (
+                    f"free-space distances must be finite: d1={c['d1']}, "
+                    f"d2={c['d2']}, lt={c['lt']}, d3={c['d3']}")
             seen.add("not finite")
             continue
         if c["f2"] == 0:
             # f2 = -f1 * M underflowed to 0: no lens, a division by zero
-            with pytest.raises(ZeroDivisionError):
-                one_trip_matrix(g)
+            for function in (one_trip_matrix, open_cavity):
+                with pytest.raises(ZeroDivisionError):
+                    function(g)
             seen.add("f2 = 0")
             continue
-        expected = compose(
-            retro_reflector(c["fr1"]), free_space(c["d1"]),
-            free_space(c["d2"]), thin_lens(c["f1"]), free_space(c["lt"]),
-            thin_lens(c["f2"]), free_space(c["d3"]),
-            retro_reflector(c["fr2"]))
+        expected = compose(*one_trip_elements(c))
         # repr also tells -0.0 from 0.0, and shows inf and nan
         assert repr(one_trip_matrix(g)) == repr(expected), drawn
         seen.update(t for t in ("inf", "nan", "-0.0") if t in repr(expected))
+        # the cavity up to f2, opened once, closed at other d3 and fr2 as a
+        # d3 or fr2 line closes it per point
+        opened = open_cavity(g)
+        assert repr(opened) == repr(compose(*one_trip_elements(c)[:6])), drawn
+        for _ in range(3):
+            moved = {**g, "d3": rng.choice(RANGE_EDGES["d3"]),
+                     "fr2": rng.choice(RANGE_EDGES["fr2"])}
+            if moved["fr2"] is None:
+                del moved["fr2"]
+            assert repr(close_cavity(opened, moved)) == repr(
+                compose(*one_trip_elements(cavity(moved)))), moved
     # the draws reach an overflow to inf, a nan, a negative zero, a
     # non-finite derived distance and an f2 that underflowed
     assert seen == {"inf", "nan", "-0.0", "not finite", "f2 = 0"}
+
+
+def test_infinite_focal_lengths_take_no_special_case():
+    # outside SCHEMA, which keeps f1 finite and fr1 > 0: every power and
+    # curvature is -1/f or 1/f_r at infinity too, as in compose.  f1 =
+    # fr1 = -inf bring c = -0.0 to lens f2 = -f1 * M = inf, whose power
+    # -1/f2 = -0.0 makes it 0.0; a power taken as 0.0 there would leave
+    # -0.0, and the sign reaches the one-trip C and a degenerate point's
+    # detail
+    g = dict(d1=0.02, d2=0.02, d3=10.0, f1=-math.inf, tim_magnification=12.0,
+             lt=0.05, fr1=-math.inf)
+    elements = one_trip_elements(cavity(g))
+    assert repr(open_cavity(g)) == repr(compose(*elements[:6]))
+    m = one_trip_matrix(g)
+    assert repr(m) == repr(compose(*elements)) == \
+        "RayTransferMatrix(a=1.0, b=10.09, c=-0.0, d=1.0)"
+    with pytest.raises(DegenerateCavityError) as e:
+        spot_radius_on_gain(m, LAMBDA)
+    assert str(e.value) == \
+        "degenerate cavity: A*C = 0 for matrix [[1, 10.09], [-0, 1]]"
 
 
 class TestSpotRadius:

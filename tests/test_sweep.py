@@ -8,9 +8,9 @@ from pathlib import Path
 
 import curve_reference
 import pytest
-from abcd import get_path
+from abcd import d3_factors, d3_roots, get_path, stable_d3_intervals
 
-from rbswipt import figures, model, sweep
+from rbswipt import figures, model, ray_optics, sweep
 from rbswipt.config import (
     SCHEMA,
     ConfigError,
@@ -42,6 +42,13 @@ def preset_with(*overrides):
 
 def mu_spec(count=5) -> SweepSpec:
     return SweepSpec(preset_with(), Axis("receiver.mu", 0.1, 0.9, count))
+
+
+def patch_evaluate(monkeypatch, fn):
+    """Route every cell and probe through fn: a line's first point is
+    evaluated in model.start_line, every other one in the sweep layer."""
+    monkeypatch.setattr(sweep, "evaluate_operating_point", fn)
+    monkeypatch.setattr(model, "evaluate_operating_point", fn)
 
 
 class TestAxis:
@@ -204,7 +211,7 @@ class TestRunSweep:
         spec = SweepSpec(preset_with(("receiver.mu", 0.5)),
                          axis1=Axis("geometry.d3", 2.0, 10.0, 3),
                          axis2=Axis("geometry.f2", 0.02, 0.07, 2))
-        monkeypatch.setattr(sweep, "evaluate_operating_point", record)
+        patch_evaluate(monkeypatch, record)
         result = run_sweep(spec)
         cells = [(d3, f2) for d3 in result.axis1_values
                  for f2 in result.axis2_values]
@@ -305,8 +312,7 @@ class TestFindOptimum:
         vertex = 0.4321
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 21))
-        monkeypatch.setattr(sweep, "evaluate_operating_point",
-                            quadratic_stub(vertex))
+        patch_evaluate(monkeypatch, quadratic_stub(vertex))
         params, value = find_optimum(spec, "p_beam")
         assert params["receiver.mu"] == pytest.approx(vertex, abs=2e-6)
         assert value == pytest.approx(0.0, abs=1e-10)
@@ -319,7 +325,7 @@ class TestFindOptimum:
                                   p_beam=(x - vertex) ** 2)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 11))
-        monkeypatch.setattr(sweep, "evaluate_operating_point", stub)
+        patch_evaluate(monkeypatch, stub)
         params, value = find_optimum(spec, "p_beam", sense="min")
         assert params["receiver.mu"] == pytest.approx(vertex, abs=2e-6)
 
@@ -353,7 +359,7 @@ class TestFindOptimum:
             return evaluate_operating_point(cfg, quantities)
 
         spec = SweepSpec(preset_with(), axis1=Axis(path, 1.0, 2.0, 2))
-        monkeypatch.setattr(sweep, "evaluate_operating_point", checked)
+        patch_evaluate(monkeypatch, checked)
         params, _ = find_optimum(spec, "p_beam")
         assert seen == [1.0, 2.0]
         assert params[path] in (1.0, 2.0)
@@ -372,7 +378,7 @@ class TestFindOptimum:
             return stub(cfg, quantities)
 
         spec = SweepSpec(preset_with(), axis1=Axis("gain.n0", 1e24, 3e24, 5))
-        monkeypatch.setattr(sweep, "evaluate_operating_point", capped)
+        patch_evaluate(monkeypatch, capped)
         params, _ = find_optimum(spec, "p_beam")
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
@@ -381,7 +387,7 @@ class TestFindOptimum:
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
-        monkeypatch.setattr(sweep, "evaluate_operating_point", never)
+        patch_evaluate(monkeypatch, never)
         with pytest.raises(OptimizationError):
             find_optimum(spec, "p_beam")
 
@@ -555,7 +561,7 @@ class TestPruning:
                                      ("receiver.mu", 0.5)),
                          axis1=Axis("geometry.r2", 0.80, 0.99, 39))
         pruned = find_optimum(spec, objective)
-        monkeypatch.setattr(sweep, "evaluate_operating_point", unpruned)
+        patch_evaluate(monkeypatch, unpruned)
         assert find_optimum(spec, objective) == pruned
 
 
@@ -656,7 +662,7 @@ class TestRowStaging:
             calls.append(cfg)
             return evaluate_operating_point(cfg, quantities, upstream)
 
-        monkeypatch.setattr(sweep, "evaluate_operating_point", counted)
+        patch_evaluate(monkeypatch, counted)
         rng = random.Random(23)
         by_path = {a[0]: a for a in ROW_AXES}
         for base, path1, path2, quantities in self.grid_cases(rng, 60):
@@ -705,35 +711,45 @@ class TestRowStaging:
 
     @staticmethod
     def count_calls(monkeypatch, *names):
+        # each function counted wherever the chain calls it: from model, and
+        # open_cavity and close_cavity also inside one_trip_matrix
         counts = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, function=getattr(model, name)):
                 counts[name] += 1
                 return function(*args)
-            monkeypatch.setattr(model, name, counted)
+            for module in (model, ray_optics):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_stage_calls_on_a_p_in_mu_grid(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
                                   "evaluate_gain", "evaluate_receiver")
         result = run_sweep(p_in_mu_spec(counts=(4, 5)))
         # axis 1 starts at p_in = 0, whose row runs no receiver
-        assert counts == {"one_trip_matrix": 4, "evaluate_gain": 4,
-                          "evaluate_receiver": 3 * 5}
+        assert counts == {"open_cavity": 4, "close_cavity": 4,
+                          "evaluate_gain": 4, "evaluate_receiver": 3 * 5}
         assert [p.p_in for p in result.points[:5]] == [0.0] * 5
         # cells that need nothing past the row's gain run no stage
         counts.update(dict.fromkeys(counts, 0))
         run_sweep(p_in_mu_spec(counts=(4, 5)), quantities=("p_beam",))
-        assert counts == {"one_trip_matrix": 4, "evaluate_gain": 4,
-                          "evaluate_receiver": 0}
+        assert counts == {"open_cavity": 4, "close_cavity": 4,
+                          "evaluate_gain": 4, "evaluate_receiver": 0}
 
     def test_stage_calls_on_a_geometry_grid(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "one_trip_matrix")
+        # each row along d3 opens its cavity once and closes it per cell
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
         spec = SweepSpec(preset_with(),
                          Axis("geometry.tim_magnification", 1.0, 14.0, 4),
                          Axis("geometry.d3", 2.0, 10.0, 5))
         run_sweep(spec, quantities=("spot_radius",))
-        assert counts == {"one_trip_matrix": 4 * 5}
+        assert counts == {"open_cavity": 4, "close_cavity": 4 * 5}
+        # along M, every cell opens its own cavity
+        counts.update(dict.fromkeys(counts, 0))
+        run_sweep(SweepSpec(preset_with(), spec.axis2, spec.axis1),
+                  quantities=("spot_radius",))
+        assert counts == {"open_cavity": 4 * 5, "close_cavity": 4 * 5}
 
 
 class TestLineStaging:
@@ -745,53 +761,63 @@ class TestLineStaging:
     count_calls = staticmethod(TestRowStaging.count_calls)
 
     def test_stage_calls_on_an_r2_line(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
                                   "diffraction_survival", "evaluate_gain")
         run_sweep(SweepSpec(preset_with(), Axis("geometry.r2", 0.85, 0.95, 7)))
-        assert counts == {"one_trip_matrix": 1, "diffraction_survival": 7,
-                          "evaluate_gain": 7}
+        assert counts == {"open_cavity": 1, "close_cavity": 1,
+                          "diffraction_survival": 7, "evaluate_gain": 7}
 
     def test_stage_calls_in_a_search(self, monkeypatch):
         # the 39 grid cells and every golden-section probe share one cavity
-        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
                                   "evaluate_gain")
         spec = SweepSpec(preset_with(("gain.l", 0.15e-6)),
                          Axis("geometry.r2", 0.80, 0.99, 39))
         find_optimum(spec, "p_beam")
-        assert counts["one_trip_matrix"] == 1
+        assert (counts["open_cavity"], counts["close_cavity"]) == (1, 1)
         assert counts["evaluate_gain"] > 39 + 20
 
     def test_stage_calls_on_a_receiver_line(self, monkeypatch):
         # a receiver line (fig 9) lends ray optics only: every point runs
         # survival, the gain and the receiver
-        counts = self.count_calls(monkeypatch, "one_trip_matrix",
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
                                   "diffraction_survival", "evaluate_gain",
                                   "evaluate_receiver")
         run_sweep(SweepSpec(preset_with(), Axis("receiver.mu", 0.0, 0.99, 6)))
-        assert counts == {"one_trip_matrix": 1, "diffraction_survival": 6,
-                          "evaluate_gain": 6, "evaluate_receiver": 6}
+        assert counts == {"open_cavity": 1, "close_cavity": 1,
+                          "diffraction_survival": 6, "evaluate_gain": 6,
+                          "evaluate_receiver": 6}
 
     def test_stage_calls_on_a_geometry_line(self, monkeypatch):
-        # a geometry key other than r1 and r2 moves the cavity: no sharing
-        counts = self.count_calls(monkeypatch, "one_trip_matrix")
-        by_path = {a[0]: a for a in ROW_AXES}
-        for path in ("geometry.d3", "geometry.fr2",
-                     "geometry.tim_magnification"):
-            counts["one_trip_matrix"] = 0
-            run_sweep(SweepSpec(preset_with(), Axis(*by_path[path], 5)))
-            assert counts == {"one_trip_matrix": 5}, path
+        # a geometry key other than r1 and r2 moves the cavity: a d3 or fr2
+        # line opens it once and closes it per point, whether its first
+        # point is stable or not (fr2 = 2 m), and any other key opens it per
+        # point
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        for base, axis, opened, first in (
+                ((), ("geometry.d3", 2.0, 10.0), 1, "ok"),
+                ((("geometry.fr2", 2.0),), ("geometry.d3", 2.0, 10.0), 1,
+                 "unstable"),
+                ((), ("geometry.fr2", 20.0, 40.0), 1, "ok"),
+                ((), ("geometry.fr2", 2.0, 20.0), 1, "unstable"),
+                ((), ("geometry.tim_magnification", 10.0, 14.0), 5, "ok"),
+                ((), ("geometry.lt", 0.05, 0.06), 5, "unstable")):
+            counts.update(dict.fromkeys(counts, 0))
+            result = run_sweep(SweepSpec(preset_with(*base), Axis(*axis, 5)))
+            assert counts == {"open_cavity": opened, "close_cavity": 5}, axis
+            assert result.points[0].status == first, (base, axis)
 
     def test_unstable_lines_evaluate_every_point(self, monkeypatch):
         # an unstable first point lends nothing: a line on an unstable
         # cavity runs ray optics at every point, as a geometry line does
-        counts = self.count_calls(monkeypatch, "one_trip_matrix")
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
         base = (("geometry.fr2", 2.0),)
         for spec, n in ((SweepSpec(preset_with(*base),
                                    Axis("geometry.r2", 0.85, 0.95, 5)), 5),
                         (p_in_mu_spec(*base, counts=(3, 4)), 3 * 4)):
-            counts["one_trip_matrix"] = 0
+            counts.update(dict.fromkeys(counts, 0))
             result = run_sweep(spec)
-            assert counts == {"one_trip_matrix": n}
+            assert counts == {"open_cavity": n, "close_cavity": n}
             axes = [a for a in (spec.axis1, spec.axis2) if a]
             grids = (result.axis1_values, result.axis2_values)[:len(axes)]
             for point, values in zip(result.points, itertools.product(*grids),
@@ -847,7 +873,7 @@ class TestLineStaging:
             seen.append((cfg, quantities, upstream, point))
             return point
 
-        monkeypatch.setattr(sweep, "evaluate_operating_point", recorded)
+        patch_evaluate(monkeypatch, recorded)
         rng = random.Random(22)
         by_path = {a[0]: a for a in ROW_AXES}
         objectives = ("p_beam", "eta_b", "p_e_out", "c_tilde", "spot_radius")
@@ -866,6 +892,101 @@ class TestLineStaging:
                     evaluate_operating_point(cfg, quantities)), path
                 lent += upstream is not None
         assert lent > 0
+
+
+    @pytest.mark.parametrize("overrides, message", [
+        # f2 = -f1 * M and lt = f1 + f2 overflow to -inf
+        ((("geometry.f1", 1e300), ("geometry.tim_magnification", 1e10)),
+         "free-space distances must be finite: d1=0.02, d2=0.02, lt=-inf, "),
+        # f2 = -f1 * M underflows to 0
+        ((("geometry.f1", 1e-300), ("geometry.tim_magnification", 1e-30)),
+         "float division by zero (ray optics stage)")],
+        ids=["lt-overflow", "f2-underflow"])
+    def test_cavity_line_errors_match_single_points(self, overrides,
+                                                    message):
+        # a line that would lend its cavity fails at its first point as that
+        # point fails evaluated alone: a ConfigError with the same text
+        for axes in ((Axis("geometry.d3", 2.0, 10.0, 3),),
+                     (Axis("geometry.fr2", 11.0, 20.0, 3),),
+                     (Axis("link.p_in", 50.0, 150.0, 2),
+                      Axis("geometry.d3", 2.0, 10.0, 3))):
+            for quantities in (None, ("spot_radius",)):
+                with pytest.raises(ConfigError) as e:
+                    run_sweep(SweepSpec(preset_with(*overrides), *axes),
+                              quantities)
+                first = preset_with(*overrides,
+                                    *((a.path, a.lo) for a in axes))
+                with pytest.raises(ConfigError) as single:
+                    evaluate_operating_point(first, quantities)
+                assert str(e.value) == str(single.value)
+                assert str(e.value).startswith(
+                    f"settings outside the model's numeric domain: {message}")
+
+
+def _d3_verdicts(result, configs):
+    """Per cell of a sweep whose lines run along d3, given each line's
+    Config: (unstable, inside a stable_d3_intervals interval, within a
+    relative 1e-9 of a d3_roots root)."""
+    d3s = result.axis2_values or result.axis1_values
+    rows = [result.points[i:i + len(d3s)]
+            for i in range(0, len(result.points), len(d3s))]
+    for cfg, row in zip(configs, rows, strict=True):
+        intervals = stable_d3_intervals(cfg["geometry"])
+        roots = d3_roots(cfg["geometry"])
+        for point, d3 in zip(row, d3s, strict=True):
+            yield (point.status == "unstable",
+                   any(lo < d3 < hi for lo, hi in intervals),
+                   any(abs(d3 - r) <= 1e-9 * r for r in roots))
+
+
+def test_statuses_follow_the_closed_form_stable_d3_intervals():
+    # the model's status along d3 against tests/abcd.py's closed form: a
+    # cell is unstable exactly outside the stable intervals, apart from
+    # cells within a relative 1e-9 of a root, whose rounded sign may go
+    # either way (figs 5a and 5b have none)
+    figure_cells = []
+    for fid in ("5a", "5b"):
+        for _, spec, quantities, _ in figures._series_sweeps(fid, 121):
+            result = run_sweep(spec, quantities)
+            lines = [spec.config]
+            if spec.axis2 is not None:     # one line along d3 per M
+                lines = [copy.deepcopy(spec.config)
+                         for _ in result.axis1_values]
+                for cfg, m in zip(lines, result.axis1_values):
+                    set_path(cfg, spec.axis1.path, m)
+            figure_cells += _d3_verdicts(result, lines)
+    assert len(figure_cells) == 3 * 121 * 121 + 3 * 121
+    assert sum(near for *_, near in figure_cells) == 0
+    # 5,130 unstable cells on fig 5a, 134 on fig 5b
+    assert sum(unstable for unstable, *_ in figure_cells) == 5130 + 134
+    # seeded random d3 lines: cavities drawn around the preset, with a
+    # curved or flat M1 and M2, a given f2 or a magnification, and an
+    # afocal or a drawn spacing (afocal behind a flat M1 gives c = 0)
+    rng = random.Random(4)
+    lines, drawn_cells = [], []
+    for _ in range(120):
+        cfg = preset_with(
+            ("geometry.d1", rng.uniform(1e-3, 0.1)),
+            ("geometry.d2", rng.uniform(1e-3, 0.1)),
+            ("geometry.f1", rng.choice((-1, 1)) * rng.uniform(1e-3, 0.05)),
+            rng.choice((("geometry.tim_magnification", rng.uniform(0.5, 20)),
+                        ("geometry.f2", rng.choice((-1, 1))
+                         * rng.uniform(1e-3, 0.2)))),
+            ("geometry.fr1", rng.choice((math.inf, rng.uniform(1.0, 50.0)))),
+            ("geometry.fr2", rng.choice((math.inf, rng.uniform(1.0, 50.0)))))
+        if rng.random() < 0.5:
+            set_path(cfg, "geometry.lt", rng.uniform(-0.1, 0.3))
+        lo = rng.uniform(0.01, 20.0)
+        axis = Axis("geometry.d3", lo, lo + rng.uniform(0.1, 30.0), 41)
+        drawn_cells += _d3_verdicts(
+            run_sweep(SweepSpec(cfg, axis), ("spot_radius",)), [cfg])
+        lines.append(cfg)
+    assert sum(near for *_, near in drawn_cells) == 0
+    assert 0 < sum(unstable for unstable, *_ in drawn_cells) < len(drawn_cells)
+    assert any(slope == 0 for cfg in lines
+               for _, slope in d3_factors(cfg["geometry"]))
+    for cells in (figure_cells, drawn_cells):
+        assert [c for c in cells if c[0] == c[1] and not c[2]] == []
 
 
 def _other_value(rng, cfg, path):
