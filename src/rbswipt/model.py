@@ -44,6 +44,8 @@ _CHAIN = (
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),
 )
 _RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
+# the keys only close_cavity reads: a line on one opens its cavity once
+CLOSING = ("geometry.d3", "geometry.fr2")
 
 # column name -> unit, for report/CSV emission, in OperatingPoint order
 FIELD_UNITS = {f: unit for stage in _CHAIN for f, unit in stage.units.items()}
@@ -62,6 +64,11 @@ OperatingPoint = namedtuple(
     defaults=(*[None] * (len(FIELD_UNITS) - 1), ""))
 OperatingPoint.__doc__ = """One evaluated link state, all SI: status, the
 FIELD_UNITS fields, then detail; fields of stages that did not run are None."""
+# a point's fields after its ray optics and after its gain, as stages that
+# did not run leave them: None each, then detail "".  Points are built with
+# tuple.__new__, which skips the namedtuple's Python-level __new__
+_AFTER_RAY = (None,) * (len(POWER_UNITS) + len(SWIPT_UNITS)) + ("",)
+_AFTER_GAIN = (None,) * len(SWIPT_UNITS) + ("",)
 
 
 def _entry(path: str) -> int:     # a dotted path's stage, or a section's
@@ -92,7 +99,7 @@ def start_line(cfg: Config, quantities, path: str, one_axis=False):
     line's later points resume from: on a key that only close_cavity reads
     (a d3 or fr2 line), the cavity up to lens f2, opened in this same call
     whatever the point's status; else what upstream() lends."""
-    closing = path in ("geometry.d3", "geometry.fr2")
+    closing = path in CLOSING
     try:
         cavity = open_cavity(cfg["geometry"]) if closing else None
     except (ValueError, ArithmeticError):
@@ -116,6 +123,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
+    cfg is neither written nor kept: nothing returned refers to it, so a
+    caller may set one Config in place between calls.
     """
     stage = _RECEIVER if quantities is None else _RAY_OPTICS
     for name in quantities or ():   # max(..., default=) is ~5x slower
@@ -129,20 +138,22 @@ def evaluate_operating_point(cfg: Config, quantities=None,
                 close_cavity(upstream, geometry) if upstream
                 else one_trip_matrix(geometry), geometry["lambda_beam"])
             if stage == _RAY_OPTICS:
-                return OperatingPoint(STATUS_STABLE, p_in, w)
+                return tuple.__new__(OperatingPoint,
+                                     (STATUS_STABLE, p_in, w) + _AFTER_RAY)
             # diffraction survival, the ray optics of the gain aperture, runs
             # right after the spot radius: one ray-optics visit in traces
             gain = cfg["gain"]
             vd, running = diffraction_survival(gain["a"], w), _GAIN
             power, running = evaluate_gain(geometry, gain, cfg["pump"],
                                            cfg["losses"], p_in, vd), _RECEIVER
-        else:   # tuple.__new__ skips the namedtuple's Python-level __new__
+        else:
             w, running = upstream.spot_radius, _RECEIVER
             power = tuple.__new__(PowerResult, upstream[_POWER])
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
-                 if stage == _RECEIVER and p_in > 0 else ())
+                 + ("",) if stage == _RECEIVER and p_in > 0 else _AFTER_GAIN)
     except CavityError as e:
-        return OperatingPoint(STATUS_UNSTABLE, p_in, detail=str(e))
+        return tuple.__new__(OperatingPoint, (STATUS_UNSTABLE, p_in, None,
+                                              *_AFTER_RAY[:-1], str(e)))
     except (ValueError, ArithmeticError) as e:
         # the formula guards: on settings that pass SCHEMA they fail only on
         # an intermediate value out of its domain (float overflow, f2 = -f1 *
@@ -152,4 +163,4 @@ def evaluate_operating_point(cfg: Config, quantities=None,
         raise ConfigError("settings outside the model's numeric domain: "
                           f"{e}{where}") from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
-    return OperatingPoint(status, p_in, w, *power, *swipt)
+    return tuple.__new__(OperatingPoint, (status, p_in, w, *power, *swipt))

@@ -14,6 +14,7 @@ from .config import (
     validate_config,
 )
 from .model import (
+    CLOSING,
     STATUS_OK,
     STATUS_STABLE,
     STATUS_SUB_THRESHOLD,
@@ -22,6 +23,7 @@ from .model import (
     start_line,
     upstream,
 )
+from .ray_optics import open_cavity
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section bracket width at which a search stops
@@ -103,10 +105,12 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     every evaluate_operating_point call; None evaluates every stage.  A
     1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
     value.  A line's first point is evaluated on its own, and every later
-    point resumes from what it lends (model.start_line).  A cell's Config
-    holds its own copy of each swept section only: the other sections are
-    shared with every cell and with a copy of spec.config, never with
-    spec.config itself.
+    point resumes from what it lends (model.start_line).  A line evaluates
+    its cells on one Config, its swept key set in place before each cell:
+    the line's own copy of each swept section, the other sections shared
+    with every line and with a copy of spec.config, never with spec.config
+    itself.  This holds because evaluate_operating_point neither writes
+    nor keeps its cfg.
     spec.config and every axis value are checked against SCHEMA here,
     before any cell, and raise ConfigError when out of range; no cell
     checks a range again."""
@@ -124,11 +128,14 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     starts = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
     evaluate, points = evaluate_operating_point, []
     for r in starts:
-        section = r[s]
-        first, up = start_line({**r, s: {**section, k: values[0]}},
-                               quantities, line.path, one_axis=a2 is None)
-        points += [first] + [evaluate({**r, s: {**section, k: v}},
-                                      quantities, up) for v in values[1:]]
+        # the line's Config: the row's sections, its own swept section
+        cell = {**r, s: {**r[s], k: values[0]}}
+        first, up = start_line(cell, quantities, line.path,
+                               one_axis=a2 is None)
+        points.append(first)
+        for v in values[1:]:
+            cell[s][k] = v
+            points.append(evaluate(cell, quantities, up))
     return SweepResult(spec, a1, a2, points)
 
 
@@ -148,8 +155,11 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
-    axis when the sweep is one-dimensional; like the grid's later points,
-    each probe resumes from the first grid point (model.upstream).
+    axis when the sweep is one-dimensional.  Like the grid's later points,
+    each probe resumes from the first grid point (model.upstream), or, on a
+    d3 or fr2 axis, closes one cavity the search opens, as model.start_line
+    lends a line.  The probes are evaluated on one Config, a copy of
+    spec.config with the axis key set in place before each probe.
 
     Returns ({path: value, ...}, objective value).  Ties break toward the
     lower parameter value (the grid is scanned in increasing order and only
@@ -182,7 +192,8 @@ def find_optimum(spec: SweepSpec, objective: str,
         return ({spec.axis1.path: a1[i],
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
-    up = upstream(spec.axis1.path, result.points[0], one_axis=True)
+    up = (open_cavity(spec.config["geometry"]) if spec.axis1.path in CLOSING
+          else upstream(spec.axis1.path, result.points[0], one_axis=True))
     cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
 
@@ -192,8 +203,8 @@ def find_optimum(spec: SweepSpec, objective: str,
             check_value(spec.axis1.path, x)
         except ConfigError:
             return -math.inf
-        return score(evaluate_operating_point(
-            {**cfg, section: {**cfg[section], key: x}}, quantities, up))
+        cfg[section][key] = x
+        return score(evaluate_operating_point(cfg, quantities, up))
 
     x_opt, s_opt = _golden_section(f, a1[max(best_idx - 1, 0)],
                                    a1[min(best_idx + 1, len(a1) - 1)])

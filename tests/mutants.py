@@ -71,8 +71,8 @@ MUTANTS = [
     # row staging (restated from the hand-run checks of row-staged sweeps):
     # a 2-D row's later cells resume from its first cell
     ("a line's first point runs every stage", "sweep.py",
-     "quantities, line.path, one_axis=a2 is None)",
-     "None, line.path, one_axis=a2 is None)",
+     "start_line(cell, quantities, line.path,",
+     "start_line(cell, None, line.path,",
      (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
     ("rows lend nothing", "model.py",
@@ -97,10 +97,13 @@ MUTANTS = [
     _Stage("receiver",''',
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
-    ("d3 probes share ray optics", "model.py",
-     "if entry == _RAY_OPTICS or",
-     'if path != "geometry.d3" and entry == _RAY_OPTICS or',
+    ("d3 probes share ray optics", "sweep.py",
+     'up = (open_cavity(spec.config["geometry"]) if',
+     'up = (upstream("geometry.r2", result.points[0], True) if',
      (LINE + "test_probes_match_single_points",)),
+    ("d3 probes lent no cavity", "sweep.py",
+     "if spec.axis1.path in CLOSING\n", "if False\n",
+     (LINE + "test_stage_calls_in_a_d3_search",)),
     ("every line shares ray optics", "model.py",
      "if entry == _RAY_OPTICS or",
      "if entry < _RAY_OPTICS or",
@@ -108,8 +111,8 @@ MUTANTS = [
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points")),
     ("probes lent the whole first point", "sweep.py",
-     "up = upstream(spec.axis1.path, result.points[0], one_axis=True)",
-     "up = result.points[0]",
+     "else upstream(spec.axis1.path, result.points[0], one_axis=True))",
+     "else result.points[0])",
      (LINE + "test_probes_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
     ("receiver lines lend the gain", "model.py",
@@ -145,8 +148,8 @@ MUTANTS = [
     # a d3 or fr2 line opens its cavity once, in its first point's call,
     # and closes it per point
     ("a cavity opened once per sweep", "sweep.py",
-     "quantities, line.path, one_axis=a2 is None)\n",
-     "quantities, line.path, one_axis=a2 is None)\n"
+     "                               one_axis=a2 is None)\n",
+     "                               one_axis=a2 is None)\n"
      "        up = lent = up if r is starts[0] else lent\n",
      (ROW + "test_cells_match_single_points",
       "tests/test_sweep.py::TestRunSweep::"
@@ -162,6 +165,27 @@ MUTANTS = [
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
       "tests/test_sweep.py::"
       "test_statuses_follow_the_closed_form_stable_d3_intervals")),
+    # a line evaluates its cells on one Config set in place, a search its
+    # probes on another, and points are built with tuple.__new__
+    ("the swept key set after the cell", "sweep.py",
+     """            cell[s][k] = v
+            points.append(evaluate(cell, quantities, up))
+""", """            points.append(evaluate(cell, quantities, up))
+            cell[s][k] = v
+""",
+     ("tests/test_sweep.py::TestRunSweep::test_matches_scalar_evaluation",
+      "tests/test_sweep.py::TestRunSweep::test_cell_configs_match_set_path",
+      LINE + "test_points_match_single_points",
+      ROW + "test_cells_match_single_points")),
+    ("a point's tail one field short", "model.py",
+     "_AFTER_GAIN = (None,) * len(SWIPT_UNITS) + (\"\",)",
+     "_AFTER_GAIN = (None,) * (len(SWIPT_UNITS) - 1) + (\"\",)",
+     ("tests/test_sweep.py::TestOperatingPoint::"
+      "test_every_path_builds_a_full_record",)),
+    ("probe Config shared with the grid line", "sweep.py",
+     "cfg = copy_config(spec.config)\n    section, key",
+     "cfg = spec.config\n    section, key",
+     (LINE + "test_stage_calls_in_a_d3_search",)),
     # per-cell overhead: the folded first element, the element powers without
     # isinf tests and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",

@@ -15,6 +15,7 @@ from rbswipt.config import (
     SCHEMA,
     ConfigError,
     check_value,
+    copy_config,
     get_preset,
     set_path,
 )
@@ -201,11 +202,12 @@ class TestRunSweep:
 
     def test_cell_configs_match_set_path(self, monkeypatch):
         # axis 2 sets f2 in axis 1's section: every cell drops
-        # tim_magnification, as set_path does
+        # tim_magnification, as set_path does.  A line sets one Config in
+        # place, so each cell's is recorded as it is at its evaluation
         seen = []
 
         def record(cfg, quantities=None, upstream=None):
-            seen.append(cfg)
+            seen.append(copy_config(cfg))
             return OperatingPoint("stable", 0.0)
 
         spec = SweepSpec(preset_with(("receiver.mu", 0.5)),
@@ -711,14 +713,15 @@ class TestRowStaging:
 
     @staticmethod
     def count_calls(monkeypatch, *names):
-        # each function counted wherever the chain calls it: from model, and
-        # open_cavity and close_cavity also inside one_trip_matrix
+        # each function counted wherever the chain calls it: from model,
+        # open_cavity and close_cavity also inside one_trip_matrix, and
+        # open_cavity also from a d3 or fr2 search
         counts = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, function=getattr(model, name)):
                 counts[name] += 1
                 return function(*args)
-            for module in (model, ray_optics):
+            for module in (model, ray_optics, sweep):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         return counts
@@ -776,6 +779,17 @@ class TestLineStaging:
         find_optimum(spec, "p_beam")
         assert (counts["open_cavity"], counts["close_cavity"]) == (1, 1)
         assert counts["evaluate_gain"] > 39 + 20
+
+    def test_stage_calls_in_a_d3_search(self, monkeypatch):
+        # the 9 grid cells close the grid line's cavity, and the probes one
+        # cavity the search opens: 40 evaluations, 2 cavities opened
+        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        spec = SweepSpec(preset_with(("geometry.fr2", 11.0)),
+                         Axis("geometry.d3", 2.0, 10.0, 9))
+        find_optimum(spec, "spot_radius")
+        assert counts == {"open_cavity": 2, "close_cavity": 40}
+        # the probes set their own copy of the spec's Config
+        assert spec.config == preset_with(("geometry.fr2", 11.0))
 
     def test_stage_calls_on_a_receiver_line(self, monkeypatch):
         # a receiver line (fig 9) lends ray optics only: every point runs
@@ -865,12 +879,14 @@ class TestLineStaging:
 
     def test_probes_match_single_points(self, monkeypatch):
         # every grid cell and golden-section probe, evaluated with what the
-        # search lends it, equals its own Config evaluated alone
+        # search lends it, equals its own Config evaluated alone; each Config
+        # is recorded as it is at its evaluation, since a search sets one
+        # Config in place
         seen = []
 
         def recorded(cfg, quantities=None, upstream=None):
             point = evaluate_operating_point(cfg, quantities, upstream)
-            seen.append((cfg, quantities, upstream, point))
+            seen.append((copy_config(cfg), quantities, upstream, point))
             return point
 
         patch_evaluate(monkeypatch, recorded)
@@ -1095,6 +1111,34 @@ class TestOperatingPoint:
         assert OperatingPoint._fields == (
             "status", "p_in", "spot_radius", *PowerResult._fields,
             *SwiptResult._fields, "detail")
+
+    def test_every_path_builds_a_full_record(self):
+        # each return path of evaluate_operating_point builds its point with
+        # tuple.__new__, which checks no length: every one is a whole record
+        full = evaluate_operating_point(preset_with())
+        paths = {
+            "spot only": evaluate_operating_point(preset_with(),
+                                                  ("spot_radius",)),
+            "unstable": evaluate_operating_point(
+                preset_with(("geometry.fr2", 2.0))),
+            "gain only": evaluate_operating_point(preset_with(), ("p_beam",)),
+            "gain only, sub-threshold": evaluate_operating_point(
+                preset_with(("link.p_in", 5.0)), ("p_beam",)),
+            "full chain": full,
+            "p_in = 0": evaluate_operating_point(
+                preset_with(("link.p_in", 0.0))),
+            "receiver cell lent a whole point": evaluate_operating_point(
+                preset_with(("receiver.mu", 0.3)), None, full),
+        }
+        for name, p in paths.items():
+            assert len(p) == len(OperatingPoint._fields), name
+            assert p == OperatingPoint(*p), name
+            assert isinstance(p.detail, str), name
+        assert [p.status for p in paths.values()] == [
+            "stable", "unstable", "ok", "sub-threshold", "ok",
+            "sub-threshold", "ok"]
+        assert paths["unstable"].detail.startswith("unstable resonator")
+        assert paths["p_in = 0"].c_tilde is None
 
     def test_immutable(self):
         op = evaluate_operating_point(get_preset("paper-2022"))
