@@ -1,13 +1,13 @@
 """Whole-link evaluation: one configuration in, one operating point out.
 
-The chain has three stages: ray optics (the spot radius and whether the
-cavity is stable), gain (beam power and whether the link is above
-threshold) and receiver (harvested power and spectral efficiency).
-`_CHAIN` is the one place their order, fields and entries live.
-A caller that names the fields it reads runs only up to the deepest stage
-those fields need; a line's later points resume from what its first point
-lends them (`start_line`): nothing, the cavity up to lens f2, its ray
-optics, or the whole point.
+The chain's stages run in order: the cavity opened up to lens f2, ray
+optics (the spot radius and whether the cavity is stable), gain (beam
+power and whether the link is above threshold) and receiver (harvested
+power and spectral efficiency).  `_CHAIN` is the one place their order,
+fields and entries live.  A caller that names the fields it reads runs
+only up to the deepest stage those fields need; a line's later points
+resume from what its first point lends them (`start_line`): the results
+of the stages before the line's key enters, in chain order.
 """
 
 from __future__ import annotations
@@ -34,18 +34,19 @@ STATUS_STABLE = "stable"
 
 # the chain in order: each stage's name as errors print it, its fields
 # (name -> unit, in OperatingPoint order) and the Config sections (or keys,
-# where later than their section) it is the first to read.  Survival runs
-# right after the spot radius: errors name it ray optics, its vd is gain's
+# where later than their section) it is the first to read.  Stage 0 opens
+# the cavity up to lens f2, ray optics closes it on d3 and fr2.  Survival
+# runs right after the spot radius: errors name it ray optics, its vd is gain's
 _Stage = namedtuple("_Stage", "name units sections")
 _CHAIN = (
-    _Stage("ray optics", {"p_in": "W", "spot_radius": "m"}, ("geometry",)),
+    _Stage("ray optics", {}, ("geometry",)),
+    _Stage("ray optics", {"p_in": "W", "spot_radius": "m"},
+           ("geometry.d3", "geometry.fr2")),
     _Stage("gain", POWER_UNITS, ("gain", "pump", "losses", "link",
                                  "geometry.r1", "geometry.r2")),
     _Stage("receiver", SWIPT_UNITS, ("receiver",)),
 )
-_RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
-# the keys only close_cavity reads: a line on one opens its cavity once
-CLOSING = ("geometry.d3", "geometry.fr2")
+_OPEN, _RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
 
 # column name -> unit, for report/CSV emission, in OperatingPoint order
 FIELD_UNITS = {f: unit for stage in _CHAIN for f, unit in stage.units.items()}
@@ -54,6 +55,9 @@ _STAGE = {"status": _GAIN, **{f: i for i, stage in enumerate(_CHAIN)
                               for f in stage.units}}
 # stage at which each Config section, or key entering later, enters
 _ENTRY = {s: i for i, stage in enumerate(_CHAIN) for s in stage.sections}
+# the first stage a point of each status did not finish; an ok or
+# sub-threshold point ran every stage before the receiver
+_RAN = {STATUS_UNSTABLE: _RAY_OPTICS, STATUS_STABLE: _GAIN}
 # an OperatingPoint's PowerResult: the gain's fields, after status and the
 # ray-optics fields
 _POWER = slice(1 + len(_CHAIN[_RAY_OPTICS].units),
@@ -75,41 +79,31 @@ def _entry(path: str) -> int:     # a dotted path's stage, or a section's
     return _ENTRY.get(path, _ENTRY[path.partition(".")[0]])
 
 
-def upstream(path: str, point: OperatingPoint,
-             one_axis: bool = False) -> OperatingPoint | None:
-    """What a line that sets `path` resumes its later points from, given
-    `point`, its first point: None when `path` enters at ray optics or the
-    point is `unstable`, the point cut to its ray optics (status `stable`)
-    when `path` enters at the gain, and the point itself when it enters at
-    the receiver, whose cells read its status, spot radius and PowerResult."""
-    entry = _entry(path)
-    # a 1-D line (a 1-D sweep or search) lends at most ray optics: lent the
-    # gain, fig 9's receiver line would skip ray optics, and CI pins traced
-    # figures' ray_optics.calls to its cells until a benchmark change
-    entry = min(entry, _GAIN) if one_axis else entry
-    if entry == _RAY_OPTICS or point.status == STATUS_UNSTABLE:
-        return None
-    if entry == _GAIN:
-        return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)
-    return point
-
-
 def start_line(cfg: Config, quantities, path: str, one_axis=False):
     """Evaluate a line's first point, `cfg`, and return it with what the
-    line's later points resume from: on a key that only close_cavity reads
-    (a d3 or fr2 line), the cavity up to lens f2, opened in this same call
-    whatever the point's status; else what upstream() lends."""
-    closing = path in CLOSING
+    line's later points resume from: the results of the stages before
+    `path` enters, in chain order (the cavity up to lens f2, the spot
+    radius, the PowerResult), cut to the stages the point ran, so an
+    unstable point lends only its cavity.  The cavity is opened in this
+    same call, whatever the point's status."""
     try:
-        cavity = open_cavity(cfg["geometry"]) if closing else None
+        cavity = open_cavity(cfg["geometry"])
     except (ValueError, ArithmeticError):
-        cavity = None   # evaluated without it, the point raises as it names
-    point = evaluate_operating_point(cfg, quantities, cavity)
-    return point, cavity if closing else upstream(path, point, one_axis)
+        # evaluated alone, the point raises as it names
+        return evaluate_operating_point(cfg, quantities, ()), ()
+    point = evaluate_operating_point(cfg, quantities, (cavity,))
+    entry = min(_entry(path), _RAN.get(point.status, _RECEIVER))
+    # a 1-D line (a 1-D sweep or search) lends at most the spot radius: lent
+    # the gain, fig 9's receiver line would skip ray optics, and CI pins
+    # traced figures' ray_optics.calls to its cells until a benchmark change
+    entry = min(entry, _GAIN) if one_axis else entry
+    lend = (cavity, point.spot_radius,
+            tuple.__new__(PowerResult, point[_POWER]))
+    return point, lend[:entry]
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
-                             upstream=None) -> OperatingPoint:
+                             upstream=()) -> OperatingPoint:
     """Evaluate one Config through the stages `quantities` needs.
 
     `quantities` names the fields (and "status") the caller reads; None
@@ -118,8 +112,9 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     "sub-threshold" (the full chain with zero beam power); a stable cavity
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
-    `upstream`, what start_line() lends, supplies the stages it ran: an
-    open cavity (a RayTransferMatrix) is closed on cfg's d3 and fr2.
+    `upstream`, what start_line() lends, holds the results of the chain's
+    first stages, and the point resumes after them: a lent cavity is
+    closed on cfg's d3 and fr2.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
@@ -130,25 +125,25 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     for name in quantities or ():   # max(..., default=) is ~5x slower
         stage = _STAGE[name] if _STAGE[name] > stage else stage
     p_in, geometry = cfg["link"]["p_in"], cfg["geometry"]
+    lent = len(upstream)
     running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
-        lent = type(upstream) is OperatingPoint    # else None or a cavity
-        if not lent or upstream.status == STATUS_STABLE:
-            w = upstream.spot_radius if lent else spot_radius_on_gain(
-                close_cavity(upstream, geometry) if upstream
-                else one_trip_matrix(geometry), geometry["lambda_beam"])
-            if stage == _RAY_OPTICS:
-                return tuple.__new__(OperatingPoint,
-                                     (STATUS_STABLE, p_in, w) + _AFTER_RAY)
-            # diffraction survival, the ray optics of the gain aperture, runs
-            # right after the spot radius: one ray-optics visit in traces
+        w = (upstream[_RAY_OPTICS] if lent > _RAY_OPTICS else
+             spot_radius_on_gain(close_cavity(upstream[_OPEN], geometry)
+                                 if lent else one_trip_matrix(geometry),
+                                 geometry["lambda_beam"]))
+        if stage == _RAY_OPTICS:
+            return tuple.__new__(OperatingPoint,
+                                 (STATUS_STABLE, p_in, w) + _AFTER_RAY)
+        if lent > _GAIN:
+            power, running = upstream[_GAIN], _RECEIVER
+        else:
+            # survival, the ray optics of the gain aperture, runs right
+            # after the spot radius: one ray-optics visit in traces
             gain = cfg["gain"]
             vd, running = diffraction_survival(gain["a"], w), _GAIN
             power, running = evaluate_gain(geometry, gain, cfg["pump"],
                                            cfg["losses"], p_in, vd), _RECEIVER
-        else:
-            w, running = upstream.spot_radius, _RECEIVER
-            power = tuple.__new__(PowerResult, upstream[_POWER])
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  + ("",) if stage == _RECEIVER and p_in > 0 else _AFTER_GAIN)
     except CavityError as e:

@@ -52,7 +52,8 @@ class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
 def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
     """Matrix from reflector M1 through lens f2 inclusive, for the Config's
     geometry section, read and never written: the part of the one-trip
-    product that d3 and fr2 do not reach, so a line on either opens it once.
+    product that d3 and fr2 do not reach, the chain's first stage, which a
+    line opens once, at its first point, and a d3 or fr2 line lends.
 
     Element order from M1: retro-reflector fr1, free space d1 (to the gain
     medium) and d2 (to the first telescope lens), lens f1, spacing lt and

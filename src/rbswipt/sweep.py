@@ -14,16 +14,13 @@ from .config import (
     validate_config,
 )
 from .model import (
-    CLOSING,
     STATUS_OK,
     STATUS_STABLE,
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
     evaluate_operating_point,
     start_line,
-    upstream,
 )
-from .ray_optics import open_cavity
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden-section bracket width at which a search stops
@@ -104,8 +101,9 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     `quantities` names what the caller reads of each point and is passed to
     every evaluate_operating_point call; None evaluates every stage.  A
     1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
-    value.  A line's first point is evaluated on its own, and every later
-    point resumes from what it lends (model.start_line).  A line evaluates
+    value.  A line's first point is evaluated in model.start_line, and
+    every later point resumes from what it lends: the results of the
+    stages before the line's key enters the chain.  A line evaluates
     its cells on one Config, its swept key set in place before each cell:
     the line's own copy of each swept section, the other sections shared
     with every line and with a copy of spec.config, never with spec.config
@@ -155,11 +153,11 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along the
-    axis when the sweep is one-dimensional.  Like the grid's later points,
-    each probe resumes from the first grid point (model.upstream), or, on a
-    d3 or fr2 axis, closes one cavity the search opens, as model.start_line
-    lends a line.  The probes are evaluated on one Config, a copy of
-    spec.config with the axis key set in place before each probe.
+    axis when the sweep is one-dimensional.  The probes are a line of their
+    own: the first in-range probe is evaluated in model.start_line, and
+    every later probe resumes from what it lends.  The probes are
+    evaluated on one Config, a copy of spec.config with the axis key set in
+    place before each probe.
 
     Returns ({path: value, ...}, objective value).  Ties break toward the
     lower parameter value (the grid is scanned in increasing order and only
@@ -192,19 +190,23 @@ def find_optimum(spec: SweepSpec, objective: str,
         return ({spec.axis1.path: a1[i],
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
-    up = (open_cavity(spec.config["geometry"]) if spec.axis1.path in CLOSING
-          else upstream(spec.axis1.path, result.points[0], one_axis=True))
     cfg = copy_config(spec.config)
     section, key = resolve_path(cfg, spec.axis1.path)
+    up = None       # what the probe line's first in-range probe lends
 
     def f(x: float) -> float:
+        nonlocal up
         # a probe between grid values may leave a range with gaps
         try:
             check_value(spec.axis1.path, x)
         except ConfigError:
             return -math.inf
         cfg[section][key] = x
-        return score(evaluate_operating_point(cfg, quantities, up))
+        if up is None:
+            p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)
+        else:
+            p = evaluate_operating_point(cfg, quantities, up)
+        return score(p)
 
     x_opt, s_opt = _golden_section(f, a1[max(best_idx - 1, 0)],
                                    a1[min(best_idx + 1, len(a1) - 1)])

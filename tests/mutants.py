@@ -76,9 +76,10 @@ MUTANTS = [
      (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
     ("rows lend nothing", "model.py",
-     "else upstream(path, point, one_axis)",
-     "else (upstream(path, point, True) if one_axis else None)",
-     (ROW + "test_stage_calls_on_a_p_in_mu_grid",)),
+     "entry = min(entry, _GAIN) if one_axis else entry",
+     "entry = min(entry, _GAIN) if one_axis else 0",
+     (ROW + "test_stage_calls_on_a_p_in_mu_grid",
+      ROW + "test_prefix_by_section")),
     ("gain axes staged as receiver ones", "model.py",
      '''("gain", "pump", "losses", "link",
                                  "geometry.r1", "geometry.r2")),
@@ -98,28 +99,38 @@ MUTANTS = [
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
     ("d3 probes share ray optics", "sweep.py",
-     'up = (open_cavity(spec.config["geometry"]) if',
-     'up = (upstream("geometry.r2", result.points[0], True) if',
+     "p, up = start_line(cfg, quantities, spec.axis1.path,",
+     'p, up = start_line(cfg, quantities, "geometry.r2",',
      (LINE + "test_probes_match_single_points",)),
     ("d3 probes lent no cavity", "sweep.py",
-     "if spec.axis1.path in CLOSING\n", "if False\n",
+     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
+     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)"
+     "[0], ()",
+     (LINE + "test_stage_calls_in_a_d3_search",
+      LINE + "test_stage_calls_in_a_search")),
+    ("the first probe evaluated twice", "sweep.py",
+     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
+     "_, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)"
+     "\n            p = evaluate_operating_point(cfg, quantities, up)",
      (LINE + "test_stage_calls_in_a_d3_search",)),
     ("every line shares ray optics", "model.py",
-     "if entry == _RAY_OPTICS or",
-     "if entry < _RAY_OPTICS or",
+     "entry = min(_entry(path), _RAN",
+     "entry = min(max(_entry(path), _GAIN), _RAN",
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
-      LINE + "test_probes_match_single_points")),
-    ("probes lent the whole first point", "sweep.py",
-     "else upstream(spec.axis1.path, result.points[0], one_axis=True))",
-     "else result.points[0])",
+      LINE + "test_probes_match_single_points",
+      ROW + "test_prefix_by_section")),
+    ("probes lent the first probe's gain", "sweep.py",
+     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
+     'p, up = start_line(cfg, quantities, "receiver.mu")',
      (LINE + "test_probes_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
-    ("receiver lines lend the gain", "model.py",
-     "else upstream(path, point, one_axis)",
-     "else upstream(path, point, False)",
+    ("receiver lines lend the gain", "sweep.py",
+     "one_axis=a2 is None)",
+     "one_axis=False)",
      (LINE + "test_stage_calls_on_a_receiver_line",)),
-    # one rule, model.upstream, decides what a line's first point lends
+    # one rule, in model.start_line, decides what a line's first point
+    # lends: the results of the stages before the line's key enters
     ("rows capped at ray optics", "model.py",
      "entry = min(entry, _GAIN) if one_axis else entry",
      "entry = min(entry, _GAIN)",
@@ -129,21 +140,29 @@ MUTANTS = [
      "    entry = min(entry, _GAIN) if one_axis else entry\n", "",
      (LINE + "test_stage_calls_on_a_receiver_line",
       ROW + "test_prefix_by_section")),
-    ("an unstable first point lent", "model.py",
-     "if entry == _RAY_OPTICS or point.status == STATUS_UNSTABLE:",
-     "if entry == _RAY_OPTICS:",
+    ("an unstable first point lends its spot radius", "model.py",
+     "_RAN = {STATUS_UNSTABLE: _RAY_OPTICS,",
+     "_RAN = {STATUS_UNSTABLE: _GAIN,",
      (LINE + "test_points_match_single_points",
-      LINE + "test_unstable_lines_evaluate_every_point",
       ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
-    ("a receiver row lent only its ray optics", "model.py",
-     "    return point\n",
-     "    return OperatingPoint(STATUS_STABLE, point.p_in, point.spot_radius)\n",
+    ("an unstable first point lends nothing", "model.py",
+     "_RAN = {STATUS_UNSTABLE: _RAY_OPTICS,",
+     "_RAN = {STATUS_UNSTABLE: 0,",
+     (LINE + "test_unstable_lines_open_one_cavity",
+      ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    ("a lend one stage too long", "model.py",
+     "return point, lend[:entry]",
+     "return point, lend[:entry + 1]",
+     (LINE + "test_points_match_single_points",
+      ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    ("a receiver row lent only its spot radius", "model.py",
+     "_RAN.get(point.status, _RECEIVER)",
+     "_RAN.get(point.status, _GAIN)",
      (ROW + "test_stage_calls_on_a_p_in_mu_grid",
       ROW + "test_prefix_by_section")),
     ("a point evaluated only to be lent", "model.py",
-     "else upstream(path, point, one_axis)",
-     "else upstream(path, evaluate_operating_point(cfg, quantities),"
-     " one_axis)",
+     "_RAN.get(point.status, _RECEIVER)",
+     "_RAN.get(evaluate_operating_point(cfg, quantities).status, _RECEIVER)",
      (ROW + "test_one_evaluation_per_cell",)),
     # a d3 or fr2 line opens its cavity once, in its first point's call,
     # and closes it per point
@@ -154,11 +173,12 @@ MUTANTS = [
      (ROW + "test_cells_match_single_points",
       "tests/test_sweep.py::TestRunSweep::"
       "test_geometry_grid_with_unstable_cells")),
-    ("a d3 line lends nothing", "model.py",
-     "return point, cavity if closing else",
-     "return point, None if closing else",
+    ("d3 enters with its section", "model.py",
+     '''("geometry.d3", "geometry.fr2")),''',
+     '''("geometry.fr2",)),''',
      (LINE + "test_stage_calls_on_a_geometry_line",
-      ROW + "test_stage_calls_on_a_geometry_grid")),
+      ROW + "test_stage_calls_on_a_geometry_grid",
+      ROW + "test_prefix_by_section", TABLE)),
     ("close_cavity without its fr2 line", "ray_optics.py",
      "    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d\n",
      "",

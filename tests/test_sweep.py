@@ -206,7 +206,7 @@ class TestRunSweep:
         # place, so each cell's is recorded as it is at its evaluation
         seen = []
 
-        def record(cfg, quantities=None, upstream=None):
+        def record(cfg, quantities=None, upstream=()):
             seen.append(copy_config(cfg))
             return OperatingPoint("stable", 0.0)
 
@@ -302,7 +302,7 @@ class TestReduceMax:
 
 
 def quadratic_stub(vertex, path="receiver.mu"):
-    def evaluate(cfg, quantities=None, upstream=None):
+    def evaluate(cfg, quantities=None, upstream=()):
         x = get_path(cfg, path)
         return OperatingPoint(status="ok", p_in=0.0,
                               p_beam=-(x - vertex) ** 2)
@@ -321,7 +321,7 @@ class TestFindOptimum:
 
     def test_minimize(self, monkeypatch):
         vertex = 0.25
-        def stub(cfg, quantities=None, upstream=None):
+        def stub(cfg, quantities=None, upstream=()):
             x = get_path(cfg, "receiver.mu")
             return OperatingPoint(status="ok", p_in=0.0,
                                   p_beam=(x - vertex) ** 2)
@@ -355,7 +355,7 @@ class TestFindOptimum:
         path = "losses.slope_loss_exponent"
         seen = []
 
-        def checked(cfg, quantities=None, upstream=None):
+        def checked(cfg, quantities=None, upstream=()):
             seen.append(get_path(cfg, path))
             check_value(path, seen[-1])
             return evaluate_operating_point(cfg, quantities)
@@ -373,7 +373,7 @@ class TestFindOptimum:
         probes = []
         stub = quadratic_stub(vertex, path="gain.n0")
 
-        def capped(cfg, quantities=None, upstream=None):
+        def capped(cfg, quantities=None, upstream=()):
             probes.append(get_path(cfg, "gain.n0"))
             if len(probes) > 1000:
                 raise RuntimeError("golden-section search does not stop")
@@ -385,7 +385,7 @@ class TestFindOptimum:
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
     def test_no_stable_point_raises(self, monkeypatch):
-        def never(cfg, quantities=None, upstream=None):
+        def never(cfg, quantities=None, upstream=()):
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
@@ -443,7 +443,7 @@ class TestDeterminism:
             [["0.0", "-0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]]
 
 
-def unpruned(cfg, quantities=None, upstream=None):
+def unpruned(cfg, quantities=None, upstream=()):
     return evaluate_operating_point(cfg)
 
 
@@ -626,18 +626,27 @@ class TestRowStaging:
                     evaluate_operating_point(cfg, quantities))
                 statuses.add(point.status)
             sections.add(path2.partition(".")[0])
-            # what each row's first cell lent the row's later cells, and
-            # whether that cell was unstable
+            # each row's first cell's status, paired with the length of
+            # what it lent the row's later cells
             n2 = len(result.axis2_values)
-            for first in result.points[::n2]:
-                cut = model.upstream(path2, first)
-                cuts.add((first.status == "unstable",
-                          "none" if cut is None else
-                          "point" if cut is first else "ray optics"))
+            for first, v1 in zip(result.points[::n2], result.axis1_values,
+                                 strict=True):
+                cfg = preset_with(*base, (path1, v1),
+                                  (path2, result.axis2_values[0]))
+                point, lend = model.start_line(cfg, quantities, path2)
+                assert repr(point) == repr(first)
+                cuts.add((first.status, len(lend)))
         assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
         assert {"geometry", "receiver", "gain", "link"} <= sections
-        assert cuts == {(True, "none"), (False, "none"),
-                        (False, "ray optics"), (False, "point")}
+        # a lend is cut to the stages before axis 2 enters (none on a
+        # geometry axis but d3, fr2, r1 and r2) and to those the first cell
+        # ran: an unstable cell lends at most its cavity, a stable one at
+        # most its spot radius
+        assert cuts == {("ok", 1), ("ok", 2), ("ok", 3),
+                        ("stable", 0), ("stable", 1), ("stable", 2),
+                        ("sub-threshold", 0), ("sub-threshold", 1),
+                        ("sub-threshold", 2), ("sub-threshold", 3),
+                        ("unstable", 0), ("unstable", 1)}
 
     def test_prefix_stops_at_the_deepest_stage_quantities_need(self):
         # g0 = 1 m^-1 overflows the threshold carrier density in the gain
@@ -660,7 +669,7 @@ class TestRowStaging:
         # a line's first point lends: no point is evaluated only to be lent
         calls = []
 
-        def counted(cfg, quantities=None, upstream=None):
+        def counted(cfg, quantities=None, upstream=()):
             calls.append(cfg)
             return evaluate_operating_point(cfg, quantities, upstream)
 
@@ -676,52 +685,54 @@ class TestRowStaging:
                 run_sweep(SweepSpec(preset_with(*base), *axes), quantities)
                 assert len(calls) == cells, (path1, path2, quantities)
 
-    @pytest.mark.parametrize("path",
-                             [*SCHEMA, "geometry.r1", "geometry.r2"])
+    @pytest.mark.parametrize("path", [
+        *SCHEMA, *(f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s])])
     def test_prefix_by_section(self, path):
-        # what a point lends a line that sets the path, as a 2-D row and as
-        # a 1-D line (which lends at most ray optics): nothing when the
-        # path enters at ray optics, the point's ray optics when it enters
-        # at the gain, the point itself when it enters at the receiver; an
-        # unstable point lends nothing
-        row, line = {"geometry": (None, None),
-                     "receiver": ("point", "ray optics")}.get(
-            path, ("ray optics", "ray optics"))
-        points = {
-            "ok": evaluate_operating_point(preset_with()),
-            "stable": evaluate_operating_point(preset_with(),
-                                               ("spot_radius",)),
-            "sub-threshold": evaluate_operating_point(
-                preset_with(("link.p_in", 0.0))),
-            "unstable": evaluate_operating_point(
-                preset_with(("geometry.fr2", 2.0)))}
-        assert [p.status for p in points.values()] == list(points)
-        assert points["sub-threshold"].p_in == 0.0
-        for one_axis, lends in ((False, row), (True, line)):
-            for status, point in points.items():
-                if lends is None or status == "unstable":
-                    want = None
-                elif lends == "ray optics":
-                    want = OperatingPoint("stable", point.p_in,
-                                          point.spot_radius)
-                else:
-                    want = point
-                got = model.upstream(path, point, one_axis=one_axis)
-                assert repr(got) == repr(want), (status, one_axis)
-        # a receiver row borrows the point itself, not a copy
-        assert model.upstream("receiver", points["ok"]) is points["ok"]
+        # what a line's first point lends a line that sets the path, as a
+        # 2-D row and as a 1-D line: the results of the stages before the
+        # path enters, in chain order (the cavity up to lens f2, the spot
+        # radius, the PowerResult), cut to the stages the point ran
+        # the stages before the path enters: none for a geometry key but
+        # d3 and fr2 (the open cavity) and r1 and r2 (its spot radius too),
+        # the PowerResult too for a receiver key, two for any other key
+        keyed = {"geometry.d3": 1, "geometry.fr2": 1, "geometry.r1": 2,
+                 "geometry.r2": 2}
+        before = keyed.get(path, {"geometry": 0, "receiver": 3}.get(
+            path.partition(".")[0], 2))
+        points = {"ok": (preset_with(), None),
+                  "stable": (preset_with(), ("spot_radius",)),
+                  "sub-threshold": (preset_with(("link.p_in", 0.0)), None),
+                  "unstable": (preset_with(("geometry.fr2", 2.0)), None)}
+        for status, (cfg, quantities) in points.items():
+            for one_axis in (False, True):
+                point, lend = model.start_line(cfg, quantities, path,
+                                               one_axis=one_axis)
+                assert point.status == status
+                assert repr(point) == repr(
+                    evaluate_operating_point(cfg, quantities))
+                ran = {"unstable": 1, "stable": 2}.get(status, 3)
+                want = min(before, ran, 2 if one_axis else 3)
+                assert len(lend) == want, (status, one_axis)
+                # the 1-D cap lends at most the spot radius, an unstable
+                # point at most its cavity
+                assert len(lend) <= 2 or not one_axis
+                assert len(lend) <= 1 or status != "unstable"
+                full = (ray_optics.open_cavity(cfg["geometry"]),
+                        point.spot_radius, PowerResult(*point[3:12]))
+                assert repr(lend) == repr(full[:want])
+        assert points["sub-threshold"][0]["link"]["p_in"] == 0.0
 
     @staticmethod
     def count_calls(monkeypatch, *names):
-        # each function counted wherever the chain calls it: from model,
-        # open_cavity and close_cavity also inside one_trip_matrix, and
-        # open_cavity also from a d3 or fr2 search
+        # each function counted wherever the chain calls it: from model
+        # (evaluate_operating_point and start_line), and open_cavity and
+        # close_cavity also inside one_trip_matrix
         counts = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, function=getattr(model, name)):
                 counts[name] += 1
                 return function(*args)
-            for module in (model, ray_optics, sweep):
+            for module in (model, ray_optics):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         return counts
@@ -756,10 +767,11 @@ class TestRowStaging:
 
 
 class TestLineStaging:
-    """A line, the points of a 1-D sweep or the probes of a search, runs ray
-    optics once when its axis enters after ray optics and its first point
-    is stable: each later point resumes from the first point cut to its ray
-    optics, and is still the point of its own Config."""
+    """A line, the points of a 1-D sweep or the probes of a search, opens
+    its cavity once, at its first point, and runs ray optics once when its
+    axis enters after ray optics and its first point is stable: each later
+    point resumes from the stages the first point lends, and is still the
+    point of its own Config."""
 
     count_calls = staticmethod(TestRowStaging.count_calls)
 
@@ -771,18 +783,19 @@ class TestLineStaging:
                           "diffraction_survival": 7, "evaluate_gain": 7}
 
     def test_stage_calls_in_a_search(self, monkeypatch):
-        # the 39 grid cells and every golden-section probe share one cavity
+        # the 39 grid cells share the grid line's cavity and every
+        # golden-section probe the probe line's, each opened and closed once
         counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
                                   "evaluate_gain")
         spec = SweepSpec(preset_with(("gain.l", 0.15e-6)),
                          Axis("geometry.r2", 0.80, 0.99, 39))
         find_optimum(spec, "p_beam")
-        assert (counts["open_cavity"], counts["close_cavity"]) == (1, 1)
+        assert (counts["open_cavity"], counts["close_cavity"]) == (2, 2)
         assert counts["evaluate_gain"] > 39 + 20
 
     def test_stage_calls_in_a_d3_search(self, monkeypatch):
-        # the 9 grid cells close the grid line's cavity, and the probes one
-        # cavity the search opens: 40 evaluations, 2 cavities opened
+        # the 9 grid cells close the grid line's cavity, and the probes the
+        # probe line's: 40 evaluations, 2 cavities opened
         counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
         spec = SweepSpec(preset_with(("geometry.fr2", 11.0)),
                          Axis("geometry.d3", 2.0, 10.0, 9))
@@ -821,17 +834,19 @@ class TestLineStaging:
             assert counts == {"open_cavity": opened, "close_cavity": 5}, axis
             assert result.points[0].status == first, (base, axis)
 
-    def test_unstable_lines_evaluate_every_point(self, monkeypatch):
-        # an unstable first point lends nothing: a line on an unstable
-        # cavity runs ray optics at every point, as a geometry line does
+    def test_unstable_lines_open_one_cavity(self, monkeypatch):
+        # an unstable first point lends only its cavity: a line on an
+        # unstable cavity opens it once and closes it at every point, as a
+        # d3 line does
         counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
         base = (("geometry.fr2", 2.0),)
-        for spec, n in ((SweepSpec(preset_with(*base),
-                                   Axis("geometry.r2", 0.85, 0.95, 5)), 5),
-                        (p_in_mu_spec(*base, counts=(3, 4)), 3 * 4)):
+        for spec, lines, n in (
+                (SweepSpec(preset_with(*base),
+                           Axis("geometry.r2", 0.85, 0.95, 5)), 1, 5),
+                (p_in_mu_spec(*base, counts=(3, 4)), 3, 3 * 4)):
             counts.update(dict.fromkeys(counts, 0))
             result = run_sweep(spec)
-            assert counts == {"open_cavity": n, "close_cavity": n}
+            assert counts == {"open_cavity": lines, "close_cavity": n}
             axes = [a for a in (spec.axis1, spec.axis2) if a]
             grids = (result.axis1_values, result.axis2_values)[:len(axes)]
             for point, values in zip(result.points, itertools.product(*grids),
@@ -884,7 +899,7 @@ class TestLineStaging:
         # Config in place
         seen = []
 
-        def recorded(cfg, quantities=None, upstream=None):
+        def recorded(cfg, quantities=None, upstream=()):
             point = evaluate_operating_point(cfg, quantities, upstream)
             seen.append((copy_config(cfg), quantities, upstream, point))
             return point
@@ -906,7 +921,7 @@ class TestLineStaging:
             for cfg, quantities, upstream, point in seen:
                 assert repr(point) == repr(
                     evaluate_operating_point(cfg, quantities)), path
-                lent += upstream is not None
+                lent += bool(upstream)
         assert lent > 0
 
 
@@ -1032,7 +1047,8 @@ def _outcome(cfg, names):
 
 def test_no_key_moves_a_field_written_before_its_section_enters():
     # model._CHAIN says at which stage each section, or a key entering later
-    # than its section (r1 and r2 at the gain), enters the chain; a row or
+    # than its section (d3 and fr2 after the open cavity, r1 and r2 at the
+    # gain), enters the chain; a row or
     # line point shares every field of the stages before, so no key may
     # move one of them (the echoed p_in aside)
     rng = random.Random(21)
@@ -1065,7 +1081,8 @@ def test_no_key_moves_a_field_written_before_its_section_enters():
     # r1 or r2 change moved the spot radius or the stable status
     assert moved == set(SCHEMA)
     assert {"stable", "ok"} <= statuses
-    assert keyed == {"geometry.r1", "geometry.r2"}
+    assert keyed == {"geometry.r1", "geometry.r2", "geometry.d3",
+                     "geometry.fr2"}
 
 
 class TestFigures:
@@ -1116,6 +1133,11 @@ class TestOperatingPoint:
         # each return path of evaluate_operating_point builds its point with
         # tuple.__new__, which checks no length: every one is a whole record
         full = evaluate_operating_point(preset_with())
+        lends = {path: model.start_line(preset_with(), None, path)[1]
+                 for path in ("receiver.mu", "link.p_in", "geometry.d3")}
+        lends["unstable"] = model.start_line(
+            preset_with(("geometry.fr2", 2.0)), None, "geometry.d3")[1]
+        assert [len(lend) for lend in lends.values()] == [3, 2, 1, 1]
         paths = {
             "spot only": evaluate_operating_point(preset_with(),
                                                   ("spot_radius",)),
@@ -1127,8 +1149,18 @@ class TestOperatingPoint:
             "full chain": full,
             "p_in = 0": evaluate_operating_point(
                 preset_with(("link.p_in", 0.0))),
-            "receiver cell lent a whole point": evaluate_operating_point(
-                preset_with(("receiver.mu", 0.3)), None, full),
+            "receiver cell lent a cavity, spot radius and gain":
+                evaluate_operating_point(preset_with(("receiver.mu", 0.3)),
+                                         None, lends["receiver.mu"]),
+            "gain cell lent a cavity and spot radius":
+                evaluate_operating_point(preset_with(("link.p_in", 5.0)),
+                                         None, lends["link.p_in"]),
+            "d3 cell lent a cavity": evaluate_operating_point(
+                preset_with(("geometry.d3", 3.0)), ("spot_radius",),
+                lends["geometry.d3"]),
+            "unstable d3 cell lent a cavity": evaluate_operating_point(
+                preset_with(("geometry.fr2", 2.0), ("geometry.d3", 3.0)),
+                None, lends["unstable"]),
         }
         for name, p in paths.items():
             assert len(p) == len(OperatingPoint._fields), name
@@ -1136,7 +1168,7 @@ class TestOperatingPoint:
             assert isinstance(p.detail, str), name
         assert [p.status for p in paths.values()] == [
             "stable", "unstable", "ok", "sub-threshold", "ok",
-            "sub-threshold", "ok"]
+            "sub-threshold", "ok", "sub-threshold", "stable", "unstable"]
         assert paths["unstable"].detail.startswith("unstable resonator")
         assert paths["p_in = 0"].c_tilde is None
 
