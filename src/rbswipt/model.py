@@ -6,7 +6,7 @@ power and whether the link is above threshold) and receiver (harvested
 power and spectral efficiency).  `_CHAIN` is the one place their order,
 fields and entries live.  A caller that names the fields it reads runs
 only up to the deepest stage those fields need; a line's later points
-resume from what its first point lends them (`start_line`): the results
+resume from what its first point lends them (`line`): the results
 of the stages before the line's key enters, in chain order.
 """
 
@@ -77,6 +77,29 @@ _AFTER_GAIN = (None,) * len(SWIPT_UNITS) + ("",)
 
 def _entry(path: str) -> int:     # a dotted path's stage, or a section's
     return _ENTRY.get(path, _ENTRY[path.partition(".")[0]])
+
+
+def line(cfg: Config, path: str, quantities, one_axis=False):
+    """Return at(value): the point of `cfg` with `path` set to a value in
+    its SCHEMA range, through the stages `quantities` needs, for a sweep's
+    row or a search's probes in any order.  cfg is validated, resolved for
+    path (config.resolve_path) and never written: the line takes its own
+    copy of path's section and shares the others, so a grid's rows may
+    share every section they do not sweep.  at sets the key in place; its
+    first call goes through start_line(), every later call resumes from
+    what that lends, capped for a 1-D line (`one_axis`)."""
+    section, _, key = path.partition(".")
+    cell = {**cfg, section: dict(cfg[section])}
+    swept, lend = cell[section], None
+
+    def at(value: float) -> OperatingPoint:
+        nonlocal lend
+        swept[key] = value
+        if lend is None:
+            point, lend = start_line(cell, quantities, path, one_axis)
+            return point
+        return evaluate_operating_point(cell, quantities, lend)
+    return at
 
 
 def start_line(cfg: Config, quantities, path: str, one_axis=False):

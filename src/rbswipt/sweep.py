@@ -18,8 +18,7 @@ from .model import (
     STATUS_STABLE,
     STATUS_SUB_THRESHOLD,
     OperatingPoint,
-    evaluate_operating_point,
-    start_line,
+    line,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -98,17 +97,9 @@ axis2_values is None for a 1-axis sweep."""
 def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
-    `quantities` names what the caller reads of each point and is passed to
-    every evaluate_operating_point call; None evaluates every stage.  A
-    1-D sweep is one line, a 2-D grid one line along axis 2 per axis-1
-    value.  A line's first point is evaluated in model.start_line, and
-    every later point resumes from what it lends: the results of the
-    stages before the line's key enters the chain.  A line evaluates
-    its cells on one Config, its swept key set in place before each cell:
-    the line's own copy of each swept section, the other sections shared
-    with every line and with a copy of spec.config, never with spec.config
-    itself.  This holds because evaluate_operating_point neither writes
-    nor keeps its cfg.
+    `quantities` names what the caller reads of each point; None evaluates
+    every stage.  A 1-D sweep is one model.line, a 2-D grid one line along
+    axis 2 per axis-1 value, its rows sharing a copy of spec.config.
     spec.config and every axis value are checked against SCHEMA here,
     before any cell, and raise ConfigError when out of range; no cell
     checks a range again."""
@@ -118,22 +109,15 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
         for v in values:
             check_value(axis.path, v)
-    line, values = (spec.axis1, a1) if a2 is None else (spec.axis2, a2)
+    axis, values = (spec.axis1, a1) if a2 is None else (spec.axis2, a2)
     # resolved on a copy, as resolving may drop an excluded key
     cfg = copy_config(spec.config)
     s1, k1 = resolve_path(cfg, spec.axis1.path)
-    s, k = resolve_path(cfg, line.path) if a2 else (s1, k1)
-    starts = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
-    evaluate, points = evaluate_operating_point, []
-    for r in starts:
-        # the line's Config: the row's sections, its own swept section
-        cell = {**r, s: {**r[s], k: values[0]}}
-        first, up = start_line(cell, quantities, line.path,
-                               one_axis=a2 is None)
-        points.append(first)
-        for v in values[1:]:
-            cell[s][k] = v
-            points.append(evaluate(cell, quantities, up))
+    resolve_path(cfg, axis.path)
+    rows = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
+    points = []
+    for row in rows:
+        points += map(line(row, axis.path, quantities, a2 is None), values)
     return SweepResult(spec, a1, a2, points)
 
 
@@ -152,16 +136,14 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
-    """Grid search over the axis, then golden-section refinement along the
-    axis when the sweep is one-dimensional.  The probes are a line of their
-    own: the first in-range probe is evaluated in model.start_line, and
-    every later probe resumes from what it lends.  The probes are
-    evaluated on one Config, a copy of spec.config with the axis key set in
-    place before each probe.
+    """Grid search over the axis, then golden-section refinement along it
+    when the sweep is 1-D: one grid line and one probe line, a model.line
+    on a copy of spec.config.
 
-    Returns ({path: value, ...}, objective value).  Ties break toward the
-    lower parameter value (the grid is scanned in increasing order and only
-    strict improvements move the incumbent).  A probe outside the axis
+    Returns ({path: value, ...}, objective value).  Grid ties break toward
+    the lower value (the grid is scanned in increasing order and only
+    strict improvements move the incumbent); refinement, kept unless it
+    scores strictly lower, may move off a tie.  A probe outside the axis
     path's SCHEMA range scores like an unstable point, so it never wins."""
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -191,22 +173,16 @@ def find_optimum(spec: SweepSpec, objective: str,
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
     cfg = copy_config(spec.config)
-    section, key = resolve_path(cfg, spec.axis1.path)
-    up = None       # what the probe line's first in-range probe lends
+    resolve_path(cfg, spec.axis1.path)
+    at = line(cfg, spec.axis1.path, quantities, one_axis=True)
 
     def f(x: float) -> float:
-        nonlocal up
         # a probe between grid values may leave a range with gaps
         try:
             check_value(spec.axis1.path, x)
         except ConfigError:
             return -math.inf
-        cfg[section][key] = x
-        if up is None:
-            p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)
-        else:
-            p = evaluate_operating_point(cfg, quantities, up)
-        return score(p)
+        return score(at(x))
 
     x_opt, s_opt = _golden_section(f, a1[max(best_idx - 1, 0)],
                                    a1[min(best_idx + 1, len(a1) - 1)])

@@ -70,9 +70,9 @@ MUTANTS = [
       "[diffraction_survival-ray optics]",)),
     # row staging (restated from the hand-run checks of row-staged sweeps):
     # a 2-D row's later cells resume from its first cell
-    ("a line's first point runs every stage", "sweep.py",
-     "start_line(cell, quantities, line.path,",
-     "start_line(cell, None, line.path,",
+    ("a line's first point runs every stage", "model.py",
+     "start_line(cell, quantities, path, one_axis)",
+     "start_line(cell, None, path, one_axis)",
      (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
     ("rows lend nothing", "model.py",
@@ -98,21 +98,24 @@ MUTANTS = [
     _Stage("receiver",''',
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
-    ("d3 probes share ray optics", "sweep.py",
-     "p, up = start_line(cfg, quantities, spec.axis1.path,",
-     'p, up = start_line(cfg, quantities, "geometry.r2",',
-     (LINE + "test_probes_match_single_points",)),
+    ("1-D lines share ray optics", "model.py",
+     "start_line(cell, quantities, path, one_axis)",
+     'start_line(cell, quantities, "geometry.r2" if one_axis else path,'
+     " one_axis)",
+     (LINE + "test_probes_match_single_points",
+      LINE + "test_points_match_single_points")),
     ("d3 probes lent no cavity", "sweep.py",
-     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
-     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)"
-     "[0], ()",
+     "return score(at(x))",
+     "return score(line(cfg, spec.axis1.path, quantities, True)(x))",
      (LINE + "test_stage_calls_in_a_d3_search",
       LINE + "test_stage_calls_in_a_search")),
-    ("the first probe evaluated twice", "sweep.py",
-     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
-     "_, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)"
-     "\n            p = evaluate_operating_point(cfg, quantities, up)",
-     (LINE + "test_stage_calls_in_a_d3_search",)),
+    ("a line's first point evaluated twice", "model.py",
+     """            point, lend = start_line(cell, quantities, path, one_axis)
+            return point
+""", """            _, lend = start_line(cell, quantities, path, one_axis)
+""",
+     (LINE + "test_stage_calls_in_a_d3_search",
+      ROW + "test_one_evaluation_per_cell")),
     ("every line shares ray optics", "model.py",
      "entry = min(_entry(path), _RAN",
      "entry = min(max(_entry(path), _GAIN), _RAN",
@@ -120,14 +123,15 @@ MUTANTS = [
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points",
       ROW + "test_prefix_by_section")),
-    ("probes lent the first probe's gain", "sweep.py",
-     "p, up = start_line(cfg, quantities, spec.axis1.path, one_axis=True)",
-     'p, up = start_line(cfg, quantities, "receiver.mu")',
+    ("1-D lines lent the first point's gain", "model.py",
+     "start_line(cell, quantities, path, one_axis)",
+     'start_line(cell, quantities, "receiver.mu" if one_axis else path)',
      (LINE + "test_probes_match_single_points",
+      LINE + "test_points_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
     ("receiver lines lend the gain", "sweep.py",
-     "one_axis=a2 is None)",
-     "one_axis=False)",
+     "line(row, axis.path, quantities, a2 is None)",
+     "line(row, axis.path, quantities, False)",
      (LINE + "test_stage_calls_on_a_receiver_line",)),
     # one rule, in model.start_line, decides what a line's first point
     # lends: the results of the stages before the line's key enters
@@ -166,10 +170,10 @@ MUTANTS = [
      (ROW + "test_one_evaluation_per_cell",)),
     # a d3 or fr2 line opens its cavity once, in its first point's call,
     # and closes it per point
-    ("a cavity opened once per sweep", "sweep.py",
-     "                               one_axis=a2 is None)\n",
-     "                               one_axis=a2 is None)\n"
-     "        up = lent = up if r is starts[0] else lent\n",
+    ("every line lent the first line's results", "model.py",
+     "            point, lend = start_line(cell, quantities, path, one_axis)\n",
+     "            point, lend = start_line(cell, quantities, path, one_axis)\n"
+     '            lend = line.__dict__.setdefault("lend", lend)\n',
      (ROW + "test_cells_match_single_points",
       "tests/test_sweep.py::TestRunSweep::"
       "test_geometry_grid_with_unstable_cells")),
@@ -185,13 +189,21 @@ MUTANTS = [
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
       "tests/test_sweep.py::"
       "test_statuses_follow_the_closed_form_stable_d3_intervals")),
-    # a line evaluates its cells on one Config set in place, a search its
-    # probes on another, and points are built with tuple.__new__
-    ("the swept key set after the cell", "sweep.py",
-     """            cell[s][k] = v
-            points.append(evaluate(cell, quantities, up))
-""", """            points.append(evaluate(cell, quantities, up))
-            cell[s][k] = v
+    # model.line evaluates a line's cells on its own copy of the swept
+    # section, set in place, and points are built with tuple.__new__
+    ("the swept key set after the cell", "model.py",
+     """        swept[key] = value
+        if lend is None:
+            point, lend = start_line(cell, quantities, path, one_axis)
+            return point
+        return evaluate_operating_point(cell, quantities, lend)
+""", """        if lend is None:
+            swept[key] = value
+            point, lend = start_line(cell, quantities, path, one_axis)
+            return point
+        point = evaluate_operating_point(cell, quantities, lend)
+        swept[key] = value
+        return point
 """,
      ("tests/test_sweep.py::TestRunSweep::test_matches_scalar_evaluation",
       "tests/test_sweep.py::TestRunSweep::test_cell_configs_match_set_path",
@@ -202,10 +214,21 @@ MUTANTS = [
      "_AFTER_GAIN = (None,) * (len(SWIPT_UNITS) - 1) + (\"\",)",
      ("tests/test_sweep.py::TestOperatingPoint::"
       "test_every_path_builds_a_full_record",)),
-    ("probe Config shared with the grid line", "sweep.py",
-     "cfg = copy_config(spec.config)\n    section, key",
-     "cfg = spec.config\n    section, key",
-     (LINE + "test_stage_calls_in_a_d3_search",)),
+    ("the probe line resolved on the caller's Config", "sweep.py",
+     "cfg = copy_config(spec.config)\n    resolve_path(cfg, spec.axis1.path)",
+     "cfg = spec.config\n    resolve_path(cfg, spec.axis1.path)",
+     ("tests/test_sweep.py::TestRunSweep::"
+      "test_cells_leave_base_config_untouched",)),
+    ("line writes the caller's swept section", "model.py",
+     "cell = {**cfg, section: dict(cfg[section])}",
+     "cell = {**cfg}",
+     (LINE + "test_line_points_match_single_points",)),
+    ("at lends nothing after the first point", "model.py",
+     "return evaluate_operating_point(cell, quantities, lend)",
+     "return evaluate_operating_point(cell, quantities, ())",
+     (LINE + "test_stage_calls_on_an_r2_line",
+      LINE + "test_stage_calls_in_a_d3_search",
+      ROW + "test_stage_calls_on_a_p_in_mu_grid")),
     # per-cell overhead: the folded first element, the element powers without
     # isinf tests and the plain clamps
     ("folded d reduced to -1.0", "ray_optics.py",

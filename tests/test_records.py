@@ -14,7 +14,7 @@ import random
 import pytest
 from abcd import compose, free_space, retro_reflector, thin_lens
 
-from rbswipt import sweep
+from rbswipt import model
 from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import one_trip_matrix
@@ -120,7 +120,7 @@ SEARCHES = (run_sweep, lambda spec: find_optimum(spec, "p_beam"))
 def test_sweep_checks_axis_values_before_any_cell(axis1, axis2, bad,
                                                   monkeypatch):
     spec = SweepSpec(get_preset("paper-2022"), axis1, axis2)
-    monkeypatch.setattr(sweep, "evaluate_operating_point", no_cells)
+    monkeypatch.setattr(model, "evaluate_operating_point", no_cells)
     for search in SEARCHES:
         with pytest.raises(ConfigError) as e:
             search(spec)
@@ -132,7 +132,7 @@ def test_sweep_checks_its_config_before_any_cell(monkeypatch):
     cfg = get_preset("paper-2022")
     cfg["receiver"]["mu"] = 1.5
     spec = SweepSpec(cfg, Axis("link.p_in", 10.0, 50.0, 3))
-    monkeypatch.setattr(sweep, "evaluate_operating_point", no_cells)
+    monkeypatch.setattr(model, "evaluate_operating_point", no_cells)
     for search in SEARCHES:
         with pytest.raises(ConfigError) as e:
             search(spec)

@@ -46,9 +46,9 @@ def mu_spec(count=5) -> SweepSpec:
 
 
 def patch_evaluate(monkeypatch, fn):
-    """Route every cell and probe through fn: a line's first point is
-    evaluated in model.start_line, every other one in the sweep layer."""
-    monkeypatch.setattr(sweep, "evaluate_operating_point", fn)
+    """Route every cell and probe through fn: model.line evaluates a
+    line's first point in model.start_line and every other one itself, both
+    by the module-global name."""
     monkeypatch.setattr(model, "evaluate_operating_point", fn)
 
 
@@ -174,12 +174,14 @@ class TestRunSweep:
                 evaluate_operating_point(cfg)
 
     def test_cells_leave_base_config_untouched(self):
-        # setting f2 pops tim_magnification from the cell's geometry section
+        # setting f2 pops tim_magnification from the cell's geometry
+        # section, in a sweep's lines and in a search's probe line
         spec = SweepSpec(preset_with(),
                          axis1=Axis("geometry.f2", 0.02, 0.07, 4))
-        run_sweep(spec)
-        assert spec.config == preset_with()
-        assert "f2" not in spec.config["geometry"]
+        for search in (run_sweep, lambda spec: find_optimum(spec, "p_beam")):
+            search(spec)
+            assert spec.config == preset_with()
+            assert "f2" not in spec.config["geometry"]
 
     @pytest.mark.parametrize("quantities", [
         None, ("p_beam", "status"), ("spot_radius",)],
@@ -855,6 +857,33 @@ class TestLineStaging:
                                            in zip(axes, values)))
                 assert point.status == "unstable"
                 assert repr(point) == repr(evaluate_operating_point(cfg))
+
+    @pytest.mark.parametrize("path, lo, hi, first", [
+        ("geometry.d1", 10e-3, 30e-3, None), ("geometry.d3", 2.0, 10.0, None),
+        ("geometry.r2", 0.85, 0.95, None), ("gain.l", 0.15e-6, 3e-6, None),
+        ("receiver.mu", 0.0, 0.99, None), ("geometry.fr2", 2.0, 40.0, 2.0)],
+        ids=["d1", "d3", "r2", "gain-l", "mu", "unstable-first-fr2"])
+    def test_line_points_match_single_points(self, path, lo, hi, first):
+        # one path per _CHAIN entry, and an fr2 line whose first value is
+        # unstable: at, called in shuffled order as golden section calls
+        # it, gives each value's point as its own Config evaluated alone
+        # does, and never writes the Config handed to line
+        rng = random.Random(29)
+        values = [lo + (hi - lo) * rng.random() for _ in range(9)]
+        values = values if first is None else [first, *values]
+        statuses = set()
+        for quantities in (None, ("spot_radius",), ("p_beam",)):
+            for one_axis in (False, True):
+                cfg = preset_with()
+                at = model.line(cfg, path, quantities, one_axis)
+                for v in values:
+                    point = at(v)
+                    assert repr(point) == repr(evaluate_operating_point(
+                        preset_with((path, v)), quantities)), (path, v)
+                    statuses.add(point.status)
+                assert cfg == preset_with()
+        assert ("unstable" in statuses) == (first is not None)
+        assert statuses - {"unstable"}
 
     @staticmethod
     def line_cases(rng, n):
