@@ -17,7 +17,7 @@ from collections import namedtuple
 from .config import Config, ConfigError
 from .gain_power import POWER_UNITS, PowerResult, evaluate_gain
 from .ray_optics import (
-    CavityError,
+    UnstableResonatorError,
     close_cavity,
     diffraction_survival,
     one_trip_matrix,
@@ -169,7 +169,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
                                            cfg["losses"], p_in, vd), _RECEIVER
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
                  + ("",) if stage == _RECEIVER and p_in > 0 else _AFTER_GAIN)
-    except CavityError as e:
+    except UnstableResonatorError as e:
         return tuple.__new__(OperatingPoint, (STATUS_UNSTABLE, p_in, None,
                                               *_AFTER_RAY[:-1], str(e)))
     except (ValueError, ArithmeticError) as e:

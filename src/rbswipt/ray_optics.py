@@ -5,7 +5,10 @@ All quantities are SI (meters, radians).  Matrices act on column vectors
 has unit determinant, and so does their one-trip product, multiplied out
 here on floats; the element matrices are the tests' (tests/abcd.py).
 The cavity is the Config's geometry section itself; its ranges are
-config.SCHEMA's and are not checked here.
+config.SCHEMA's and are not checked here.  A cavity that confines no
+mode, degenerate or unstable, raises UnstableResonatorError, whose text
+names the one-trip matrix; ValueError marks an intermediate value a
+validated geometry can still drive out of a formula's domain.
 """
 
 from __future__ import annotations
@@ -15,28 +18,9 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 
-class CavityError(Exception):
-    """Base class for resonator evaluation failures."""
-
-
-class UnstableResonatorError(CavityError):
-    """The configuration supports no confined transverse mode."""
-
-    def __init__(self, matrix: "RayTransferMatrix", radicand: float):
-        self.matrix = matrix
-        self.radicand = radicand
-        super().__init__(
-            f"unstable resonator: spot-radius radicand {radicand:.6g} < 0 "
-            f"for matrix {matrix}"
-        )
-
-
-class DegenerateCavityError(CavityError):
-    """The one-trip matrix has A*C = 0; the mode size is undefined."""
-
-    def __init__(self, matrix: "RayTransferMatrix"):
-        self.matrix = matrix
-        super().__init__(f"degenerate cavity: A*C = 0 for matrix {matrix}")
+class UnstableResonatorError(Exception):
+    """The cavity confines no transverse mode: its one-trip matrix has
+    A*C = 0 or a negative spot-radius radicand."""
 
 
 class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
@@ -61,21 +45,19 @@ def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
     defaults to the afocal f1 + f2 and fr1 to the ideal retro-reflector
     (inf); all lengths in m.  The product is multiplied on floats, bit for
     bit the element-by-element product of tests/abcd.py.  Raises ValueError
-    when d1, d2, lt or the section's d3 is not finite, as a derived lt =
-    f1 + f2 is on overflow.
+    when a derived lt = f1 + f2 overflowed, the one distance SCHEMA does
+    not keep finite.
     """
-    d1, d2, d3, f1 = (geometry["d1"], geometry["d2"], geometry["d3"],
-                      geometry["f1"])
+    d1, d2, f1 = geometry["d1"], geometry["d2"], geometry["f1"]
     # magnification = compression of the beam arriving at the gain, i.e.
     # the telescope expands by this factor on the way out
     f2 = (geometry["f2"] if "f2" in geometry
           else -f1 * geometry["tim_magnification"])
     # afocal spacing; may be negative for a Galilean telescope
     lt = geometry.get("lt", f1 + f2)
-    if not (math.isfinite(d1) and math.isfinite(d2) and math.isfinite(lt)
-            and math.isfinite(d3)):
-        raise ValueError(f"free-space distances must be finite: d1={d1}, "
-                         f"d2={d2}, lt={lt}, d3={d3}")
+    if not math.isfinite(lt):
+        raise ValueError(
+            f"telescope spacing lt = f1 + f2 = {lt} is not finite")
     c1 = 1.0 / geometry.get("fr1", math.inf)
     p1 = -1.0 / f1
     # a derived f2 = -f1 * M that overflowed to +-inf is a flat lens whose
@@ -120,17 +102,20 @@ def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
 
         w_g = (-lam^2 * B * D / (pi^2 * A * C)) ** (1/4)
 
-    Raises DegenerateCavityError when A*C = 0, UnstableResonatorError
-    when the radicand is negative and ValueError when it is not finite
-    (the matrix product overflowed).  B = 0 yields w_g = 0, which callers
-    should treat as an unphysical degenerate mode.
+    Raises UnstableResonatorError when A*C = 0 (a degenerate cavity) or
+    the radicand is negative, and ValueError when the radicand is not
+    finite (the matrix product overflowed).  B = 0 yields w_g = 0, which
+    callers should treat as an unphysical degenerate mode.
     """
     ac = m.a * m.c
     if ac == 0:
-        raise DegenerateCavityError(m)
+        raise UnstableResonatorError(
+            f"degenerate cavity: A*C = 0 for matrix {m}")
     radicand = -(lam * lam) * m.b * m.d / (math.pi * math.pi * ac)
     if radicand < 0:
-        raise UnstableResonatorError(m, radicand)
+        raise UnstableResonatorError(
+            f"unstable resonator: spot-radius radicand {radicand:.6g} < 0 "
+            f"for matrix {m}")
     if not math.isfinite(radicand):
         raise ValueError(f"spot-radius radicand {radicand} for matrix {m}")
     return radicand ** 0.25

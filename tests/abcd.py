@@ -220,15 +220,15 @@ def spot_radius_q_oracle(m_round: RayTransferMatrix, lam: float) -> float:
     """
     a, b, c, d = m_round.a, m_round.b, m_round.c, m_round.d
     disc = (d - a) ** 2 + 4.0 * b * c
-    if disc >= 0 or c == 0:
-        raise UnstableResonatorError(m_round, disc)
-    sq = complex(0.0, math.sqrt(-disc))
-    for root in ((a - d) + sq, (a - d) - sq):
-        q = root / (2.0 * c)
-        if q.imag > 0:
-            inv_im = (1.0 / q).imag
-            return math.sqrt(-lam / (math.pi * inv_im))
-    raise UnstableResonatorError(m_round, disc)
+    if disc < 0 and c != 0:
+        sq = complex(0.0, math.sqrt(-disc))
+        for root in ((a - d) + sq, (a - d) - sq):
+            q = root / (2.0 * c)
+            if q.imag > 0:
+                inv_im = (1.0 / q).imag
+                return math.sqrt(-lam / (math.pi * inv_im))
+    raise UnstableResonatorError(f"no confined Gaussian mode: discriminant "
+                                 f"{disc:.6g} for round-trip matrix {m_round}")
 
 
 def threshold_carrier_density(gain: dict, r1: float, r2: float,

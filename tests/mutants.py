@@ -279,6 +279,23 @@ MUTANTS = [
      "n_shot_sq = 2.0 * ELECTRON_CHARGE * i_d * b_x",
      (RECEIVER + "TestShotNoise::test_background_only",)),
     # formula guards only where a validated Config can fail
+    ("A*C = 0 left unchecked", "ray_optics.py",
+     """    if ac == 0:
+        raise UnstableResonatorError(
+            f"degenerate cavity: A*C = 0 for matrix {m}")
+""", "",
+     ("tests/test_ray_optics.py::TestSpotRadius::test_degenerate_ac_rejected",
+      "tests/test_cli.py::test_ideal_retro_reflector_accepted")),
+    ("lt guard dropped", "ray_optics.py",
+     """    if not math.isfinite(lt):
+        raise ValueError(
+            f"telescope spacing lt = f1 + f2 = {lt} is not finite")
+""", "",
+     ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
+      "tests/test_cli.py::TestEvaluate::"
+      "test_overflowing_derived_f2_names_the_distances",
+      "tests/test_records.py::"
+      "test_no_validated_config_reaches_a_deleted_stage_guard")),
     ("losses.vc widened to > 0", "config.py",
      '"vc": ("dimensionless", False, "in (0, 1]"),',
      '"vc": ("dimensionless", False, "finite > 0"),',

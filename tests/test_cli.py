@@ -55,8 +55,7 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--set", "geometry.f1=1e300 m",
                            "--set", "geometry.tim_magnification=1e10")
         assert code == 3
-        assert "free-space distances must be finite: d1=0.02, d2=0.02, " \
-            "lt=-inf, d3=10.0" in err
+        assert "telescope spacing lt = f1 + f2 = -inf is not finite" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("setting, message", [
@@ -332,7 +331,7 @@ def test_overflowing_settings_exit_code(capsys, tmp_path, argv):
 
 # README's table: each formula guard a stage keeps, reached by one command
 KEPT_GUARDS = [
-    ("free-space distances must be finite",
+    ("telescope spacing lt = f1 + f2 = -inf is not finite",
      ["geometry.f1=1e300 m", "geometry.tim_magnification=1e10"]),
     ("spot-radius radicand nan", ["geometry.tim_magnification=1e308"]),
     ("spot radius must be positive", ["geometry.lambda_beam=1e-200 m"]),

@@ -20,7 +20,6 @@ from abcd import (
 )
 
 from rbswipt.ray_optics import (
-    DegenerateCavityError,
     UnstableResonatorError,
     close_cavity,
     diffraction_survival,
@@ -200,10 +199,6 @@ class TestOneTrip:
             # repr also tells -0.0 from 0.0
             assert repr(one_trip_matrix(g)) == repr(expected)
 
-    def test_rejects_infinite_spacing(self):
-        with pytest.raises(ValueError):
-            one_trip_matrix(baseline_geometry(d3=math.inf))
-
 
 # per geometry key, values at the edges of its SCHEMA range: the smallest
 # subnormal, 1e300, both signs where the range allows them, inf for the
@@ -235,8 +230,8 @@ def test_bit_identical_to_compose_at_range_edges():
     with pytest.raises(ValueError) as e:
         one_trip_matrix(dict(d1=20e-3, d2=20e-3, d3=10.0, f1=1e300,
                              tim_magnification=1e10))
-    assert str(e.value) == ("free-space distances must be finite: d1=0.02, "
-                            "d2=0.02, lt=-inf, d3=10.0")
+    assert str(e.value) == \
+        "telescope spacing lt = f1 + f2 = -inf is not finite"
     rng = random.Random(17)
     draws = ({k: rng.choice(v) for k, v in RANGE_EDGES.items()}
              for _ in range(4000))
@@ -244,14 +239,13 @@ def test_bit_identical_to_compose_at_range_edges():
     for drawn in (*PINNED_EDGES, *draws):
         g = {k: v for k, v in drawn.items() if v is not None}
         c = cavity(g)
-        if not all(map(math.isfinite, (c["d1"], c["d2"], c["lt"], c["d3"]))):
+        if not math.isfinite(c["lt"]):
             # a derived lt = f1 + f2 that overflowed
             for function in (one_trip_matrix, open_cavity):
                 with pytest.raises(ValueError) as e:
                     function(g)
-                assert str(e.value) == (
-                    f"free-space distances must be finite: d1={c['d1']}, "
-                    f"d2={c['d2']}, lt={c['lt']}, d3={c['d3']}")
+                assert str(e.value) == (f"telescope spacing lt = f1 + f2 = "
+                                        f"{c['lt']} is not finite")
             seen.add("not finite")
             continue
         if c["f2"] == 0:
@@ -295,7 +289,7 @@ def test_infinite_focal_lengths_take_no_special_case():
     m = one_trip_matrix(g)
     assert repr(m) == repr(compose(*elements)) == \
         "RayTransferMatrix(a=1.0, b=10.09, c=-0.0, d=1.0)"
-    with pytest.raises(DegenerateCavityError) as e:
+    with pytest.raises(UnstableResonatorError) as e:
         spot_radius_on_gain(m, LAMBDA)
     assert str(e.value) == \
         "degenerate cavity: A*C = 0 for matrix [[1, 10.09], [-0, 1]]"
@@ -323,10 +317,11 @@ class TestSpotRadius:
         g = baseline_geometry(m=12.0, d3=10.0, fr2=10.0)
         with pytest.raises(UnstableResonatorError) as exc:
             spot_radius_on_gain(one_trip_matrix(g), LAMBDA)
-        assert exc.value.radicand < 0
+        assert str(exc.value).startswith(
+            "unstable resonator: spot-radius radicand -")
 
     def test_degenerate_ac_rejected(self):
-        with pytest.raises(DegenerateCavityError):
+        with pytest.raises(UnstableResonatorError, match="degenerate cavity"):
             spot_radius_on_gain(RayTransferMatrix(0.0, 2.0, -0.5, 1.0), LAMBDA)
 
     def test_agrees_with_q_parameter_oracle(self):
@@ -366,7 +361,7 @@ class TestSpotRadius:
             halved = {**g, "fr1": 2.0 * g["fr1"], "fr2": 2.0 * g["fr2"]}
             try:
                 w = spot_radius_on_gain(one_trip_matrix(halved), LAMBDA)
-            except (UnstableResonatorError, DegenerateCavityError):
+            except UnstableResonatorError:
                 w = None
             try:
                 w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)

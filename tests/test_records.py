@@ -189,6 +189,7 @@ def test_no_validated_config_reaches_a_deleted_stage_guard():
                 break
         g, gm, r = cfg["geometry"], cfg["gain"], cfg["receiver"]
         p_in = cfg["link"]["p_in"]
+        assert all(map(math.isfinite, (g["d1"], g["d2"], g["d3"]))), drawn
         assert 0 < g["r1"] <= 1 and 0 < g["r2"] <= 1, drawn
         assert g.get("fr1", 1.0) != 0 and g.get("fr2", 1.0) != 0, drawn
         assert g["lambda_beam"] > 0 and gm["a"] >= 0 and gm["l"] > 0, drawn
@@ -197,8 +198,14 @@ def test_no_validated_config_reaches_a_deleted_stage_guard():
         assert min(r["t_bg"], r["b_x"], r["r_l"]) > 0, drawn
         try:
             p = evaluate_operating_point(cfg)
-        except ConfigError:             # a kept numeric-domain guard
+        except ConfigError as e:        # a kept numeric-domain guard
             seen.add("ConfigError")
+            if "telescope spacing lt" in str(e):
+                # open_cavity's one guard: only the derived spacing can fail
+                f2 = (g["f2"] if "f2" in g
+                      else -g["f1"] * g["tim_magnification"])
+                assert "lt" not in g and not math.isfinite(g["f1"] + f2), drawn
+                seen.add("lt")
             continue
         seen.add(p.status)
         if p.v is not None:
@@ -210,4 +217,4 @@ def test_no_validated_config_reaches_a_deleted_stage_guard():
             assert not p.p_pv_in < 0 and not p.p_apd_in < 0, drawn
             assert not p.i_d < 0, drawn
     # the draws reach every outcome of the chain
-    assert seen == {"ok", "sub-threshold", "unstable", "ConfigError"}
+    assert seen == {"ok", "sub-threshold", "unstable", "ConfigError", "lt"}
