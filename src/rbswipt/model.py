@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .config import Config, ConfigError
+from .config import Config, ConfigError, resolve_path
 from .gain_power import POWER_UNITS, PowerResult, evaluate_gain
 from .ray_optics import (
     UnstableResonatorError,
     close_cavity,
     diffraction_survival,
-    one_trip_matrix,
     open_cavity,
     spot_radius_on_gain,
 )
@@ -82,14 +81,16 @@ def _entry(path: str) -> int:     # a dotted path's stage, or a section's
 def line(cfg: Config, path: str, quantities, one_axis=False):
     """Return at(value): the point of `cfg` with `path` set to a value in
     its SCHEMA range, through the stages `quantities` needs, for a sweep's
-    row or a search's probes in any order.  cfg is validated, resolved for
-    path (config.resolve_path) and never written: the line takes its own
-    copy of path's section and shares the others, so a grid's rows may
-    share every section they do not sweep.  at sets the key in place; its
-    first call goes through start_line(), every later call resumes from
-    what that lends, capped for a 1-D line (`one_axis`)."""
+    row or a search's probes in any order.  cfg is validated and never
+    written: the line takes its own copy of path's section, resolved for
+    path (config.resolve_path drops the key it excludes), and shares the
+    others, so a grid's rows may share every section they do not sweep.
+    at sets the key in place; its first call goes through start_line(),
+    every later call resumes from what that lends, capped for a 1-D line
+    (`one_axis`)."""
     section, _, key = path.partition(".")
     cell = {**cfg, section: dict(cfg[section])}
+    resolve_path(cell, path)
     swept, lend = cell[section], None
 
     def at(value: float) -> OperatingPoint:
@@ -136,8 +137,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     evaluated through ray optics only has status "stable".  Raises
     ConfigError when the settings drive a stage outside its numeric domain.
     `upstream`, what start_line() lends, holds the results of the chain's
-    first stages, and the point resumes after them: a lent cavity is
-    closed on cfg's d3 and fr2.
+    first stages, and the point resumes after them: the cavity, lent or
+    opened here, is closed on cfg's d3 and fr2.
 
     cfg must satisfy config.validate_config, as every Config made by
     parse_config, get_preset or set_path does; no range is checked here.
@@ -152,8 +153,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
         w = (upstream[_RAY_OPTICS] if lent > _RAY_OPTICS else
-             spot_radius_on_gain(close_cavity(upstream[_OPEN], geometry)
-                                 if lent else one_trip_matrix(geometry),
+             spot_radius_on_gain(close_cavity(upstream[_OPEN] if lent else
+                                              open_cavity(geometry), geometry),
                                  geometry["lambda_beam"]))
         if stage == _RAY_OPTICS:
             return tuple.__new__(OperatingPoint,

@@ -91,12 +91,6 @@ def close_cavity(cavity, geometry: Mapping[str, float]) -> RayTransferMatrix:
     return tuple.__new__(RayTransferMatrix, (a, b, c, d))
 
 
-def one_trip_matrix(geometry: Mapping[str, float]) -> RayTransferMatrix:
-    """Single-pass matrix from reflector M1 to reflector M2 inclusive: the
-    cavity opened and closed on one geometry section."""
-    return close_cavity(open_cavity(geometry), geometry)
-
-
 def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
     """Beam spot radius (m) on the gain medium from the one-trip matrix:
 

@@ -110,10 +110,10 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
         for v in values:
             check_value(axis.path, v)
     axis, values = (spec.axis1, a1) if a2 is None else (spec.axis2, a2)
-    # resolved on a copy, as resolving may drop an excluded key
+    # a line resolves its own key; a grid's rows set axis 1 on a copy
+    # resolved for it, as resolving may drop an excluded key
     cfg = copy_config(spec.config)
     s1, k1 = resolve_path(cfg, spec.axis1.path)
-    resolve_path(cfg, axis.path)
     rows = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
     points = []
     for row in rows:
@@ -137,8 +137,8 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then golden-section refinement along it
-    when the sweep is 1-D: one grid line and one probe line, a model.line
-    on a copy of spec.config.
+    when the sweep is 1-D: one grid line and one probe line, each a
+    model.line on spec.config.
 
     Returns ({path: value, ...}, objective value).  Grid ties break toward
     the lower value (the grid is scanned in increasing order and only
@@ -172,9 +172,7 @@ def find_optimum(spec: SweepSpec, objective: str,
         return ({spec.axis1.path: a1[i],
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
-    cfg = copy_config(spec.config)
-    resolve_path(cfg, spec.axis1.path)
-    at = line(cfg, spec.axis1.path, quantities, one_axis=True)
+    at = line(spec.config, spec.axis1.path, quantities, one_axis=True)
 
     def f(x: float) -> float:
         # a probe between grid values may leave a range with gaps

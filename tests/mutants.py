@@ -214,11 +214,17 @@ MUTANTS = [
      "_AFTER_GAIN = (None,) * (len(SWIPT_UNITS) - 1) + (\"\",)",
      ("tests/test_sweep.py::TestOperatingPoint::"
       "test_every_path_builds_a_full_record",)),
-    ("the probe line resolved on the caller's Config", "sweep.py",
-     "cfg = copy_config(spec.config)\n    resolve_path(cfg, spec.axis1.path)",
-     "cfg = spec.config\n    resolve_path(cfg, spec.axis1.path)",
+    # a line resolves its key (drops f2 or tim_magnification) on its own
+    # copy of the swept section
+    ("a line resolved on the caller's Config", "model.py",
+     "resolve_path(cell, path)",
+     "resolve_path(cfg, path)",
      ("tests/test_sweep.py::TestRunSweep::"
       "test_cells_leave_base_config_untouched",)),
+    ("a line leaves its key unresolved", "model.py",
+     "    resolve_path(cell, path)\n", "",
+     ("tests/test_sweep.py::TestRunSweep::"
+      "test_magnification_lines_on_a_config_holding_f2",)),
     ("line writes the caller's swept section", "model.py",
      "cell = {**cfg, section: dict(cfg[section])}",
      "cell = {**cfg}",
@@ -296,6 +302,18 @@ MUTANTS = [
       "test_overflowing_derived_f2_names_the_distances",
       "tests/test_records.py::"
       "test_no_validated_config_reaches_a_deleted_stage_guard")),
+    # the energy budget the fuzz test checks on every ok and sub-threshold
+    # point
+    ("slope efficiency's log ratio inverted", "gain_power.py",
+     "* math.log(r2) / math.log(prod))",
+     "* math.log(prod) / math.log(r2))",
+     ("tests/test_records.py::"
+      "test_no_validated_config_reaches_a_deleted_stage_guard",)),
+    ("the PV converter fed the whole beam", "receiver.py",
+     'p_e_out_raw = receiver["eta_p"] * p_pv_in + receiver["p_pth"]',
+     'p_e_out_raw = receiver["eta_p"] * p_beam + receiver["p_pth"]',
+     ("tests/test_records.py::"
+      "test_no_validated_config_reaches_a_deleted_stage_guard",)),
     ("losses.vc widened to > 0", "config.py",
      '"vc": ("dimensionless", False, "in (0, 1]"),',
      '"vc": ("dimensionless", False, "finite > 0"),',

@@ -27,7 +27,8 @@ from rbswipt.config import get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
-    one_trip_matrix,
+    close_cavity,
+    open_cavity,
     spot_radius_on_gain,
 )
 from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
@@ -43,7 +44,8 @@ def fig5_spot_max(m: float, n_d3: int = 41) -> float:
         g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
                  fr2=FIG5_FR2, r1=0.999, r2=0.90, lambda_beam=LAMBDA)
         try:
-            best = max(best, spot_radius_on_gain(one_trip_matrix(g), LAMBDA))
+            best = max(best, spot_radius_on_gain(
+                close_cavity(open_cavity(g), g), LAMBDA))
         except UnstableResonatorError:
             pass
     return best
@@ -233,7 +235,7 @@ def test_criterion_7_property_suites():
     for m, d3, fr2 in cases:
         g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
                  fr2=float(fr2), r1=0.999, r2=0.9, lambda_beam=LAMBDA)
-        w_closed = spot_radius_on_gain(one_trip_matrix(g), LAMBDA)
+        w_closed = spot_radius_on_gain(close_cavity(open_cavity(g), g), LAMBDA)
         w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)
         ratio = w_closed / w_q
         print(f"  cavity M={m} d3={d3} fr2={fr2}: ratio {ratio:.4f}")
@@ -242,7 +244,7 @@ def test_criterion_7_property_suites():
     # sign-flip invariance of the spot formula
     g = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3, fr2=18.0,
              r1=0.999, r2=0.9, lambda_beam=LAMBDA)
-    mc = one_trip_matrix(g)
+    mc = close_cavity(open_cavity(g), g)
     flipped = RayTransferMatrix(-mc.a, -mc.b, -mc.c, -mc.d)
     assert spot_radius_on_gain(flipped, LAMBDA) == \
         spot_radius_on_gain(mc, LAMBDA)

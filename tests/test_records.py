@@ -3,10 +3,11 @@
 Every value a domain record's own check used to reject is rejected by
 set_path with a ConfigError naming the path and SCHEMA's range text; the
 range edges are accepted and reach the section a stage reads; a sweep
-checks its axis values before any cell; one_trip_matrix defaults the
-telescope spacing to the afocal f1 + f2 and the reflectors to inf; and no
-validated Config, drawn at random, meets a condition the stages' former
-range guards rejected."""
+checks its axis values before any cell; open_cavity defaults the
+telescope spacing to the afocal f1 + f2 and fr1 to inf, and close_cavity
+defaults fr2 to inf; no validated Config, drawn at random, meets a
+condition the stages' former range guards rejected; and every ok or
+sub-threshold point keeps to the energy budget."""
 
 import math
 import random
@@ -17,7 +18,7 @@ from abcd import compose, free_space, retro_reflector, thin_lens
 from rbswipt import model
 from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
-from rbswipt.ray_optics import one_trip_matrix
+from rbswipt.ray_optics import close_cavity, open_cavity
 from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
 
 # case ids name each section after the per-stage record its ranges were
@@ -148,10 +149,12 @@ def test_telescope_spacing_defaults_to_afocal():
     defaults = dict(VALID_GEOMETRY, lt=-5e-3 + 60e-3, fr1=math.inf,
                     fr2=math.inf)
     # repr also tells -0.0 from 0.0
-    assert repr(one_trip_matrix(section)) == repr(one_trip_matrix(defaults))
+    assert repr(close_cavity(open_cavity(section), section)) == \
+        repr(close_cavity(open_cavity(defaults), defaults))
     assert section == VALID_GEOMETRY        # read, never written
     # given values win over the defaults
-    explicit = one_trip_matrix(dict(VALID_GEOMETRY, lt=0.1, fr2=18.0))
+    given = dict(VALID_GEOMETRY, lt=0.1, fr2=18.0)
+    explicit = close_cavity(open_cavity(given), given)
     assert repr(explicit) == repr(compose(
         retro_reflector(math.inf), free_space(20e-3), free_space(20e-3),
         thin_lens(-5e-3), free_space(0.1), thin_lens(60e-3),
@@ -216,5 +219,19 @@ def test_no_validated_config_reaches_a_deleted_stage_guard():
             assert p_in > 0, drawn
             assert not p.p_pv_in < 0 and not p.p_apd_in < 0, drawn
             assert not p.i_d < 0, drawn
+        if p.status in ("ok", "sub-threshold"):
+            # the energy budget, each bound to a relative 1e-12: the slope
+            # efficiency is at most the pump's quantum-defect-limited
+            # efficiency, a pump no longer than the beam's wavelength gives
+            # no more beam power than p_in, and a PV converter of slope at
+            # most 1 and no positive offset no more power than it receives
+            pump, rel = cfg["pump"], 1.0 + 1e-12
+            cap = (pump["eta_pc"] * pump["eta_pa"]
+                   * (pump["lambda_pump"] / g["lambda_beam"]))
+            assert p.eta_s <= cap * rel, drawn
+            if pump["lambda_pump"] <= g["lambda_beam"]:
+                assert p.p_beam <= p_in * rel, drawn
+                if r["eta_p"] <= 1 and r["p_pth"] <= 0 and p_in > 0:
+                    assert p.p_e_out <= r["mu"] * p.p_beam * rel, drawn
     # the draws reach every outcome of the chain
     assert seen == {"ok", "sub-threshold", "unstable", "ConfigError", "lt"}

@@ -226,6 +226,41 @@ class TestRunSweep:
             assert cfg == want
         assert spec.config == preset_with(("receiver.mu", 0.5))
 
+    def test_magnification_lines_on_a_config_holding_f2(self, monkeypatch):
+        # f2 wins in open_cavity over a tim_magnification beside it, so a
+        # line that kept the Config's f2 would evaluate f2 at every cell:
+        # each line drops it from its own copy, as set_path does, in a 1-D
+        # sweep, along axis 2 of a grid and in a search's lines.  Each
+        # Config is recorded as it is at its evaluation
+        seen = []
+
+        def recorded(cfg, quantities=None, upstream=()):
+            point = evaluate_operating_point(cfg, quantities, upstream)
+            seen.append((copy_config(cfg), quantities, point))
+            return point
+
+        patch_evaluate(monkeypatch, recorded)
+        base = ("geometry.f2", 60e-3)
+        m_axis = Axis("geometry.tim_magnification", 1.0, 14.0, 9)
+        statuses = set()
+        for axes, search in (
+                ((m_axis,), run_sweep),
+                ((Axis("geometry.d3", 2.0, 10.0, 3), m_axis), run_sweep),
+                ((m_axis,), lambda spec: find_optimum(spec, "spot_radius"))):
+            spec = SweepSpec(preset_with(base), *axes)
+            seen.clear()
+            search(spec)
+            assert len(seen) >= 9
+            for cfg, quantities, point in seen:
+                want = preset_with(base, *(
+                    (a.path, get_path(cfg, a.path)) for a in axes))
+                assert cfg == want
+                assert repr(point) == repr(
+                    evaluate_operating_point(want, quantities))
+                statuses.add(point.status)
+            assert spec.config == preset_with(base)
+        assert {"ok", "sub-threshold", "unstable"} <= statuses
+
     @pytest.mark.parametrize("path1, path2", [
         ("geometry.d3", "geometry.d3"), ("link.p_in", "link.p_in"),
         ("geometry.f2", "geometry.tim_magnification"),
@@ -499,7 +534,7 @@ class TestPruning:
                 evaluate_operating_point(cfg, quantities)
 
     @pytest.mark.parametrize("function, stage", [
-        ("one_trip_matrix", "ray optics"),
+        ("open_cavity", "ray optics"),
         ("diffraction_survival", "ray optics"),
         ("evaluate_gain", "gain"), ("evaluate_receiver", "receiver"),
     ])
@@ -726,17 +761,14 @@ class TestRowStaging:
 
     @staticmethod
     def count_calls(monkeypatch, *names):
-        # each function counted wherever the chain calls it: from model
-        # (evaluate_operating_point and start_line), and open_cavity and
-        # close_cavity also inside one_trip_matrix
+        # each function counted where the chain calls it: from model
+        # (evaluate_operating_point and start_line)
         counts = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, function=getattr(model, name)):
                 counts[name] += 1
                 return function(*args)
-            for module in (model, ray_optics):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(model, name, counted)
         return counts
 
     def test_stage_calls_on_a_p_in_mu_grid(self, monkeypatch):
