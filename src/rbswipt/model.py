@@ -18,7 +18,6 @@ from .config import Config, ConfigError, resolve_path
 from .gain_power import POWER_UNITS, PowerResult, evaluate_gain
 from .ray_optics import (
     UnstableResonatorError,
-    close_cavity,
     diffraction_survival,
     open_cavity,
     spot_radius_on_gain,
@@ -153,9 +152,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
     running = _RAY_OPTICS       # the stage a Python math error comes from
     try:
         w = (upstream[_RAY_OPTICS] if lent > _RAY_OPTICS else
-             spot_radius_on_gain(close_cavity(upstream[_OPEN] if lent else
-                                              open_cavity(geometry), geometry),
-                                 geometry["lambda_beam"]))
+             spot_radius_on_gain(upstream[_OPEN] if lent else
+                                 open_cavity(geometry), geometry))
         if stage == _RAY_OPTICS:
             return tuple.__new__(OperatingPoint,
                                  (STATUS_STABLE, p_in, w) + _AFTER_RAY)

@@ -5,10 +5,12 @@ All quantities are SI (meters, radians).  Matrices act on column vectors
 has unit determinant, and so does their one-trip product, multiplied out
 here on floats; the element matrices are the tests' (tests/abcd.py).
 The cavity is the Config's geometry section itself; its ranges are
-config.SCHEMA's and are not checked here.  A cavity that confines no
-mode, degenerate or unstable, raises UnstableResonatorError, whose text
-names the one-trip matrix; ValueError marks an intermediate value a
-validated geometry can still drive out of a formula's domain.
+config.SCHEMA's and are not checked here.  A cell's one call closes the
+cavity opened up to lens f2 and takes its spot radius, on floats.  A
+cavity that confines no mode, degenerate or unstable, raises
+UnstableResonatorError, whose text names the one-trip matrix; ValueError
+marks an intermediate value a validated geometry can still drive out of a
+formula's domain.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping
+
+# a one-trip matrix as every text prints it, and the texts that name one
+_MATRIX = "[[{:.6g}, {:.6g}], [{:.6g}, {:.6g}]]"
+_DEGENERATE = "degenerate cavity: A*C = 0 for matrix " + _MATRIX
+_UNSTABLE = ("unstable resonator: spot-radius radicand {:.6g} < 0 "
+             "for matrix " + _MATRIX)
+_NOT_FINITE = "spot-radius radicand {} for matrix " + _MATRIX
 
 
 class UnstableResonatorError(Exception):
@@ -30,7 +39,7 @@ class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
     __slots__ = ()
 
     def __str__(self):
-        return f"[[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]]"
+        return _MATRIX.format(*self)
 
 
 def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
@@ -79,20 +88,20 @@ def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
     return tuple.__new__(RayTransferMatrix, (a, b, c, d))
 
 
-def close_cavity(cavity, geometry: Mapping[str, float]) -> RayTransferMatrix:
-    """Single-pass matrix from reflector M1 to reflector M2 inclusive:
-    `cavity`, what open_cavity returns, then free space d3 and
-    retro-reflector fr2 (default inf) of the geometry section.  d3 is
-    finite in every Config that passes SCHEMA and is not checked again."""
+def close_cavity(cavity, geometry: Mapping[str, float]) -> tuple[float, ...]:
+    """Entries (a, b, c, d), as floats, of the single-pass matrix from
+    reflector M1 to M2 inclusive: `cavity`, what open_cavity returns, then
+    free space d3 and retro-reflector fr2 (default inf) of the geometry
+    section.  d3 is finite in every Config that passes SCHEMA."""
     d3, c2 = geometry["d3"], 1.0 / geometry.get("fr2", math.inf)
     a, b, c, d = cavity
     a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
-    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
-    return tuple.__new__(RayTransferMatrix, (a, b, c, d))
+    return -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
 
 
-def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
-    """Beam spot radius (m) on the gain medium from the one-trip matrix:
+def spot_radius_on_gain(cavity, geometry: Mapping[str, float]) -> float:
+    """Beam spot radius (m) on the gain medium from the one-trip matrix of
+    `cavity` closed on the geometry section (close_cavity), at lambda_beam:
 
         w_g = (-lam^2 * B * D / (pi^2 * A * C)) ** (1/4)
 
@@ -101,17 +110,16 @@ def spot_radius_on_gain(m: RayTransferMatrix, lam: float) -> float:
     finite (the matrix product overflowed).  B = 0 yields w_g = 0, which
     callers should treat as an unphysical degenerate mode.
     """
-    ac = m.a * m.c
+    a, b, c, d = close_cavity(cavity, geometry)
+    ac = a * c
     if ac == 0:
-        raise UnstableResonatorError(
-            f"degenerate cavity: A*C = 0 for matrix {m}")
-    radicand = -(lam * lam) * m.b * m.d / (math.pi * math.pi * ac)
+        raise UnstableResonatorError(_DEGENERATE.format(a, b, c, d))
+    lam = geometry["lambda_beam"]
+    radicand = -(lam * lam) * b * d / (math.pi * math.pi * ac)
     if radicand < 0:
-        raise UnstableResonatorError(
-            f"unstable resonator: spot-radius radicand {radicand:.6g} < 0 "
-            f"for matrix {m}")
+        raise UnstableResonatorError(_UNSTABLE.format(radicand, a, b, c, d))
     if not math.isfinite(radicand):
-        raise ValueError(f"spot-radius radicand {radicand} for matrix {m}")
+        raise ValueError(_NOT_FINITE.format(radicand, a, b, c, d))
     return radicand ** 0.25
 
 

@@ -98,8 +98,8 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
     `quantities` names what the caller reads of each point; None evaluates
-    every stage.  A 1-D sweep is one model.line, a 2-D grid one line along
-    axis 2 per axis-1 value, its rows sharing a copy of spec.config.
+    every stage.  A 1-D sweep is one model.line on spec.config; a 2-D
+    grid's rows, one line along axis 2 each, share a copy of spec.config.
     spec.config and every axis value are checked against SCHEMA here,
     before any cell, and raise ConfigError when out of range; no cell
     checks a range again."""
@@ -109,12 +109,14 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
         for v in values:
             check_value(axis.path, v)
-    axis, values = (spec.axis1, a1) if a2 is None else (spec.axis2, a2)
-    # a line resolves its own key; a grid's rows set axis 1 on a copy
-    # resolved for it, as resolving may drop an excluded key
-    cfg = copy_config(spec.config)
-    s1, k1 = resolve_path(cfg, spec.axis1.path)
-    rows = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1] if a2 else [cfg]
+    # a line resolves its own key and writes no Config; a grid's rows set
+    # axis 1 on a copy resolved for it, as resolving may drop an excluded key
+    axis, values, rows = spec.axis1, a1, [spec.config]
+    if a2 is not None:
+        cfg = copy_config(spec.config)
+        s1, k1 = resolve_path(cfg, spec.axis1.path)
+        axis, values = spec.axis2, a2
+        rows = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1]
     points = []
     for row in rows:
         points += map(line(row, axis.path, quantities, a2 is None), values)

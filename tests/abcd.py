@@ -4,7 +4,8 @@ Written independently of the fused code paths in `rbswipt`: element
 matrices multiplied one by one, the round trip, the self-consistent
 Gaussian mode, and the gain-stage formulas spelled out from the model's
 equations (none of them calls rbswipt.gain_power).  Nothing in the package
-imports this module.
+imports this module.  Two readers hand the package's float one-trip
+matrix to these records, and a bare matrix to the package's spot radius.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
     [[1/M, lt], [0, M]] with M = -f1/f2.
     """
     return compose(thin_lens(f1), free_space(lt), thin_lens(f2))
+
+
+def one_trip(opened, geometry: dict) -> RayTransferMatrix:
+    """The package's one-trip matrix as a record: the float entries
+    ray_optics.close_cavity gives for `opened`, what open_cavity returns,
+    closed on a Config's geometry section."""
+    return RayTransferMatrix(*ray_optics.close_cavity(opened, geometry))
+
+
+def spot_radius_of(m: ray_optics.RayTransferMatrix, lam: float) -> float:
+    """The package's spot radius of a bare one-trip matrix m at wavelength
+    lam: closing is linear, and d3 = 0 with fr2 = inf closes the cavity -m
+    to m (signed zeros aside)."""
+    return ray_optics.spot_radius_on_gain(
+        [-x for x in m], {"d3": 0.0, "lambda_beam": lam})
 
 
 def cavity(geometry: dict) -> dict:

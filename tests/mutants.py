@@ -184,8 +184,8 @@ MUTANTS = [
       ROW + "test_stage_calls_on_a_geometry_grid",
       ROW + "test_prefix_by_section", TABLE)),
     ("close_cavity without its fr2 line", "ray_optics.py",
-     "    a, b, c, d = -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d\n",
-     "",
+     "    return -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d\n",
+     "    return a, b, c, d\n",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
       "tests/test_sweep.py::"
       "test_statuses_follow_the_closed_form_stable_d3_intervals")),
@@ -287,11 +287,22 @@ MUTANTS = [
     # formula guards only where a validated Config can fail
     ("A*C = 0 left unchecked", "ray_optics.py",
      """    if ac == 0:
-        raise UnstableResonatorError(
-            f"degenerate cavity: A*C = 0 for matrix {m}")
+        raise UnstableResonatorError(_DEGENERATE.format(a, b, c, d))
 """, "",
      ("tests/test_ray_optics.py::TestSpotRadius::test_degenerate_ac_rejected",
       "tests/test_cli.py::test_ideal_retro_reflector_accepted")),
+    ("radicand's isfinite test skipped", "ray_optics.py",
+     """    if not math.isfinite(radicand):
+        raise ValueError(_NOT_FINITE.format(radicand, a, b, c, d))
+""", "",
+     ("tests/test_cli.py::test_kept_formula_guard_reached_by_validated_"
+      "settings[spot-radius radicand nan]",)),
+    # every text that names a one-trip matrix formats it with _MATRIX
+    ("matrix text without its D entry", "ray_optics.py",
+     '_MATRIX = "[[{:.6g}, {:.6g}], [{:.6g}, {:.6g}]]"',
+     '_MATRIX = "[[{:.6g}, {:.6g}], [{:.6g}]]"',
+     ("tests/test_ray_optics.py::TestSpotRadius::"
+      "test_unstable_and_degenerate_details_in_full",)),
     ("lt guard dropped", "ray_optics.py",
      """    if not math.isfinite(lt):
         raise ValueError(

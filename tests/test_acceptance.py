@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and the recorded spot-radius oracle discrepancies.
 """
 
+import itertools
 import math
 import random
 import time
@@ -15,19 +16,21 @@ from abcd import (
     compose,
     det,
     free_space,
+    one_trip,
     reflector_matrix,
     retro_reflector,
     round_trip_matrix,
+    spot_radius_of,
     spot_radius_q_oracle,
     thin_lens,
     tim_matrix,
 )
 
-from rbswipt.config import get_preset, set_path
+from rbswipt import figures
+from rbswipt.config import copy_config, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
-    close_cavity,
     open_cavity,
     spot_radius_on_gain,
 )
@@ -44,8 +47,7 @@ def fig5_spot_max(m: float, n_d3: int = 41) -> float:
         g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
                  fr2=FIG5_FR2, r1=0.999, r2=0.90, lambda_beam=LAMBDA)
         try:
-            best = max(best, spot_radius_on_gain(
-                close_cavity(open_cavity(g), g), LAMBDA))
+            best = max(best, spot_radius_on_gain(open_cavity(g), g))
         except UnstableResonatorError:
             pass
     return best
@@ -235,7 +237,7 @@ def test_criterion_7_property_suites():
     for m, d3, fr2 in cases:
         g = dict(d1=20e-3, d2=20e-3, d3=float(d3), f1=-5e-3, f2=5e-3 * m,
                  fr2=float(fr2), r1=0.999, r2=0.9, lambda_beam=LAMBDA)
-        w_closed = spot_radius_on_gain(close_cavity(open_cavity(g), g), LAMBDA)
+        w_closed = spot_radius_on_gain(open_cavity(g), g)
         w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)
         ratio = w_closed / w_q
         print(f"  cavity M={m} d3={d3} fr2={fr2}: ratio {ratio:.4f}")
@@ -244,10 +246,51 @@ def test_criterion_7_property_suites():
     # sign-flip invariance of the spot formula
     g = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=-5e-3, f2=60e-3, fr2=18.0,
              r1=0.999, r2=0.9, lambda_beam=LAMBDA)
-    mc = close_cavity(open_cavity(g), g)
+    mc = one_trip(open_cavity(g), g)
     flipped = RayTransferMatrix(-mc.a, -mc.b, -mc.c, -mc.d)
-    assert spot_radius_on_gain(flipped, LAMBDA) == \
-        spot_radius_on_gain(mc, LAMBDA)
+    assert spot_radius_of(flipped, LAMBDA) == spot_radius_of(mc, LAMBDA)
 
     print("ACCEPTANCE 7 PASS: determinant, retro, compression, saturation, "
           "splitter, slope, and oracle-agreement properties all hold")
+
+
+def test_figures_keep_the_energy_budget():
+    # every ok and sub-threshold point of the seven figures' sweeps at 121
+    # points, as reproduce_figure evaluates them, keeps to the energy
+    # budget wherever its fields were evaluated, each bound to a relative
+    # 1e-12: eta_s <= eta_pc * eta_pa * lambda_pump / lambda_beam; with
+    # lambda_pump <= lambda_beam, p_beam <= p_in; and, with also eta_p <= 1
+    # and p_pth <= 0, p_e_out <= mu * p_beam
+    rel = 1.0 + 1e-12
+    checked = dict.fromkeys(("eta_s", "p_beam", "p_e_out"), 0)
+    for fid in figures.FIGURE_IDS:
+        for _, spec, quantities, reduced in figures._series_sweeps(fid, 121):
+            result = run_sweep(spec, quantities if reduced
+                               else (*quantities, "status"))
+            axes = [a for a in (spec.axis1, spec.axis2) if a]
+            grids = (result.axis1_values, result.axis2_values)[:len(axes)]
+            cells = [dict(zip(axes, v)) for v in itertools.product(*grids)]
+            for p, cell in zip(result.points, cells, strict=True):
+                if p.status not in ("ok", "sub-threshold"):
+                    continue
+                cfg = copy_config(spec.config)
+                for axis, value in cell.items():
+                    set_path(cfg, axis.path, value)
+                pump, g, r = cfg["pump"], cfg["geometry"], cfg["receiver"]
+                below = pump["lambda_pump"] <= g["lambda_beam"]
+                if p.eta_s is not None:
+                    cap = (pump["eta_pc"] * pump["eta_pa"]
+                           * (pump["lambda_pump"] / g["lambda_beam"]))
+                    assert p.eta_s <= cap * rel, (fid, cell)
+                    checked["eta_s"] += 1
+                if p.p_beam is not None and below:
+                    assert p.p_beam <= cfg["link"]["p_in"] * rel, (fid, cell)
+                    checked["p_beam"] += 1
+                if (p.p_e_out is not None and below and r["eta_p"] <= 1
+                        and r["p_pth"] <= 0):
+                    assert p.p_e_out <= r["mu"] * p.p_beam * rel, (fid, cell)
+                    checked["p_e_out"] += 1
+    # figs 5b (for its status) to 8 evaluate the gain, 9 and 10 the receiver
+    assert checked["eta_s"] == checked["p_beam"] > checked["p_e_out"] > 0
+    print(f"\nACCEPTANCE PASS: the energy budget holds on every evaluated "
+          f"figure point: {checked}")

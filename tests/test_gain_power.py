@@ -8,7 +8,6 @@ from abcd import threshold_carrier_density, transmission_efficiency
 from rbswipt.config import ConfigError, get_preset, set_path
 from rbswipt.gain_power import LIGHT_SPEED, PLANCK, evaluate_gain
 from rbswipt.ray_optics import (
-    close_cavity,
     diffraction_survival,
     open_cavity,
     spot_radius_on_gain,
@@ -267,8 +266,7 @@ def stable_geometry(r2=0.90) -> dict:
 
 def survival(geo: dict, gm: dict) -> float:
     """Diffraction survival vd of the gain aperture, from ray optics."""
-    w = spot_radius_on_gain(close_cavity(open_cavity(geo), geo),
-                            geo["lambda_beam"])
+    w = spot_radius_on_gain(open_cavity(geo), geo)
     return diffraction_survival(gm["a"], w)
 
 

@@ -10,18 +10,22 @@ from abcd import (
     compose,
     det,
     free_space,
+    one_trip,
     one_trip_elements,
     reflector_matrix,
     retro_reflector,
     round_trip_matrix,
+    spot_radius_of,
     spot_radius_q_oracle,
     thin_lens,
     tim_matrix,
 )
 
+from rbswipt import model
+from rbswipt.config import get_preset
+from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
-    close_cavity,
     diffraction_survival,
     open_cavity,
     spot_radius_on_gain,
@@ -167,7 +171,7 @@ class TestOneTrip:
         oracle = np.eye(2)
         for s in steps:
             oracle = oracle @ s
-        np.testing.assert_allclose(as_array(close_cavity(open_cavity(g), g)),
+        np.testing.assert_allclose(as_array(one_trip(open_cavity(g), g)),
                                    oracle, rtol=1e-12)
 
     def test_unit_determinant(self):
@@ -176,7 +180,7 @@ class TestOneTrip:
             g = baseline_geometry(m=rng.uniform(1, 14),
                                   d3=rng.uniform(2, 10),
                                   fr2=rng.uniform(5, 40))
-            assert det(close_cavity(open_cavity(g), g)) == \
+            assert det(one_trip(open_cavity(g), g)) == \
                 pytest.approx(1.0, rel=1e-9)
             assert det(round_trip_matrix(g)) == pytest.approx(1.0, rel=1e-9)
 
@@ -197,7 +201,7 @@ class TestOneTrip:
             g = {k: v for k, v in drawn.items() if v is not None}
             expected = compose(*one_trip_elements(cavity(g)))
             # repr also tells -0.0 from 0.0
-            assert repr(close_cavity(open_cavity(g), g)) == repr(expected)
+            assert repr(one_trip(open_cavity(g), g)) == repr(expected)
 
 
 # per geometry key, values at the edges of its SCHEMA range: the smallest
@@ -229,7 +233,7 @@ def test_bit_identical_to_compose_at_range_edges():
     # overflow to -inf
     g = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=1e300, tim_magnification=1e10)
     with pytest.raises(ValueError) as e:
-        close_cavity(open_cavity(g), g)
+        one_trip(open_cavity(g), g)
     assert str(e.value) == \
         "telescope spacing lt = f1 + f2 = -inf is not finite"
     rng = random.Random(17)
@@ -255,7 +259,7 @@ def test_bit_identical_to_compose_at_range_edges():
             continue
         expected = compose(*one_trip_elements(c))
         # repr also tells -0.0 from 0.0, and shows inf and nan
-        assert repr(close_cavity(open_cavity(g), g)) == repr(expected), drawn
+        assert repr(one_trip(open_cavity(g), g)) == repr(expected), drawn
         seen.update(t for t in ("inf", "nan", "-0.0") if t in repr(expected))
         # the cavity up to f2, opened once, closed at other d3 and fr2 as a
         # d3 or fr2 line closes it per point
@@ -266,7 +270,7 @@ def test_bit_identical_to_compose_at_range_edges():
                      "fr2": rng.choice(RANGE_EDGES["fr2"])}
             if moved["fr2"] is None:
                 del moved["fr2"]
-            assert repr(close_cavity(opened, moved)) == repr(
+            assert repr(one_trip(opened, moved)) == repr(
                 compose(*one_trip_elements(cavity(moved)))), moved
     # the draws reach an overflow to inf, a nan, a negative zero, a
     # non-finite derived distance and an f2 that underflowed
@@ -284,11 +288,11 @@ def test_infinite_focal_lengths_take_no_special_case():
              lt=0.05, fr1=-math.inf)
     elements = one_trip_elements(cavity(g))
     assert repr(open_cavity(g)) == repr(compose(*elements[:6]))
-    m = close_cavity(open_cavity(g), g)
+    m = one_trip(open_cavity(g), g)
     assert repr(m) == repr(compose(*elements)) == \
         "RayTransferMatrix(a=1.0, b=10.09, c=-0.0, d=1.0)"
     with pytest.raises(UnstableResonatorError) as e:
-        spot_radius_on_gain(m, LAMBDA)
+        spot_radius_on_gain(open_cavity(g), {**g, "lambda_beam": LAMBDA})
     assert str(e.value) == \
         "degenerate cavity: A*C = 0 for matrix [[1, 10.09], [-0, 1]]"
 
@@ -296,31 +300,69 @@ def test_infinite_focal_lengths_take_no_special_case():
 class TestSpotRadius:
     def test_zero_b_gives_zero(self):
         m = RayTransferMatrix(2.0, 0.0, 1.0, 0.5)  # det = 1, B = 0
-        assert spot_radius_on_gain(m, LAMBDA) == 0.0
+        assert spot_radius_of(m, LAMBDA) == 0.0
 
     def test_uncompressed_spot_near_1p2_mm(self):
         # published value for the 10 m link without beam compression
         g = baseline_geometry(m=1.0, d3=10.0, fr2=12.0)
-        w = spot_radius_on_gain(close_cavity(open_cavity(g), g), LAMBDA)
+        w = spot_radius_on_gain(open_cavity(g), g)
         assert w == pytest.approx(1.2e-3, rel=0.15)
 
     def test_sign_flip_invariance(self):
         g = baseline_geometry()
-        m = close_cavity(open_cavity(g), g)
+        m = one_trip(open_cavity(g), g)
         flipped = RayTransferMatrix(-m.a, -m.b, -m.c, -m.d)
-        assert spot_radius_on_gain(flipped, LAMBDA) == \
-            spot_radius_on_gain(m, LAMBDA)
+        assert spot_radius_of(flipped, LAMBDA) == spot_radius_of(m, LAMBDA)
 
     def test_unstable_rejected_with_context(self):
         g = baseline_geometry(m=12.0, d3=10.0, fr2=10.0)
         with pytest.raises(UnstableResonatorError) as exc:
-            spot_radius_on_gain(close_cavity(open_cavity(g), g), LAMBDA)
+            spot_radius_on_gain(open_cavity(g), g)
         assert str(exc.value).startswith(
             "unstable resonator: spot-radius radicand -")
 
     def test_degenerate_ac_rejected(self):
         with pytest.raises(UnstableResonatorError, match="degenerate cavity"):
-            spot_radius_on_gain(RayTransferMatrix(0.0, 2.0, -0.5, 1.0), LAMBDA)
+            spot_radius_of(RayTransferMatrix(0.0, 2.0, -0.5, 1.0), LAMBDA)
+
+    @pytest.mark.parametrize("path, first", [("geometry.d3", 5.0),
+                                             ("geometry.fr2", 20.0)])
+    def test_unstable_and_degenerate_details_in_full(self, path, first):
+        # the whole detail text, built here from tests/abcd.py's one-trip
+        # matrix and radicand: a resumed cell of a d3 and of an fr2 line
+        # (model.line, after its first point at `first`) reads it, and so
+        # does the same point evaluated alone
+        preset = get_preset("paper-2022")
+        # CI's unstable cavity (fr2 = 2 m), and the degenerate one of
+        # test_infinite_focal_lengths_take_no_special_case, C = -0.0
+        unstable = {**preset, "geometry": {**preset["geometry"], "fr2": 2.0}}
+        degenerate = {**preset, "geometry": dict(
+            d1=0.02, d2=0.02, d3=10.0, f1=-math.inf, tim_magnification=12.0,
+            lt=0.05, fr1=-math.inf, fr2=math.inf, r1=0.999, r2=0.9,
+            lambda_beam=LAMBDA)}
+        texts = []
+        for cfg in (unstable, degenerate):
+            g = cfg["geometry"]
+            m = compose(*one_trip_elements(cavity(g)))
+            entries = f"[[{m.a:.6g}, {m.b:.6g}], [{m.c:.6g}, {m.d:.6g}]]"
+            lam = g["lambda_beam"]
+            if m.a * m.c == 0:
+                text = f"degenerate cavity: A*C = 0 for matrix {entries}"
+            else:
+                radicand = (-(lam * lam) * m.b * m.d
+                            / (math.pi * math.pi * (m.a * m.c)))
+                text = (f"unstable resonator: spot-radius radicand "
+                        f"{radicand:.6g} < 0 for matrix {entries}")
+            at = model.line(cfg, path, None)
+            at(first)
+            point = at(g[path.partition(".")[2]])
+            assert point.status == "unstable"
+            assert point.detail == text
+            assert evaluate_operating_point(cfg).detail == text
+            texts.append(text)
+        assert texts[0].startswith("unstable resonator: spot-radius radicand -")
+        assert texts[1] == \
+            "degenerate cavity: A*C = 0 for matrix [[1, 10.09], [-0, 1]]"
 
     def test_agrees_with_q_parameter_oracle(self):
         # The closed form uses the one-trip matrix; the self-consistent
@@ -336,8 +378,7 @@ class TestSpotRadius:
         assert len(cases) >= 10
         for m, d3, fr2 in cases:
             g = baseline_geometry(m=m, d3=d3, fr2=fr2)
-            w_closed = spot_radius_on_gain(close_cavity(open_cavity(g), g),
-                                           LAMBDA)
+            w_closed = spot_radius_on_gain(open_cavity(g), g)
             w_q = spot_radius_q_oracle(round_trip_matrix(g), LAMBDA)
             ratio = w_closed / w_q
             print(f"cavity M={m} d3={d3} fr2={fr2}: closed={w_closed:.4e} "
@@ -359,8 +400,7 @@ class TestSpotRadius:
             g["fr1"] = rng.choice((math.inf, 2.0, 30.0, 50.0))
             halved = {**g, "fr1": 2.0 * g["fr1"], "fr2": 2.0 * g["fr2"]}
             try:
-                w = spot_radius_on_gain(
-                    close_cavity(open_cavity(halved), halved), LAMBDA)
+                w = spot_radius_on_gain(open_cavity(halved), halved)
             except UnstableResonatorError:
                 w = None
             try:
@@ -380,8 +420,7 @@ class TestSpotRadius:
             for d3 in np.linspace(2.0, 10.0, 41):
                 g = baseline_geometry(m=m, d3=float(d3), fr2=11.0)
                 try:
-                    out = max(out, spot_radius_on_gain(
-                        close_cavity(open_cavity(g), g), LAMBDA))
+                    out = max(out, spot_radius_on_gain(open_cavity(g), g))
                 except UnstableResonatorError:
                     pass
             return out

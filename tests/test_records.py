@@ -13,7 +13,7 @@ import math
 import random
 
 import pytest
-from abcd import compose, free_space, retro_reflector, thin_lens
+from abcd import compose, free_space, one_trip, retro_reflector, thin_lens
 
 from rbswipt import model
 from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
@@ -154,7 +154,7 @@ def test_telescope_spacing_defaults_to_afocal():
     assert section == VALID_GEOMETRY        # read, never written
     # given values win over the defaults
     given = dict(VALID_GEOMETRY, lt=0.1, fr2=18.0)
-    explicit = close_cavity(open_cavity(given), given)
+    explicit = one_trip(open_cavity(given), given)
     assert repr(explicit) == repr(compose(
         retro_reflector(math.inf), free_space(20e-3), free_space(20e-3),
         thin_lens(-5e-3), free_space(0.1), thin_lens(60e-3),

@@ -289,6 +289,28 @@ class TestRunSweep:
         assert get_path(result.spec.config, "link.p_in") == 150.0
         assert [p.p_in for p in result.points] == [150.0, 150.0]
 
+    def test_only_a_grid_copies_the_config(self, monkeypatch):
+        # a 1-D sweep or search hands spec.config to its one line, which
+        # copies and resolves its own section (an f2 line drops
+        # tim_magnification there) and writes no Config; only a 2-D grid's
+        # rows share a copy of spec.config
+        copies = []
+        monkeypatch.setattr(sweep, "copy_config",
+                            lambda cfg: copies.append(cfg) or copy_config(cfg))
+        for axis in (Axis("geometry.f2", 0.05, 0.07, 5),
+                     Axis("geometry.tim_magnification", 10.0, 14.0, 5),
+                     Axis("geometry.d3", 2.0, 10.0, 5),
+                     Axis("receiver.mu", 0.0, 0.99, 5)):
+            spec = SweepSpec(preset_with(), axis)
+            before = copy.deepcopy(spec.config)
+            run_sweep(spec)
+            find_optimum(spec, "spot_radius")
+            assert spec.config == before, axis.path
+        assert copies == []
+        spec = p_in_mu_spec(counts=(3, 4))
+        run_sweep(spec)
+        assert copies == [spec.config]
+
 
 class TestReduceMax:
     @staticmethod
@@ -772,32 +794,34 @@ class TestRowStaging:
         return counts
 
     def test_stage_calls_on_a_p_in_mu_grid(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
-                                  "evaluate_gain", "evaluate_receiver")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain", "evaluate_gain",
+                                  "evaluate_receiver")
         result = run_sweep(p_in_mu_spec(counts=(4, 5)))
         # axis 1 starts at p_in = 0, whose row runs no receiver
-        assert counts == {"open_cavity": 4, "close_cavity": 4,
+        assert counts == {"open_cavity": 4, "spot_radius_on_gain": 4,
                           "evaluate_gain": 4, "evaluate_receiver": 3 * 5}
         assert [p.p_in for p in result.points[:5]] == [0.0] * 5
         # cells that need nothing past the row's gain run no stage
         counts.update(dict.fromkeys(counts, 0))
         run_sweep(p_in_mu_spec(counts=(4, 5)), quantities=("p_beam",))
-        assert counts == {"open_cavity": 4, "close_cavity": 4,
+        assert counts == {"open_cavity": 4, "spot_radius_on_gain": 4,
                           "evaluate_gain": 4, "evaluate_receiver": 0}
 
     def test_stage_calls_on_a_geometry_grid(self, monkeypatch):
         # each row along d3 opens its cavity once and closes it per cell
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain")
         spec = SweepSpec(preset_with(),
                          Axis("geometry.tim_magnification", 1.0, 14.0, 4),
                          Axis("geometry.d3", 2.0, 10.0, 5))
         run_sweep(spec, quantities=("spot_radius",))
-        assert counts == {"open_cavity": 4, "close_cavity": 4 * 5}
+        assert counts == {"open_cavity": 4, "spot_radius_on_gain": 4 * 5}
         # along M, every cell opens its own cavity
         counts.update(dict.fromkeys(counts, 0))
         run_sweep(SweepSpec(preset_with(), spec.axis2, spec.axis1),
                   quantities=("spot_radius",))
-        assert counts == {"open_cavity": 4 * 5, "close_cavity": 4 * 5}
+        assert counts == {"open_cavity": 4 * 5, "spot_radius_on_gain": 4 * 5}
 
 
 class TestLineStaging:
@@ -810,42 +834,45 @@ class TestLineStaging:
     count_calls = staticmethod(TestRowStaging.count_calls)
 
     def test_stage_calls_on_an_r2_line(self, monkeypatch):
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain",
                                   "diffraction_survival", "evaluate_gain")
         run_sweep(SweepSpec(preset_with(), Axis("geometry.r2", 0.85, 0.95, 7)))
-        assert counts == {"open_cavity": 1, "close_cavity": 1,
+        assert counts == {"open_cavity": 1, "spot_radius_on_gain": 1,
                           "diffraction_survival": 7, "evaluate_gain": 7}
 
     def test_stage_calls_in_a_search(self, monkeypatch):
         # the 39 grid cells share the grid line's cavity and every
         # golden-section probe the probe line's, each opened and closed once
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
-                                  "evaluate_gain")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain", "evaluate_gain")
         spec = SweepSpec(preset_with(("gain.l", 0.15e-6)),
                          Axis("geometry.r2", 0.80, 0.99, 39))
         find_optimum(spec, "p_beam")
-        assert (counts["open_cavity"], counts["close_cavity"]) == (2, 2)
+        assert (counts["open_cavity"], counts["spot_radius_on_gain"]) == (2, 2)
         assert counts["evaluate_gain"] > 39 + 20
 
     def test_stage_calls_in_a_d3_search(self, monkeypatch):
         # the 9 grid cells close the grid line's cavity, and the probes the
         # probe line's: 40 evaluations, 2 cavities opened
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain")
         spec = SweepSpec(preset_with(("geometry.fr2", 11.0)),
                          Axis("geometry.d3", 2.0, 10.0, 9))
         find_optimum(spec, "spot_radius")
-        assert counts == {"open_cavity": 2, "close_cavity": 40}
+        assert counts == {"open_cavity": 2, "spot_radius_on_gain": 40}
         # the probes set their own copy of the spec's Config
         assert spec.config == preset_with(("geometry.fr2", 11.0))
 
     def test_stage_calls_on_a_receiver_line(self, monkeypatch):
         # a receiver line (fig 9) lends ray optics only: every point runs
         # survival, the gain and the receiver
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity",
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain",
                                   "diffraction_survival", "evaluate_gain",
                                   "evaluate_receiver")
         run_sweep(SweepSpec(preset_with(), Axis("receiver.mu", 0.0, 0.99, 6)))
-        assert counts == {"open_cavity": 1, "close_cavity": 1,
+        assert counts == {"open_cavity": 1, "spot_radius_on_gain": 1,
                           "diffraction_survival": 6, "evaluate_gain": 6,
                           "evaluate_receiver": 6}
 
@@ -854,7 +881,8 @@ class TestLineStaging:
         # line opens it once and closes it per point, whether its first
         # point is stable or not (fr2 = 2 m), and any other key opens it per
         # point
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain")
         for base, axis, opened, first in (
                 ((), ("geometry.d3", 2.0, 10.0), 1, "ok"),
                 ((("geometry.fr2", 2.0),), ("geometry.d3", 2.0, 10.0), 1,
@@ -865,14 +893,16 @@ class TestLineStaging:
                 ((), ("geometry.lt", 0.05, 0.06), 5, "unstable")):
             counts.update(dict.fromkeys(counts, 0))
             result = run_sweep(SweepSpec(preset_with(*base), Axis(*axis, 5)))
-            assert counts == {"open_cavity": opened, "close_cavity": 5}, axis
+            assert counts == {"open_cavity": opened,
+                              "spot_radius_on_gain": 5}, axis
             assert result.points[0].status == first, (base, axis)
 
     def test_unstable_lines_open_one_cavity(self, monkeypatch):
         # an unstable first point lends only its cavity: a line on an
         # unstable cavity opens it once and closes it at every point, as a
         # d3 line does
-        counts = self.count_calls(monkeypatch, "open_cavity", "close_cavity")
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain")
         base = (("geometry.fr2", 2.0),)
         for spec, lines, n in (
                 (SweepSpec(preset_with(*base),
@@ -880,7 +910,7 @@ class TestLineStaging:
                 (p_in_mu_spec(*base, counts=(3, 4)), 3, 3 * 4)):
             counts.update(dict.fromkeys(counts, 0))
             result = run_sweep(spec)
-            assert counts == {"open_cavity": lines, "close_cavity": n}
+            assert counts == {"open_cavity": lines, "spot_radius_on_gain": n}
             axes = [a for a in (spec.axis1, spec.axis2) if a]
             grids = (result.axis1_values, result.axis2_values)[:len(axes)]
             for point, values in zip(result.points, itertools.product(*grids),
