@@ -67,9 +67,9 @@ def _read_config(path: str) -> str:
 
 def _load_config(args):
     cfg = get_preset(args.preset)
-    if getattr(args, "config", None):
+    if args.config:
         cfg = parse_config(_read_config(args.config), base=cfg)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects path=value, got {item!r}")
         set_text(cfg, *(p.strip() for p in item.split("=", 1)))

@@ -1,22 +1,21 @@
 """Paraxial ray-transfer (ABCD) optics of the spatially separated resonator.
 
 All quantities are SI (meters, radians).  Matrices act on column vectors
-(x, theta): transverse position and paraxial angle.  Every cavity element
-has unit determinant, and so does their one-trip product, multiplied out
-here on floats; the element matrices are the tests' (tests/abcd.py).
-The cavity is the Config's geometry section itself; its ranges are
-config.SCHEMA's and are not checked here.  A cell's one call closes the
-cavity opened up to lens f2 and takes its spot radius, on floats.  A
-cavity that confines no mode, degenerate or unstable, raises
-UnstableResonatorError, whose text names the one-trip matrix; ValueError
-marks an intermediate value a validated geometry can still drive out of a
-formula's domain.
+(x, theta), position and paraxial angle, and leave here as float tuples
+(a, b, c, d): a and d dimensionless, b in m, c in 1/m.  Every cavity
+element has unit determinant, and so does their one-trip product; the
+element matrices are the tests' (tests/abcd.py).  The cavity is the
+Config's geometry section itself; its ranges are config.SCHEMA's and are
+not checked here.  A cell's one call closes the cavity opened up to lens
+f2 and takes its spot radius.  A cavity that confines no mode, degenerate
+or unstable, raises UnstableResonatorError, whose text names the one-trip
+matrix; ValueError marks an intermediate value a validated geometry can
+still drive out of a formula's domain.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Mapping
 
 # a one-trip matrix as every text prints it, and the texts that name one
@@ -32,21 +31,12 @@ class UnstableResonatorError(Exception):
     A*C = 0 or a negative spot-radius radicand."""
 
 
-class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
-    """2x2 ray-transfer matrix with entries a (dimensionless), b (m),
-    c (m^-1), d (dimensionless)."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return _MATRIX.format(*self)
-
-
-def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
-    """Matrix from reflector M1 through lens f2 inclusive, for the Config's
-    geometry section, read and never written: the part of the one-trip
-    product that d3 and fr2 do not reach, the chain's first stage, which a
-    line opens once, at its first point, and a d3 or fr2 line lends.
+def open_cavity(geometry: Mapping[str, float]) -> tuple[float, ...]:
+    """Entries (a, b, c, d), as floats, of the matrix from reflector M1
+    through lens f2 inclusive, for the Config's geometry section, read and
+    never written: the part of the one-trip product that d3 and fr2 do not
+    reach, the chain's first stage, which a line opens once, at its first
+    point, and a d3 or fr2 line lends as this tuple.
 
     Element order from M1: retro-reflector fr1, free space d1 (to the gain
     medium) and d2 (to the first telescope lens), lens f1, spacing lt and
@@ -84,15 +74,15 @@ def open_cavity(geometry: Mapping[str, float]) -> RayTransferMatrix:
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p1 * a + c, p1 * b + d
     a, b, c, d = a + lt * c, b + lt * d, 0.0 * a + c, 0.0 * b + d
     a, b, c, d = a + 0.0 * c, b + 0.0 * d, p2 * a + c, p2 * b + d
-    # tuple.__new__ skips the namedtuple's Python-level __new__
-    return tuple.__new__(RayTransferMatrix, (a, b, c, d))
+    return a, b, c, d
 
 
 def close_cavity(cavity, geometry: Mapping[str, float]) -> tuple[float, ...]:
     """Entries (a, b, c, d), as floats, of the single-pass matrix from
-    reflector M1 to M2 inclusive: `cavity`, what open_cavity returns, then
-    free space d3 and retro-reflector fr2 (default inf) of the geometry
-    section.  d3 is finite in every Config that passes SCHEMA."""
+    reflector M1 to M2 inclusive: `cavity`, the entries open_cavity
+    returns, then free space d3 and retro-reflector fr2 (default inf) of
+    the geometry section.  d3 is finite in every Config that passes
+    SCHEMA."""
     d3, c2 = geometry["d3"], 1.0 / geometry.get("fr2", math.inf)
     a, b, c, d = cavity
     a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d

@@ -4,14 +4,19 @@ Written independently of the fused code paths in `rbswipt`: element
 matrices multiplied one by one, the round trip, the self-consistent
 Gaussian mode, and the gain-stage formulas spelled out from the model's
 equations (none of them calls rbswipt.gain_power).  Nothing in the package
-imports this module.  Two readers hand the package's float one-trip
-matrix to these records, and a bare matrix to the package's spot radius.
+imports this module.  The matrix record is defined here, not in the
+package, which hands out its matrices as plain tuples of floats; two
+readers hand the package's one-trip entries to these records, and a bare
+matrix to the package's spot radius.  Q, the units oracle, carries a value
+with its dimension through the package's formulas.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from rbswipt import ray_optics
 from rbswipt.config import Config, ConfigError
@@ -30,11 +35,15 @@ class RayVector:
             raise ValueError("ray vector components must be finite")
 
 
-class RayTransferMatrix(ray_optics.RayTransferMatrix):
-    """The package's matrix record with the matrix product and its action
-    on a ray; same name, so reprs compare equal to the package's."""
+class RayTransferMatrix(namedtuple("RayTransferMatrix", "a b c d")):
+    """2x2 ray-transfer matrix with entries a (dimensionless), b (m), c
+    (1/m) and d (dimensionless), its product and its action on a ray; the
+    package hands out the same entries as a plain tuple of floats."""
 
     __slots__ = ()
+
+    def __str__(self):
+        return ray_optics._MATRIX.format(*self)
 
     def __matmul__(self, other: "RayTransferMatrix") -> "RayTransferMatrix":
         return RayTransferMatrix(
@@ -52,7 +61,7 @@ class RayTransferMatrix(ray_optics.RayTransferMatrix):
 IDENTITY = RayTransferMatrix(1.0, 0.0, 0.0, 1.0)
 
 
-def det(m: ray_optics.RayTransferMatrix) -> float:
+def det(m: RayTransferMatrix) -> float:
     """Determinant a d - b c of a ray-transfer matrix."""
     return m.a * m.d - m.b * m.c
 
@@ -129,7 +138,7 @@ def one_trip(opened, geometry: dict) -> RayTransferMatrix:
     return RayTransferMatrix(*ray_optics.close_cavity(opened, geometry))
 
 
-def spot_radius_of(m: ray_optics.RayTransferMatrix, lam: float) -> float:
+def spot_radius_of(m: RayTransferMatrix, lam: float) -> float:
     """The package's spot radius of a bare one-trip matrix m at wavelength
     lam: closing is linear, and d3 = 0 with fr2 = inf closes the cavity -m
     to m (signed zeros aside)."""
@@ -273,3 +282,96 @@ def get_path(cfg: Config, path: str) -> float:
         return cfg[section][key]
     except KeyError:
         raise ConfigError(f"unresolvable parameter path {path!r}") from None
+
+
+# -- units oracle -------------------------------------------------------------
+
+BASE_UNITS = ("m", "kg", "s", "A", "K")
+ONE = (0, 0, 0, 0, 0)
+# exponents over BASE_UNITS of the SCHEMA kinds the ray optics reads
+KIND_DIMS = {"dimensionless": ONE, "length": (1, 0, 0, 0, 0)}
+
+
+def unit_of(x) -> str:
+    """The dimension of a Q or a bare float as text, e.g. 'm^-1', or '1'
+    when dimensionless."""
+    dim = x.dim if isinstance(x, Q) else ONE
+    return " ".join(f"{u}^{e:g}" for u, e in zip(BASE_UNITS, dim) if e) or "1"
+
+
+class Q:
+    """A float with its dimension, exponents over BASE_UNITS.  Adding or
+    comparing unlike dimensions raises TypeError.  A bare float is
+    dimensionless, except that a bare zero is a zero of any dimension: the
+    package's folds multiply the literal zero entries of element matrices,
+    as in `0.0 * a + c`, and a product by one stays such a zero."""
+
+    __slots__ = ("v", "dim")
+
+    def __init__(self, v: float, dim: tuple = ONE):
+        self.v, self.dim = v, tuple(dim)
+
+    def _like(self, other, verb: str) -> float:
+        """other's value, when other has self's dimension."""
+        if not isinstance(other, Q):
+            other = Q(other, self.dim if other == 0 else ONE)
+        if other.dim != self.dim:
+            raise TypeError(f"{verb} {unit_of(self)} and {unit_of(other)}")
+        return other.v
+
+    def __add__(self, other):
+        return Q(self.v + self._like(other, "adding"), self.dim)
+
+    def __sub__(self, other):
+        return Q(self.v - self._like(other, "adding"), self.dim)
+
+    def __rsub__(self, other):
+        return Q(self._like(other, "adding") - self.v, self.dim)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Q(-self.v, self.dim)
+
+    def __mul__(self, other):
+        if isinstance(other, Q):
+            return Q(self.v * other.v,
+                     (x + y for x, y in zip(self.dim, other.dim)))
+        return self.v * other if other == 0 else Q(self.v * other, self.dim)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Q):
+            return Q(self.v / other.v,
+                     (x - y for x, y in zip(self.dim, other.dim)))
+        return Q(self.v / other, self.dim)
+
+    def __rtruediv__(self, other):
+        return other / self.v if other == 0 else Q(
+            other / self.v, (-e for e in self.dim))
+
+    def __pow__(self, p: float):
+        return Q(self.v ** p, (e * p for e in self.dim))
+
+    def __eq__(self, other):
+        return self.v == self._like(other, "comparing")
+
+    def __lt__(self, other):
+        return self.v < self._like(other, "comparing")
+
+    def __le__(self, other):
+        return self.v <= self._like(other, "comparing")
+
+
+def q_exp(x) -> Q:
+    """exp of a dimensionless value; TypeError for any other."""
+    if unit_of(x) != "1":
+        raise TypeError(f"exp of {unit_of(x)}")
+    return Q(math.exp(getattr(x, "v", x)))
+
+
+# the names of `math` the ray optics reads, for Q values
+UNITS_MATH = SimpleNamespace(
+    pi=math.pi, inf=math.inf, exp=q_exp,
+    isfinite=lambda x: math.isfinite(getattr(x, "v", x)))

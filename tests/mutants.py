@@ -251,6 +251,17 @@ MUTANTS = [
      "p2 = 0.0 if math.isinf(f2) else -1.0 / f2",
      ("tests/test_ray_optics.py::"
       "test_infinite_focal_lengths_take_no_special_case",)),
+    # open_cavity hands out its four floats as a plain tuple, in order
+    ("open_cavity returns its entries out of order", "ray_optics.py",
+     "    return a, b, c, d\n",
+     "    return a, c, b, d\n",
+     ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",)),
+    # the units oracle: w = (lam^2 B D / (pi^2 A C)) ** (1/4) is in m
+    ("radicand with one lambda", "ray_optics.py",
+     "-(lam * lam) * b * d",
+     "-lam * b * d",
+     ("tests/test_ray_optics.py::"
+      "test_every_ray_optics_result_carries_its_unit",)),
     ("PV clamp keeps -0.0", "receiver.py",
      "p_e_out = p_e_out_raw if p_e_out_raw > 0.0 else 0.0",
      "p_e_out = p_e_out_raw if p_e_out_raw >= 0.0 else 0.0",

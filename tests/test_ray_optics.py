@@ -4,6 +4,9 @@ import random
 import numpy as np
 import pytest
 from abcd import (
+    KIND_DIMS,
+    UNITS_MATH,
+    Q,
     RayTransferMatrix,
     RayVector,
     cavity,
@@ -19,13 +22,15 @@ from abcd import (
     spot_radius_q_oracle,
     thin_lens,
     tim_matrix,
+    unit_of,
 )
 
-from rbswipt import model
-from rbswipt.config import get_preset
+from rbswipt import model, ray_optics
+from rbswipt.config import SCHEMA, get_preset
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
+    close_cavity,
     diffraction_survival,
     open_cavity,
     spot_radius_on_gain,
@@ -264,7 +269,9 @@ def test_bit_identical_to_compose_at_range_edges():
         # the cavity up to f2, opened once, closed at other d3 and fr2 as a
         # d3 or fr2 line closes it per point
         opened = open_cavity(g)
-        assert repr(opened) == repr(compose(*one_trip_elements(c)[:6])), drawn
+        # open_cavity hands out a plain tuple of floats
+        assert repr(opened) == repr(
+            tuple(compose(*one_trip_elements(c)[:6]))), drawn
         for _ in range(3):
             moved = {**g, "d3": rng.choice(RANGE_EDGES["d3"]),
                      "fr2": rng.choice(RANGE_EDGES["fr2"])}
@@ -287,7 +294,7 @@ def test_infinite_focal_lengths_take_no_special_case():
     g = dict(d1=0.02, d2=0.02, d3=10.0, f1=-math.inf, tim_magnification=12.0,
              lt=0.05, fr1=-math.inf)
     elements = one_trip_elements(cavity(g))
-    assert repr(open_cavity(g)) == repr(compose(*elements[:6]))
+    assert repr(open_cavity(g)) == repr(tuple(compose(*elements[:6])))
     m = one_trip(open_cavity(g), g)
     assert repr(m) == repr(compose(*elements)) == \
         "RayTransferMatrix(a=1.0, b=10.09, c=-0.0, d=1.0)"
@@ -453,3 +460,36 @@ class TestDiffractionSurvival:
     def test_invalid_spot(self):
         with pytest.raises(ValueError):
             diffraction_survival(1e-3, 0.0)
+
+
+def test_every_ray_optics_result_carries_its_unit(monkeypatch):
+    # the preset's geometry section as Q values of their SCHEMA kinds
+    # (fr1 = inf stays a float, as 1/inf is a bare zero), through the ray
+    # optics with its math shimmed for Q: each function returns its
+    # dimension, and the same floats it returns without Q
+    preset = get_preset("paper-2022")
+    plain = preset["geometry"]
+    geometry = {k: v if math.isinf(v) else
+                Q(v, KIND_DIMS[SCHEMA["geometry"][k][0]])
+                for k, v in plain.items()}
+    aperture = Q(preset["gain"]["a"], KIND_DIMS[SCHEMA["gain"]["a"][0]])
+
+    def value(x):
+        return x.v if isinstance(x, Q) else x
+
+    monkeypatch.setattr(ray_optics, "math", UNITS_MATH)
+    opened = open_cavity(geometry)
+    closed = close_cavity(opened, geometry)
+    for entries in (opened, closed):
+        assert [unit_of(x) for x in entries] == ["1", "m^1", "m^-1", "1"]
+    w = spot_radius_on_gain(opened, geometry)
+    assert unit_of(w) == "m^1"
+    survival = diffraction_survival(aperture, w)
+    assert unit_of(survival) == "1"
+    monkeypatch.undo()
+    assert [value(x) for x in opened] == list(open_cavity(plain))
+    assert [value(x) for x in closed] == \
+        list(close_cavity(open_cavity(plain), plain))
+    assert value(w) == spot_radius_on_gain(open_cavity(plain), plain)
+    assert value(survival) == diffraction_survival(
+        preset["gain"]["a"], value(w))
