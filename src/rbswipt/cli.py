@@ -27,7 +27,6 @@ from .model import (
     STATUS_OK,
     STATUS_SUB_THRESHOLD,
     STATUS_UNSTABLE,
-    OperatingPoint,
     evaluate_operating_point,
 )
 from .output import Column, operating_point_report, write_curve_file
@@ -143,9 +142,11 @@ def cmd_sweep(args) -> int:
     if a2:
         columns.append(Column(spec.axis2.path, path_unit(spec.axis2.path),
                               a2 * len(a1)))
-    fields = dict(zip(OperatingPoint._fields, zip(*result.points)))
+    # points to columns, both records transposed in C: FIELD_UNITS is p_in,
+    # spot_radius, then the PowerResult and SwiptResult fields
+    statuses, p_in, spot, power, swipt, _ = zip(*result.points)
+    fields = dict(zip(FIELD_UNITS, (p_in, spot, *zip(*power), *zip(*swipt))))
     columns += [Column(q, FIELD_UNITS[q], fields[q]) for q in quantities]
-    statuses = fields["status"]
     columns.append(Column("status", "", statuses))
     out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_file(out, args.preset, spec.config, columns)

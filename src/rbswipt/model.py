@@ -7,12 +7,15 @@ power and spectral efficiency).  `_CHAIN` is the one place their order,
 fields and entries live.  A caller that names the fields it reads runs
 only up to the deepest stage those fields need; a line's later points
 resume from what its first point lends them (`line`): the results
-of the stages before the line's key enters, in chain order.
+of the stages before the line's key enters, in chain order.  A point
+holds the gain's and the receiver's records as the stages return them,
+and reads each of their fields as an attribute.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 
 from .config import Config, ConfigError, resolve_path
 from .gain_power import POWER_UNITS, PowerResult, evaluate_gain
@@ -22,7 +25,7 @@ from .ray_optics import (
     open_cavity,
     spot_radius_on_gain,
 )
-from .receiver import SWIPT_UNITS, evaluate_receiver
+from .receiver import SWIPT_UNITS, SwiptResult, evaluate_receiver
 
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
@@ -31,7 +34,7 @@ STATUS_SUB_THRESHOLD = "sub-threshold"
 STATUS_STABLE = "stable"
 
 # the chain in order: each stage's name as errors print it, its fields
-# (name -> unit, in OperatingPoint order) and the Config sections (or keys,
+# (name -> unit, in record order) and the Config sections (or keys,
 # where later than their section) it is the first to read.  Stage 0 opens
 # the cavity up to lens f2, ray optics closes it on d3 and fr2.  Survival
 # runs right after the spot radius: errors name it ray optics, its vd is gain's
@@ -46,7 +49,7 @@ _CHAIN = (
 )
 _OPEN, _RAY_OPTICS, _GAIN, _RECEIVER = range(len(_CHAIN))
 
-# column name -> unit, for report/CSV emission, in OperatingPoint order
+# column name -> unit, for report/CSV emission, in chain order
 FIELD_UNITS = {f: unit for stage in _CHAIN for f, unit in stage.units.items()}
 # stage each readable name needs; ok versus sub-threshold needs the gain
 _STAGE = {"status": _GAIN, **{f: i for i, stage in enumerate(_CHAIN)
@@ -56,21 +59,23 @@ _ENTRY = {s: i for i, stage in enumerate(_CHAIN) for s in stage.sections}
 # the first stage a point of each status did not finish; an ok or
 # sub-threshold point ran every stage before the receiver
 _RAN = {STATUS_UNSTABLE: _RAY_OPTICS, STATUS_STABLE: _GAIN}
-# an OperatingPoint's PowerResult: the gain's fields, after status and the
-# ray-optics fields
-_POWER = slice(1 + len(_CHAIN[_RAY_OPTICS].units),
-               1 + len(_CHAIN[_RAY_OPTICS].units) + len(_CHAIN[_GAIN].units))
+# the record of a stage that did not run: one shared record, every field None
+_NO_POWER = PowerResult._make([None] * len(POWER_UNITS))
+_NO_SWIPT = SwiptResult._make([None] * len(SWIPT_UNITS))
 
 OperatingPoint = namedtuple(
-    "OperatingPoint", ("status", *FIELD_UNITS, "detail"),
-    defaults=(*[None] * (len(FIELD_UNITS) - 1), ""))
+    "OperatingPoint",
+    ("status", *_CHAIN[_RAY_OPTICS].units, "power", "swipt", "detail"),
+    defaults=(None, None, _NO_POWER, _NO_SWIPT, ""))
 OperatingPoint.__doc__ = """One evaluated link state, all SI: status, the
-FIELD_UNITS fields, then detail; fields of stages that did not run are None."""
-# a point's fields after its ray optics and after its gain, as stages that
-# did not run leave them: None each, then detail "".  Points are built with
-# tuple.__new__, which skips the namedtuple's Python-level __new__
-_AFTER_RAY = (None,) * (len(POWER_UNITS) + len(SWIPT_UNITS)) + ("",)
-_AFTER_GAIN = (None,) * len(SWIPT_UNITS) + ("",)
+ray-optics fields, the gain's PowerResult and the receiver's SwiptResult,
+then detail.  Every FIELD_UNITS field reads as an attribute; a stage that
+did not run leaves its fields None (its record the shared all-None one)."""
+# each stage record's fields, read through the point
+for _record, _units in (("power", POWER_UNITS), ("swipt", SWIPT_UNITS)):
+    for _field in _units:
+        setattr(OperatingPoint, _field,
+                property(attrgetter(f"{_record}.{_field}")))
 
 
 def _entry(path: str) -> int:     # a dotted path's stage, or a section's
@@ -120,9 +125,7 @@ def start_line(cfg: Config, quantities, path: str, one_axis=False):
     # the gain, fig 9's receiver line would skip ray optics, and CI pins
     # traced figures' ray_optics.calls to its cells until a benchmark change
     entry = min(entry, _GAIN) if one_axis else entry
-    lend = (cavity, point.spot_radius,
-            tuple.__new__(PowerResult, point[_POWER]))
-    return point, lend[:entry]
+    return point, (cavity, point.spot_radius, point.power)[:entry]
 
 
 def evaluate_operating_point(cfg: Config, quantities=None,
@@ -155,8 +158,8 @@ def evaluate_operating_point(cfg: Config, quantities=None,
              spot_radius_on_gain(upstream[_OPEN] if lent else
                                  open_cavity(geometry), geometry))
         if stage == _RAY_OPTICS:
-            return tuple.__new__(OperatingPoint,
-                                 (STATUS_STABLE, p_in, w) + _AFTER_RAY)
+            return tuple.__new__(OperatingPoint, (STATUS_STABLE, p_in, w,
+                                                  _NO_POWER, _NO_SWIPT, ""))
         if lent > _GAIN:
             power, running = upstream[_GAIN], _RECEIVER
         else:
@@ -167,10 +170,10 @@ def evaluate_operating_point(cfg: Config, quantities=None,
             power, running = evaluate_gain(geometry, gain, cfg["pump"],
                                            cfg["losses"], p_in, vd), _RECEIVER
         swipt = (evaluate_receiver(power.p_beam, p_in, cfg["receiver"])
-                 + ("",) if stage == _RECEIVER and p_in > 0 else _AFTER_GAIN)
+                 if stage == _RECEIVER and p_in > 0 else _NO_SWIPT)
     except UnstableResonatorError as e:
         return tuple.__new__(OperatingPoint, (STATUS_UNSTABLE, p_in, None,
-                                              *_AFTER_RAY[:-1], str(e)))
+                                              _NO_POWER, _NO_SWIPT, str(e)))
     except (ValueError, ArithmeticError) as e:
         # the formula guards: on settings that pass SCHEMA they fail only on
         # an intermediate value out of its domain (float overflow, f2 = -f1 *
@@ -180,4 +183,4 @@ def evaluate_operating_point(cfg: Config, quantities=None,
         raise ConfigError("settings outside the model's numeric domain: "
                           f"{e}{where}") from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
-    return tuple.__new__(OperatingPoint, (status, p_in, w, *power, *swipt))
+    return tuple.__new__(OperatingPoint, (status, p_in, w, power, swipt, ""))

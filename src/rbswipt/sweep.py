@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .config import (
     ConfigError,
@@ -129,10 +130,10 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
     has none."""
     if result.axis2_values is None:
         raise ValueError("reduce_max needs a 2-axis sweep")
-    n2 = len(result.axis2_values)
-    return [max((getattr(p, quantity) for p in result.points[i:i + n2]
-                 if p.status in _EVALUATED
-                 and getattr(p, quantity) is not None), default=None)
+    n2, get = len(result.axis2_values), attrgetter(quantity)
+    return [max((v for p in result.points[i:i + n2]
+                 if p.status in _EVALUATED and (v := get(p)) is not None),
+                default=None)
             for i in range(0, len(result.points), n2)]
 
 
@@ -150,13 +151,13 @@ def find_optimum(spec: SweepSpec, objective: str,
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     sign = 1.0 if sense == "max" else -1.0
-    quantities = (objective,)
+    quantities, get = (objective,), attrgetter(objective)
     result = run_sweep(spec, quantities)
 
     def score(p: OperatingPoint) -> float:
-        if p.status not in _EVALUATED or getattr(p, objective) is None:
+        if p.status not in _EVALUATED or (v := get(p)) is None:
             return -math.inf
-        return sign * getattr(p, objective)
+        return sign * v
 
     best_idx, best = None, -math.inf
     for idx, p in enumerate(result.points):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from rbswipt import ray_optics
-from rbswipt.config import Config, ConfigError
+from rbswipt.config import SCHEMA, Config, ConfigError
 from rbswipt.ray_optics import UnstableResonatorError
 
 
@@ -288,8 +288,28 @@ def get_path(cfg: Config, path: str) -> float:
 
 BASE_UNITS = ("m", "kg", "s", "A", "K")
 ONE = (0, 0, 0, 0, 0)
-# exponents over BASE_UNITS of the SCHEMA kinds the ray optics reads
-KIND_DIMS = {"dimensionless": ONE, "length": (1, 0, 0, 0, 0)}
+# exponents over BASE_UNITS of the SCHEMA kinds the chain reads
+KIND_DIMS = {
+    "dimensionless": ONE, "length": (1, 0, 0, 0, 0),
+    "inv_length": (-1, 0, 0, 0, 0), "inv_volume": (-3, 0, 0, 0, 0),
+    "inv_time": (0, 0, -1, 0, 0), "vol_rate": (3, 0, -1, 0, 0),
+    "vol2_rate": (6, 0, -1, 0, 0), "area": (2, 0, 0, 0, 0),
+    "power": (2, 1, -3, 0, 0), "current": (0, 0, 0, 1, 0),
+    "frequency": (0, 0, -1, 0, 0), "resistance": (2, 1, -3, -2, 0),
+    "temperature": (0, 0, 0, 0, 1), "responsivity": (-2, -1, 3, 1, 0),
+}
+# exponents of each unit text of model.FIELD_UNITS; a spectral efficiency
+# in bit/s/Hz is a pure number
+FIELD_DIMS = {
+    "": ONE, "bit/s/Hz": ONE, "m": (1, 0, 0, 0, 0), "m^-1": (-1, 0, 0, 0, 0),
+    "m^-3": (-3, 0, 0, 0, 0), "s": (0, 0, 1, 0, 0), "W": (2, 1, -3, 0, 0),
+    "A": (0, 0, 0, 1, 0), "A^2": (0, 0, 0, 2, 0),
+}
+# the physical constants of the gain and receiver stages, with their units
+CONSTANT_DIMS = {
+    "PLANCK": (2, 1, -1, 0, 0), "LIGHT_SPEED": (1, 0, -1, 0, 0),
+    "ELECTRON_CHARGE": (0, 0, 1, 1, 0), "BOLTZMANN": (2, 1, -2, 0, -1),
+}
 
 
 def unit_of(x) -> str:
@@ -363,15 +383,51 @@ class Q:
     def __le__(self, other):
         return self.v <= self._like(other, "comparing")
 
+    def __gt__(self, other):
+        return self.v > self._like(other, "comparing")
 
-def q_exp(x) -> Q:
-    """exp of a dimensionless value; TypeError for any other."""
-    if unit_of(x) != "1":
-        raise TypeError(f"exp of {unit_of(x)}")
-    return Q(math.exp(getattr(x, "v", x)))
+    def __ge__(self, other):
+        return self.v >= self._like(other, "comparing")
+
+    def __int__(self):
+        if self.dim != ONE:
+            raise TypeError(f"int of {unit_of(self)}")
+        return int(self.v)
 
 
-# the names of `math` the ray optics reads, for Q values
+def of_number(function):
+    """`function` of a dimensionless value, as a Q; TypeError for any
+    other."""
+    def of(x) -> Q:
+        if unit_of(x) != "1":
+            raise TypeError(f"{function.__name__} of {unit_of(x)}")
+        return Q(function(getattr(x, "v", x)))
+    return of
+
+
+# the names of `math` the chain's stages read, for Q values
 UNITS_MATH = SimpleNamespace(
-    pi=math.pi, inf=math.inf, exp=q_exp,
+    pi=math.pi, e=math.e, inf=math.inf, exp=of_number(math.exp),
+    log=of_number(math.log), log2=of_number(math.log2),
     isfinite=lambda x: math.isfinite(getattr(x, "v", x)))
+
+
+def q_section(cfg: Config, section: str) -> dict:
+    """A Config section as Q values of their SCHEMA kinds; an infinite
+    value stays a float, as 1/inf is a bare zero."""
+    return {k: v if math.isinf(v) else Q(v, KIND_DIMS[SCHEMA[section][k][0]])
+            for k, v in cfg[section].items()}
+
+
+def units_shim(monkeypatch, module) -> None:
+    """Give a stage module the UNITS_MATH shim for its `math` and its
+    physical constants their units."""
+    monkeypatch.setattr(module, "math", UNITS_MATH)
+    for name, dim in CONSTANT_DIMS.items():
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, Q(getattr(module, name), dim))
+
+
+def value_of(x) -> float:
+    """The float of a Q, or x itself."""
+    return x.v if isinstance(x, Q) else x

@@ -155,8 +155,8 @@ MUTANTS = [
      (LINE + "test_unstable_lines_open_one_cavity",
       ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
     ("a lend one stage too long", "model.py",
-     "return point, lend[:entry]",
-     "return point, lend[:entry + 1]",
+     "point.power)[:entry]",
+     "point.power)[:entry + 1]",
      (LINE + "test_points_match_single_points",
       ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
     ("a receiver row lent only its spot radius", "model.py",
@@ -209,11 +209,29 @@ MUTANTS = [
       "tests/test_sweep.py::TestRunSweep::test_cell_configs_match_set_path",
       LINE + "test_points_match_single_points",
       ROW + "test_cells_match_single_points")),
-    ("a point's tail one field short", "model.py",
-     "_AFTER_GAIN = (None,) * len(SWIPT_UNITS) + (\"\",)",
-     "_AFTER_GAIN = (None,) * (len(SWIPT_UNITS) - 1) + (\"\",)",
+    ("a point's receiver record one field short", "model.py",
+     "if stage == _RECEIVER and p_in > 0 else _NO_SWIPT)",
+     "if stage == _RECEIVER and p_in > 0 else _NO_SWIPT[:-1])",
      ("tests/test_sweep.py::TestOperatingPoint::"
       "test_every_path_builds_a_full_record",)),
+    # a point holds the gain's and the receiver's records, and reads each
+    # of their fields through them
+    ("a receiver field reads the power record", "model.py",
+     '(("power", POWER_UNITS), ("swipt", SWIPT_UNITS))',
+     '(("power", POWER_UNITS), ("power", SWIPT_UNITS))',
+     ("tests/test_sweep.py::TestOperatingPoint::"
+      "test_every_path_builds_a_full_record",)),
+    ("start_line lends the not-run record", "model.py",
+     "(cavity, point.spot_radius, point.power)[:entry]",
+     "(cavity, point.spot_radius, _NO_POWER)[:entry]",
+     (ROW + "test_prefix_by_section", ROW + "test_cells_match_single_points")),
+    # the units oracle: a formula that drops a dimensional factor
+    ("P_th without lambda_beam", "gain_power.py",
+     "/ (lambda_beam * pump[\"eta_pc\"]", "/ (pump[\"eta_pc\"]",
+     (GAIN + "test_every_gain_result_carries_its_unit",)),
+    ("shot noise without its bandwidth", "receiver.py",
+     "(i_d + receiver[\"i_bg\"]) * b_x", "(i_d + receiver[\"i_bg\"])",
+     (RECEIVER + "test_every_receiver_result_carries_its_unit",)),
     # a line resolves its key (drops f2 or tim_magnification) on its own
     # copy of the swept section
     ("a line resolved on the caller's Config", "model.py",

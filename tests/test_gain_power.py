@@ -3,10 +3,21 @@ import random
 
 import numpy as np
 import pytest
-from abcd import threshold_carrier_density, transmission_efficiency
+from abcd import (
+    FIELD_DIMS,
+    Q,
+    q_section,
+    threshold_carrier_density,
+    transmission_efficiency,
+    unit_of,
+    units_shim,
+    value_of,
+)
 
+from rbswipt import gain_power
 from rbswipt.config import ConfigError, get_preset, set_path
-from rbswipt.gain_power import LIGHT_SPEED, PLANCK, evaluate_gain
+from rbswipt.gain_power import LIGHT_SPEED, PLANCK, POWER_UNITS, evaluate_gain
+from rbswipt.model import FIELD_UNITS, evaluate_operating_point
 from rbswipt.ray_optics import (
     diffraction_survival,
     open_cavity,
@@ -379,3 +390,21 @@ class TestValidation:
             with pytest.raises(ConfigError, match=r"^gain\.l = "):
                 set_path(cfg, "gain.l", value)
         assert cfg["gain"] == get_preset("paper-2022")["gain"]
+
+
+def test_every_gain_result_carries_its_unit(monkeypatch):
+    # the preset's sections as Q values of their SCHEMA kinds, through the
+    # gain stage with its math shimmed for Q and its constants given their
+    # units: each PowerResult field has the unit FIELD_UNITS gives it, and
+    # the same float as without Q
+    cfg = get_preset("paper-2022")
+    plain = evaluate_operating_point(cfg)
+    geometry, gain, pump, losses, link = (
+        q_section(cfg, s) for s in ("geometry", "gain", "pump", "losses",
+                                    "link"))
+    units_shim(monkeypatch, gain_power)
+    power = evaluate_gain(geometry, gain, pump, losses, link["p_in"],
+                          Q(plain.vd))
+    assert [unit_of(x) for x in power] == \
+        [unit_of(Q(1.0, FIELD_DIMS[FIELD_UNITS[f]])) for f in POWER_UNITS]
+    assert [value_of(x) for x in power] == list(plain.power)

@@ -4,9 +4,6 @@ import random
 import numpy as np
 import pytest
 from abcd import (
-    KIND_DIMS,
-    UNITS_MATH,
-    Q,
     RayTransferMatrix,
     RayVector,
     cavity,
@@ -22,11 +19,14 @@ from abcd import (
     spot_radius_q_oracle,
     thin_lens,
     tim_matrix,
+    q_section,
     unit_of,
+    units_shim,
+    value_of,
 )
 
 from rbswipt import model, ray_optics
-from rbswipt.config import SCHEMA, get_preset
+from rbswipt.config import get_preset
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
@@ -469,15 +469,9 @@ def test_every_ray_optics_result_carries_its_unit(monkeypatch):
     # dimension, and the same floats it returns without Q
     preset = get_preset("paper-2022")
     plain = preset["geometry"]
-    geometry = {k: v if math.isinf(v) else
-                Q(v, KIND_DIMS[SCHEMA["geometry"][k][0]])
-                for k, v in plain.items()}
-    aperture = Q(preset["gain"]["a"], KIND_DIMS[SCHEMA["gain"]["a"][0]])
-
-    def value(x):
-        return x.v if isinstance(x, Q) else x
-
-    monkeypatch.setattr(ray_optics, "math", UNITS_MATH)
+    geometry = q_section(preset, "geometry")
+    aperture = q_section(preset, "gain")["a"]
+    units_shim(monkeypatch, ray_optics)
     opened = open_cavity(geometry)
     closed = close_cavity(opened, geometry)
     for entries in (opened, closed):
@@ -487,9 +481,9 @@ def test_every_ray_optics_result_carries_its_unit(monkeypatch):
     survival = diffraction_survival(aperture, w)
     assert unit_of(survival) == "1"
     monkeypatch.undo()
-    assert [value(x) for x in opened] == list(open_cavity(plain))
-    assert [value(x) for x in closed] == \
+    assert [value_of(x) for x in opened] == list(open_cavity(plain))
+    assert [value_of(x) for x in closed] == \
         list(close_cavity(open_cavity(plain), plain))
-    assert value(w) == spot_radius_on_gain(open_cavity(plain), plain)
-    assert value(survival) == diffraction_survival(
-        preset["gain"]["a"], value(w))
+    assert value_of(w) == spot_radius_on_gain(open_cavity(plain), plain)
+    assert value_of(survival) == diffraction_survival(
+        preset["gain"]["a"], value_of(w))

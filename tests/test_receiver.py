@@ -3,9 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from abcd import (
+    FIELD_DIMS,
+    KIND_DIMS,
+    Q,
+    q_section,
+    unit_of,
+    units_shim,
+    value_of,
+)
 
+from rbswipt import receiver as receiver_module
 from rbswipt.config import ConfigError, get_preset, set_path
-from rbswipt.model import evaluate_operating_point
+from rbswipt.model import FIELD_UNITS, evaluate_operating_point
 from rbswipt.receiver import BOLTZMANN, SWIPT_UNITS, evaluate_receiver
 
 # the spectral-efficiency guard's message
@@ -273,3 +283,20 @@ def test_spectral_efficiency_is_shot_noise_limited():
     assert narrow.c_tilde == pytest.approx(18.012, abs=1e-3)
     assert narrow.c_tilde - wide.c_tilde == \
         pytest.approx(0.5 * math.log2(10), abs=1e-3)
+
+
+def test_every_receiver_result_carries_its_unit(monkeypatch):
+    # the preset's receiver section as Q values of their SCHEMA kinds and
+    # the powers in W, through the receiver with its math shimmed for Q and
+    # its constants given their units: each SwiptResult field has the unit
+    # FIELD_UNITS gives it, and the same float as without Q
+    cfg = get_preset("paper-2022")
+    plain = evaluate_operating_point(cfg)
+    watts = KIND_DIMS["power"]
+    receiver = q_section(cfg, "receiver")
+    units_shim(monkeypatch, receiver_module)
+    swipt = evaluate_receiver(Q(plain.p_beam, watts), Q(plain.p_in, watts),
+                              receiver)
+    assert [unit_of(x) for x in swipt] == \
+        [unit_of(Q(1.0, FIELD_DIMS[FIELD_UNITS[f]])) for f in SWIPT_UNITS]
+    assert [value_of(x) for x in swipt] == list(plain.swipt)

@@ -19,10 +19,10 @@ from rbswipt.config import (
     get_preset,
     set_path,
 )
-from rbswipt.gain_power import PowerResult
+from rbswipt.gain_power import POWER_UNITS, PowerResult
 from rbswipt.model import FIELD_UNITS, OperatingPoint, evaluate_operating_point
 from rbswipt.output import Column, write_curve_file
-from rbswipt.receiver import SwiptResult
+from rbswipt.receiver import SWIPT_UNITS, SwiptResult
 from rbswipt.sweep import (
     Axis,
     OptimizationError,
@@ -363,8 +363,8 @@ class TestReduceMax:
 def quadratic_stub(vertex, path="receiver.mu"):
     def evaluate(cfg, quantities=None, upstream=()):
         x = get_path(cfg, path)
-        return OperatingPoint(status="ok", p_in=0.0,
-                              p_beam=-(x - vertex) ** 2)
+        return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
+                              ._replace(p_beam=-(x - vertex) ** 2))
     return evaluate
 
 
@@ -382,8 +382,8 @@ class TestFindOptimum:
         vertex = 0.25
         def stub(cfg, quantities=None, upstream=()):
             x = get_path(cfg, "receiver.mu")
-            return OperatingPoint(status="ok", p_in=0.0,
-                                  p_beam=(x - vertex) ** 2)
+            return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
+                                  ._replace(p_beam=(x - vertex) ** 2))
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 11))
         patch_evaluate(monkeypatch, stub)
@@ -515,10 +515,9 @@ class TestPruning:
         spot = evaluate_operating_point(cfg, ("spot_radius",))
         gain = evaluate_operating_point(cfg, ("p_beam", "status"))
         assert spot == OperatingPoint("stable", full.p_in, full.spot_radius)
-        receiver = ("p_pv_in", "p_apd_in", "p_e_out_raw", "p_e_out", "eta_e",
-                    "i_d", "n_thermal_sq", "n_shot_sq", "n_total_sq",
-                    "c_tilde")
-        assert gain == full._replace(**dict.fromkeys(receiver))
+        assert gain == full._replace(
+            swipt=SwiptResult(*[None] * len(SWIPT_UNITS)))
+        assert gain.swipt is model._NO_SWIPT
         assert evaluate_operating_point(cfg, FIELD_UNITS) == full
         assert evaluate_operating_point(cfg, None) == full
 
@@ -777,7 +776,7 @@ class TestRowStaging:
                 assert len(lend) <= 2 or not one_axis
                 assert len(lend) <= 1 or status != "unstable"
                 full = (ray_optics.open_cavity(cfg["geometry"]),
-                        point.spot_radius, PowerResult(*point[3:12]))
+                        point.spot_radius, point.power)
                 assert repr(lend) == repr(full[:want])
         assert points["sub-threshold"][0]["link"]["p_in"] == 0.0
 
@@ -1211,14 +1210,23 @@ class TestFigures:
 
 class TestOperatingPoint:
     def test_fields_follow_the_unit_table(self):
-        assert OperatingPoint._fields == ("status", *FIELD_UNITS, "detail")
+        # the ray-optics fields, then one record per later stage, whose
+        # fields are the rest of FIELD_UNITS in order
+        ray = tuple(model._CHAIN[model._RAY_OPTICS].units)
+        assert OperatingPoint._fields == (
+            "status", *ray, "power", "swipt", "detail")
+        assert tuple(FIELD_UNITS) == (*ray, *POWER_UNITS, *SWIPT_UNITS)
 
     def test_fields_follow_the_stage_records(self):
-        # evaluate_operating_point fills the point positionally from the
-        # gain and receiver records
+        # evaluate_operating_point fills the point positionally with the
+        # gain and receiver records, each read through the point by field
         assert OperatingPoint._fields == (
-            "status", "p_in", "spot_radius", *PowerResult._fields,
-            *SwiptResult._fields, "detail")
+            "status", "p_in", "spot_radius", "power", "swipt", "detail")
+        assert (tuple(POWER_UNITS), tuple(SWIPT_UNITS)) == (
+            PowerResult._fields, SwiptResult._fields)
+        p = evaluate_operating_point(preset_with())
+        assert [getattr(p, f) for f in PowerResult._fields] == list(p.power)
+        assert [getattr(p, f) for f in SwiptResult._fields] == list(p.swipt)
 
     def test_every_path_builds_a_full_record(self):
         # each return path of evaluate_operating_point builds its point with
@@ -1253,10 +1261,24 @@ class TestOperatingPoint:
                 preset_with(("geometry.fr2", 2.0), ("geometry.d3", 3.0)),
                 None, lends["unstable"]),
         }
+        received = {"full chain",
+                    "receiver cell lent a cavity, spot radius and gain",
+                    "gain cell lent a cavity and spot radius"}
         for name, p in paths.items():
             assert len(p) == len(OperatingPoint._fields), name
             assert p == OperatingPoint(*p), name
             assert isinstance(p.detail, str), name
+            # the flat view: every field reads through the point as the
+            # records hold it, each record whole
+            assert tuple(getattr(p, f) for f in FIELD_UNITS) == (
+                p.p_in, p.spot_radius, *p.power, *p.swipt), name
+            assert len(p.power) == len(POWER_UNITS), name
+            assert len(p.swipt) == len(SWIPT_UNITS), name
+            # a stage that did not run holds the one shared all-None record
+            gain_ran = p.status in ("ok", "sub-threshold")
+            assert (p.power is model._NO_POWER) != gain_ran, name
+            assert (p.swipt is model._NO_SWIPT) != (name in received), name
+        assert set(model._NO_POWER + model._NO_SWIPT) == {None}
         assert [p.status for p in paths.values()] == [
             "stable", "unstable", "ok", "sub-threshold", "ok",
             "sub-threshold", "ok", "sub-threshold", "stable", "unstable"]
