@@ -89,8 +89,7 @@ def _axis_arg(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected PATH:LO:HI[:COUNT[:SPACING]], got {text!r}") from None
-    spacing = parts[4] if len(parts) > 4 else "linear"
-    return parts[0], lo, hi, count, spacing
+    return parts[0], lo, hi, count, parts[4] if len(parts) > 4 else "linear"
 
 
 def _points_arg(text: str) -> int:
@@ -142,10 +141,13 @@ def cmd_sweep(args) -> int:
     if a2:
         columns.append(Column(spec.axis2.path, path_unit(spec.axis2.path),
                               a2 * len(a1)))
-    # points to columns, both records transposed in C: FIELD_UNITS is p_in,
-    # spot_radius, then the PowerResult and SwiptResult fields
-    statuses, p_in, spot, power, swipt, _ = zip(*result.points)
-    fields = dict(zip(FIELD_UNITS, (p_in, spot, *zip(*power), *zip(*swipt))))
+    # points to columns, transposed in C; the gain's and the receiver's
+    # records only when a field of theirs is asked for
+    statuses, p_in, spot, *records, _ = zip(*result.points)
+    fields = {"p_in": p_in, "spot_radius": spot}
+    for record in records:
+        if not set(record[0]._fields).isdisjoint(quantities):
+            fields.update(zip(record[0]._fields, zip(*record)))
     columns += [Column(q, FIELD_UNITS[q], fields[q]) for q in quantities]
     columns.append(Column("status", "", statuses))
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -178,8 +180,7 @@ def cmd_reproduce_figure(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    for name in sorted(PRESETS):
-        print(name)
+    print(*sorted(PRESETS), sep="\n")
     return EXIT_OK
 
 

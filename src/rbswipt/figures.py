@@ -84,15 +84,14 @@ def reproduce_figure(figure_id: str, out_dir: Path,
             f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    first = None
-    columns: list[Column] = []
-    series = []
+    first, columns, series = None, [], []
     for label, spec, quantities, reduce_d3 in _series_sweeps(figure_id, points):
         # a non-reduced series also writes each point's status
         result = run_sweep(spec, quantities=quantities if reduce_d3
                            else (*quantities, "status"))
-        # every series shares axis 1; the file records the first one's config
-        first = first or result
+        # every series shares axis 1; the file records the first one's
+        # config, and its points are let go with the series
+        first = first or result._replace(points=())
         if reduce_d3:
             ys = [reduce_max(result, q) for q in quantities]
             statuses = ["gap" if y is None else STATUS_OK for y in ys[0]]

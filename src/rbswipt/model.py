@@ -65,17 +65,22 @@ _NO_SWIPT = SwiptResult._make([None] * len(SWIPT_UNITS))
 
 OperatingPoint = namedtuple(
     "OperatingPoint",
-    ("status", *_CHAIN[_RAY_OPTICS].units, "power", "swipt", "detail"),
-    defaults=(None, None, _NO_POWER, _NO_SWIPT, ""))
+    ("status", *_CHAIN[_RAY_OPTICS].units, "power", "swipt", "reason"),
+    defaults=(None, None, _NO_POWER, _NO_SWIPT, ()))
 OperatingPoint.__doc__ = """One evaluated link state, all SI: status, the
 ray-optics fields, the gain's PowerResult and the receiver's SwiptResult,
-then detail.  Every FIELD_UNITS field reads as an attribute; a stage that
+then reason.  Every FIELD_UNITS field reads as an attribute; a stage that
 did not run leaves its fields None (its record the shared all-None one)."""
 # each stage record's fields, read through the point
 for _record, _units in (("power", POWER_UNITS), ("swipt", SWIPT_UNITS)):
     for _field in _units:
         setattr(OperatingPoint, _field,
                 property(attrgetter(f"{_record}.{_field}")))
+# an unstable point's reason is what its UnstableResonatorError was raised
+# with, a format text and floats, and its detail that error's text, formatted
+# when read; any other point's reason is () and its detail ""
+OperatingPoint.detail = property(
+    lambda p: str(UnstableResonatorError(*p.reason)) if p.reason else "")
 
 
 def _entry(path: str) -> int:     # a dotted path's stage, or a section's
@@ -91,7 +96,9 @@ def line(cfg: Config, path: str, quantities, one_axis=False):
     others, so a grid's rows may share every section they do not sweep.
     at sets the key in place; its first call goes through start_line(),
     every later call resumes from what that lends, capped for a 1-D line
-    (`one_axis`)."""
+    (`one_axis`).  quantities is cut, once, to the one name that decides
+    the deepest stage."""
+    quantities = quantities and (max(quantities, key=_STAGE.__getitem__),)
     section, _, key = path.partition(".")
     cell = {**cfg, section: dict(cfg[section])}
     resolve_path(cell, path)
@@ -159,7 +166,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
                                  open_cavity(geometry), geometry))
         if stage == _RAY_OPTICS:
             return tuple.__new__(OperatingPoint, (STATUS_STABLE, p_in, w,
-                                                  _NO_POWER, _NO_SWIPT, ""))
+                                                  _NO_POWER, _NO_SWIPT, ()))
         if lent > _GAIN:
             power, running = upstream[_GAIN], _RECEIVER
         else:
@@ -173,7 +180,7 @@ def evaluate_operating_point(cfg: Config, quantities=None,
                  if stage == _RECEIVER and p_in > 0 else _NO_SWIPT)
     except UnstableResonatorError as e:
         return tuple.__new__(OperatingPoint, (STATUS_UNSTABLE, p_in, None,
-                                              _NO_POWER, _NO_SWIPT, str(e)))
+                                              _NO_POWER, _NO_SWIPT, e.args))
     except (ValueError, ArithmeticError) as e:
         # the formula guards: on settings that pass SCHEMA they fail only on
         # an intermediate value out of its domain (float overflow, f2 = -f1 *
@@ -183,4 +190,4 @@ def evaluate_operating_point(cfg: Config, quantities=None,
         raise ConfigError("settings outside the model's numeric domain: "
                           f"{e}{where}") from None
     status = STATUS_OK if power.p_beam > 0 else STATUS_SUB_THRESHOLD
-    return tuple.__new__(OperatingPoint, (status, p_in, w, power, swipt, ""))
+    return tuple.__new__(OperatingPoint, (status, p_in, w, power, swipt, ()))

@@ -64,19 +64,15 @@ def write_plot_description(path: Path, title: str, x_label: str,
     """Declarative plot description (no rendering): axis labels plus the
     series-to-column mapping for an external plotting helper."""
     import json     # only reproduce-figure writes one
-    path.write_text(json.dumps({
-        "title": title,
-        "x_label": x_label,
-        "y_label": y_label,
-        "csv_file": csv_file,
-        "series": series,
-    }, indent=2) + "\n")
+    fields = dict(title=title, x_label=x_label, y_label=y_label,
+                  csv_file=csv_file, series=series)
+    path.write_text(json.dumps(fields, indent=2) + "\n")
 
 
 def operating_point_report(op: OperatingPoint) -> str:
     """Human-readable single-point report."""
     lines = [f"status: {op.status}"]
-    if op.detail:
+    if op.reason:
         lines.append(f"detail: {op.detail}")
     for name, unit in FIELD_UNITS.items():
         v = getattr(op, name)

@@ -6,11 +6,13 @@ All quantities are SI (meters, radians).  Matrices act on column vectors
 element has unit determinant, and so does their one-trip product; the
 element matrices are the tests' (tests/abcd.py).  The cavity is the
 Config's geometry section itself; its ranges are config.SCHEMA's and are
-not checked here.  A cell's one call closes the cavity opened up to lens
-f2 and takes its spot radius.  A cavity that confines no mode, degenerate
-or unstable, raises UnstableResonatorError, whose text names the one-trip
-matrix; ValueError marks an intermediate value a validated geometry can
-still drive out of a formula's domain.
+not checked here.  A cell's one call, spot_radius_on_gain, closes the
+cavity opened up to lens f2 on d3 and fr2, the one place that closing is
+written, and takes its spot radius.  A cavity that confines no mode,
+degenerate or unstable, raises UnstableResonatorError with the floats of
+the one-trip matrix (and the radicand), kept as floats: its text names
+them, formatted only when it is read.  ValueError marks an intermediate
+value a validated geometry can still drive out of a formula's domain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ _NOT_FINITE = "spot-radius radicand {} for matrix " + _MATRIX
 
 class UnstableResonatorError(Exception):
     """The cavity confines no transverse mode: its one-trip matrix has
-    A*C = 0 or a negative spot-radius radicand."""
+    A*C = 0 or a negative spot-radius radicand.  Raised with a format text
+    and the floats it names; the one place that text is formatted is here,
+    when the error is read as text."""
+
+    def __str__(self):
+        return self.args[0].format(*self.args[1:])
 
 
 def open_cavity(geometry: Mapping[str, float]) -> tuple[float, ...]:
@@ -77,21 +84,12 @@ def open_cavity(geometry: Mapping[str, float]) -> tuple[float, ...]:
     return a, b, c, d
 
 
-def close_cavity(cavity, geometry: Mapping[str, float]) -> tuple[float, ...]:
-    """Entries (a, b, c, d), as floats, of the single-pass matrix from
-    reflector M1 to M2 inclusive: `cavity`, the entries open_cavity
-    returns, then free space d3 and retro-reflector fr2 (default inf) of
-    the geometry section.  d3 is finite in every Config that passes
-    SCHEMA."""
-    d3, c2 = geometry["d3"], 1.0 / geometry.get("fr2", math.inf)
-    a, b, c, d = cavity
-    a, b, c, d = a + d3 * c, b + d3 * d, 0.0 * a + c, 0.0 * b + d
-    return -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d
-
-
 def spot_radius_on_gain(cavity, geometry: Mapping[str, float]) -> float:
-    """Beam spot radius (m) on the gain medium from the one-trip matrix of
-    `cavity` closed on the geometry section (close_cavity), at lambda_beam:
+    """Beam spot radius (m) on the gain medium, at lambda_beam, from the
+    single-pass matrix (A, B, C, D) from reflector M1 to M2 inclusive:
+    `cavity`, the entries open_cavity returns, closed here on free space d3
+    and retro-reflector fr2 (default inf) of the geometry section, in which
+    d3 is finite whenever the Config passes SCHEMA:
 
         w_g = (-lam^2 * B * D / (pi^2 * A * C)) ** (1/4)
 
@@ -100,14 +98,21 @@ def spot_radius_on_gain(cavity, geometry: Mapping[str, float]) -> float:
     finite (the matrix product overflowed).  B = 0 yields w_g = 0, which
     callers should treat as an unphysical degenerate mode.
     """
-    a, b, c, d = close_cavity(cavity, geometry)
+    d3, c2 = geometry["d3"], 1.0 / geometry.get("fr2", math.inf)
+    a, b, c, d = cavity
+    # d3, then fr2, `element @ out` term for term as in open_cavity, one
+    # column (a, c) or (b, d) at a time: no 4-tuple is built
+    a, c = a + d3 * c, 0.0 * a + c
+    b, d = b + d3 * d, 0.0 * b + d
+    a, c = -a + 0.0 * c, c2 * a - c
+    b, d = -b + 0.0 * d, c2 * b - d
     ac = a * c
     if ac == 0:
-        raise UnstableResonatorError(_DEGENERATE.format(a, b, c, d))
+        raise UnstableResonatorError(_DEGENERATE, a, b, c, d)
     lam = geometry["lambda_beam"]
     radicand = -(lam * lam) * b * d / (math.pi * math.pi * ac)
     if radicand < 0:
-        raise UnstableResonatorError(_UNSTABLE.format(radicand, a, b, c, d))
+        raise UnstableResonatorError(_UNSTABLE, radicand, a, b, c, d)
     if not math.isfinite(radicand):
         raise ValueError(_NOT_FINITE.format(radicand, a, b, c, d))
     return radicand ** 0.25

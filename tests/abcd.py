@@ -5,10 +5,11 @@ matrices multiplied one by one, the round trip, the self-consistent
 Gaussian mode, and the gain-stage formulas spelled out from the model's
 equations (none of them calls rbswipt.gain_power).  Nothing in the package
 imports this module.  The matrix record is defined here, not in the
-package, which hands out its matrices as plain tuples of floats; two
-readers hand the package's one-trip entries to these records, and a bare
-matrix to the package's spot radius.  Q, the units oracle, carries a value
-with its dimension through the package's formulas.
+package, which hands out its matrices as plain tuples of floats; the
+reference closing turns the package's opened cavity into a one-trip
+record, and a reader hands a bare matrix to the package's spot radius.
+Q, the units oracle, carries a value with its dimension through the
+package's formulas.
 """
 
 from __future__ import annotations
@@ -132,10 +133,12 @@ def tim_matrix(f1: float, f2: float, lt: float) -> RayTransferMatrix:
 
 
 def one_trip(opened, geometry: dict) -> RayTransferMatrix:
-    """The package's one-trip matrix as a record: the float entries
-    ray_optics.close_cavity gives for `opened`, what open_cavity returns,
-    closed on a Config's geometry section."""
-    return RayTransferMatrix(*ray_optics.close_cavity(opened, geometry))
+    """The reference closing: `opened`, the entries open_cavity returns,
+    as a record, then free space d3 and retro-reflector fr2 (default inf)
+    of a Config's geometry section, multiplied element by element.  The
+    package closes the cavity only inside spot_radius_on_gain."""
+    return compose(RayTransferMatrix(*opened), free_space(geometry["d3"]),
+                   retro_reflector(geometry.get("fr2", math.inf)))
 
 
 def spot_radius_of(m: RayTransferMatrix, lam: float) -> float:
@@ -144,6 +147,17 @@ def spot_radius_of(m: RayTransferMatrix, lam: float) -> float:
     to m (signed zeros aside)."""
     return ray_optics.spot_radius_on_gain(
         [-x for x in m], {"d3": 0.0, "lambda_beam": lam})
+
+
+def closed_by_package(opened, geometry: dict):
+    """What the package's one closing, inside spot_radius_on_gain, makes
+    of `opened` on a Config's geometry section: the spot radius, or the
+    floats its UnstableResonatorError kept (an unstable cavity's radicand,
+    then the one-trip entries A, B, C, D)."""
+    try:
+        return ray_optics.spot_radius_on_gain(opened, geometry)
+    except UnstableResonatorError as e:
+        return e.args[1:]
 
 
 def cavity(geometry: dict) -> dict:
@@ -252,8 +266,9 @@ def spot_radius_q_oracle(m_round: RayTransferMatrix, lam: float) -> float:
             if q.imag > 0:
                 inv_im = (1.0 / q).imag
                 return math.sqrt(-lam / (math.pi * inv_im))
-    raise UnstableResonatorError(f"no confined Gaussian mode: discriminant "
-                                 f"{disc:.6g} for round-trip matrix {m_round}")
+    raise UnstableResonatorError("no confined Gaussian mode: discriminant "
+                                 "{:.6g} for round-trip matrix "
+                                 + ray_optics._MATRIX, disc, *m_round)
 
 
 def threshold_carrier_density(gain: dict, r1: float, r2: float,

@@ -183,12 +183,34 @@ MUTANTS = [
      (LINE + "test_stage_calls_on_a_geometry_line",
       ROW + "test_stage_calls_on_a_geometry_grid",
       ROW + "test_prefix_by_section", TABLE)),
-    ("close_cavity without its fr2 line", "ray_optics.py",
-     "    return -a + 0.0 * c, -b + 0.0 * d, c2 * a - c, c2 * b - d\n",
-     "    return a, b, c, d\n",
+    # spot_radius_on_gain is the one place the cavity is closed
+    ("spot_radius_on_gain closes without its fr2 lines", "ray_optics.py",
+     """    a, c = -a + 0.0 * c, c2 * a - c
+    b, d = -b + 0.0 * d, c2 * b - d
+""", "",
      ("tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
       "tests/test_sweep.py::"
       "test_statuses_follow_the_closed_form_stable_d3_intervals")),
+    # an unstable point keeps the format text and floats its error was
+    # raised with, and formats them only when its detail is read
+    ("detail floats kept out of order", "ray_optics.py",
+     "UnstableResonatorError(_UNSTABLE, radicand, a, b, c, d)",
+     "UnstableResonatorError(_UNSTABLE, radicand, a, c, b, d)",
+     ("tests/test_ray_optics.py::TestSpotRadius::"
+      "test_unstable_and_degenerate_details_in_full",
+      "tests/test_ray_optics.py::test_bit_identical_to_compose_at_range_edges",
+      "tests/test_cli.py::TestEvaluate::"
+      "test_unstable_report_matches_pinned_text")),
+    ("detail formatted when the point is built", "model.py",
+     "_NO_POWER, _NO_SWIPT, e.args))",
+     "_NO_POWER, _NO_SWIPT, (str(e),)))",
+     ("tests/test_sweep.py::TestOperatingPoint::"
+      "test_detail_formatted_only_when_read",)),
+    # a line cuts quantities, once, to the name of the deepest stage
+    ("a line keeps the shallowest name", "model.py",
+     "(max(quantities, key=_STAGE.__getitem__),)",
+     "(min(quantities, key=_STAGE.__getitem__),)",
+     (LINE + "test_line_points_match_single_points",)),
     # model.line evaluates a line's cells on its own copy of the swept
     # section, set in place, and points are built with tuple.__new__
     ("the swept key set after the cell", "model.py",
@@ -316,7 +338,7 @@ MUTANTS = [
     # formula guards only where a validated Config can fail
     ("A*C = 0 left unchecked", "ray_optics.py",
      """    if ac == 0:
-        raise UnstableResonatorError(_DEGENERATE.format(a, b, c, d))
+        raise UnstableResonatorError(_DEGENERATE, a, b, c, d)
 """, "",
      ("tests/test_ray_optics.py::TestSpotRadius::test_degenerate_ac_rejected",
       "tests/test_cli.py::test_ideal_retro_reflector_accepted")),

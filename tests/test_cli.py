@@ -45,6 +45,15 @@ class TestEvaluate:
         assert code == 4
         assert "status: unstable" in out
 
+    @pytest.mark.parametrize("fr2, pinned", [
+        ("2 m", "evaluate_unstable.txt"), ("inf m", "evaluate_degenerate.txt")])
+    def test_unstable_report_matches_pinned_text(self, capsys, fr2, pinned):
+        # the whole report of an unstable and of a degenerate cavity, whose
+        # detail is formatted from the point's kept floats when read
+        code, out, _ = run(capsys, "evaluate", "--set", f"geometry.fr2={fr2}")
+        assert code == 4
+        assert out == (Path(__file__).parent / "reference" / pinned).read_text()
+
     def test_config_error_exit_code(self, capsys):
         code, _, err = run(capsys, "evaluate", "--set", "geometry.r2=1.2")
         assert code == 3
@@ -613,8 +622,11 @@ def test_commands_reach_every_public_function(capsys, tmp_path):
     config = tmp_path / "my.cfg"
     config.write_text("[link]\np_in = 150 W\n")
     out = ["--out-dir", str(tmp_path)]
+    # the unstable point's report formats its detail, in the one place
+    # an unstable cavity's text is formatted
     commands = [
         ["evaluate"],
+        ["evaluate", "--set", "geometry.fr2=2 m"],
         ["validate", "--config", str(config)],
         ["presets"],
         ["sweep", "--axis", "link.p_in:50:150:3",
@@ -636,7 +648,7 @@ def test_commands_reach_every_public_function(capsys, tmp_path):
         codes = [run_cli(argv) for argv in commands]
     finally:
         sys.setprofile(previous)
-    assert codes == [0] * len(commands)
+    assert codes == [0, 4] + [0] * (len(commands) - 2)
     modules = [importlib.import_module(f"rbswipt.{m.name}")
                for m in pkgutil.iter_modules(rbswipt.__path__)]
     public = [(f"{mod.__name__}.{name}", value) for mod in modules

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from abcd import get_path
+from abcd import get_path, one_trip
 
 from rbswipt.config import (
     _RANGES,
@@ -15,7 +15,7 @@ from rbswipt.config import (
     serialize_config,
     set_path,
 )
-from rbswipt.ray_optics import close_cavity, open_cavity
+from rbswipt.ray_optics import open_cavity
 
 
 class TestParseQuantity:
@@ -164,8 +164,8 @@ class TestBuilders:
         explicit = {k: v for k, v in geo.items() if k != "tim_magnification"}
         explicit.update(f2=f2, lt=f1 + f2)
         # repr also tells -0.0 from 0.0
-        assert repr(close_cavity(open_cavity(geo), geo)) == \
-            repr(close_cavity(open_cavity(explicit), explicit))
+        assert repr(one_trip(open_cavity(geo), geo)) == \
+            repr(one_trip(open_cavity(explicit), explicit))
 
     def test_preset_gain_is_si(self):
         gain = get_preset("paper-2022")["gain"]

@@ -7,6 +7,7 @@ from abcd import (
     RayTransferMatrix,
     RayVector,
     cavity,
+    closed_by_package,
     compose,
     det,
     free_space,
@@ -30,7 +31,6 @@ from rbswipt.config import get_preset
 from rbswipt.model import evaluate_operating_point
 from rbswipt.ray_optics import (
     UnstableResonatorError,
-    close_cavity,
     diffraction_survival,
     open_cavity,
     spot_radius_on_gain,
@@ -207,6 +207,7 @@ class TestOneTrip:
             expected = compose(*one_trip_elements(cavity(g)))
             # repr also tells -0.0 from 0.0
             assert repr(one_trip(open_cavity(g), g)) == repr(expected)
+            closes_as(open_cavity(g), g, expected)
 
 
 # per geometry key, values at the edges of its SCHEMA range: the smallest
@@ -233,12 +234,30 @@ PINNED_EDGES = (
 )
 
 
+def closes_as(opened, geometry: dict, m: RayTransferMatrix) -> str:
+    """Check that spot_radius_on_gain closes `opened` on `geometry` into
+    the composed one-trip matrix m bit for bit, and name the verdict: a
+    stable cell's radius is spot_radius_of(m), an unstable or degenerate
+    cell keeps m's entries (repr also tells -0.0 from 0.0 and shows inf
+    and nan), and a radicand that is not finite names m."""
+    try:
+        kept = closed_by_package(opened, {**geometry, "lambda_beam": LAMBDA})
+    except ValueError as e:
+        assert str(e).endswith(f" for matrix {m}"), geometry
+        return "radicand not finite"
+    if isinstance(kept, tuple):
+        assert repr(kept[-4:]) == repr(tuple(m)), geometry
+        return "unstable"
+    assert repr(kept) == repr(spot_radius_of(m, LAMBDA)), geometry
+    return "stable"
+
+
 def test_bit_identical_to_compose_at_range_edges():
     # README's command for this guard: f2 = -f1 * M and lt = f1 + f2
     # overflow to -inf
     g = dict(d1=20e-3, d2=20e-3, d3=10.0, f1=1e300, tim_magnification=1e10)
     with pytest.raises(ValueError) as e:
-        one_trip(open_cavity(g), g)
+        open_cavity(g)
     assert str(e.value) == \
         "telescope spacing lt = f1 + f2 = -inf is not finite"
     rng = random.Random(17)
@@ -263,25 +282,27 @@ def test_bit_identical_to_compose_at_range_edges():
             seen.add("f2 = 0")
             continue
         expected = compose(*one_trip_elements(c))
-        # repr also tells -0.0 from 0.0, and shows inf and nan
-        assert repr(one_trip(open_cavity(g), g)) == repr(expected), drawn
         seen.update(t for t in ("inf", "nan", "-0.0") if t in repr(expected))
-        # the cavity up to f2, opened once, closed at other d3 and fr2 as a
-        # d3 or fr2 line closes it per point
         opened = open_cavity(g)
-        # open_cavity hands out a plain tuple of floats
+        # open_cavity hands out a plain tuple of floats; repr also tells
+        # -0.0 from 0.0, and shows inf and nan
         assert repr(opened) == repr(
             tuple(compose(*one_trip_elements(c)[:6]))), drawn
+        seen.add(closes_as(opened, g, expected))
+        # the cavity up to f2, opened once, closed at other d3 and fr2 as a
+        # d3 or fr2 line closes it per point
         for _ in range(3):
             moved = {**g, "d3": rng.choice(RANGE_EDGES["d3"]),
                      "fr2": rng.choice(RANGE_EDGES["fr2"])}
             if moved["fr2"] is None:
                 del moved["fr2"]
-            assert repr(one_trip(opened, moved)) == repr(
-                compose(*one_trip_elements(cavity(moved)))), moved
+            seen.add(closes_as(opened, moved, compose(
+                *one_trip_elements(cavity(moved)))))
     # the draws reach an overflow to inf, a nan, a negative zero, a
-    # non-finite derived distance and an f2 that underflowed
-    assert seen == {"inf", "nan", "-0.0", "not finite", "f2 = 0"}
+    # non-finite derived distance, an f2 that underflowed, and every
+    # verdict of the closed cavity
+    assert seen == {"inf", "nan", "-0.0", "not finite", "f2 = 0", "stable",
+                    "unstable", "radicand not finite"}
 
 
 def test_infinite_focal_lengths_take_no_special_case():
@@ -473,17 +494,14 @@ def test_every_ray_optics_result_carries_its_unit(monkeypatch):
     aperture = q_section(preset, "gain")["a"]
     units_shim(monkeypatch, ray_optics)
     opened = open_cavity(geometry)
-    closed = close_cavity(opened, geometry)
-    for entries in (opened, closed):
-        assert [unit_of(x) for x in entries] == ["1", "m^1", "m^-1", "1"]
+    assert [unit_of(x) for x in opened] == ["1", "m^1", "m^-1", "1"]
+    # the closing adds and compares only like dimensions on the way
     w = spot_radius_on_gain(opened, geometry)
     assert unit_of(w) == "m^1"
     survival = diffraction_survival(aperture, w)
     assert unit_of(survival) == "1"
     monkeypatch.undo()
     assert [value_of(x) for x in opened] == list(open_cavity(plain))
-    assert [value_of(x) for x in closed] == \
-        list(close_cavity(open_cavity(plain), plain))
     assert value_of(w) == spot_radius_on_gain(open_cavity(plain), plain)
     assert value_of(survival) == diffraction_survival(
         preset["gain"]["a"], value_of(w))

@@ -4,21 +4,28 @@ Every value a domain record's own check used to reject is rejected by
 set_path with a ConfigError naming the path and SCHEMA's range text; the
 range edges are accepted and reach the section a stage reads; a sweep
 checks its axis values before any cell; open_cavity defaults the
-telescope spacing to the afocal f1 + f2 and fr1 to inf, and close_cavity
-defaults fr2 to inf; no validated Config, drawn at random, meets a
-condition the stages' former range guards rejected; and every ok or
-sub-threshold point keeps to the energy budget."""
+telescope spacing to the afocal f1 + f2 and fr1 to inf, and the closing
+in spot_radius_on_gain defaults fr2 to inf; no validated Config, drawn at
+random, meets a condition the stages' former range guards rejected; and
+every ok or sub-threshold point keeps to the energy budget."""
 
 import math
 import random
 
 import pytest
-from abcd import compose, free_space, one_trip, retro_reflector, thin_lens
+from abcd import (
+    closed_by_package,
+    compose,
+    free_space,
+    one_trip,
+    retro_reflector,
+    thin_lens,
+)
 
 from rbswipt import model
 from rbswipt.config import SCHEMA, ConfigError, get_preset, set_path
 from rbswipt.model import evaluate_operating_point
-from rbswipt.ray_optics import close_cavity, open_cavity
+from rbswipt.ray_optics import open_cavity
 from rbswipt.sweep import Axis, SweepSpec, find_optimum, run_sweep
 
 # case ids name each section after the per-stage record its ranges were
@@ -148,9 +155,12 @@ def test_telescope_spacing_defaults_to_afocal():
     section = dict(VALID_GEOMETRY)
     defaults = dict(VALID_GEOMETRY, lt=-5e-3 + 60e-3, fr1=math.inf,
                     fr2=math.inf)
-    # repr also tells -0.0 from 0.0
-    assert repr(close_cavity(open_cavity(section), section)) == \
-        repr(close_cavity(open_cavity(defaults), defaults))
+    # flat M1 and M2 behind an afocal telescope: a degenerate cavity, which
+    # keeps its one-trip entries; repr also tells -0.0 from 0.0
+    kept = closed_by_package(open_cavity(section), section)
+    assert repr(kept) == \
+        repr(closed_by_package(open_cavity(defaults), defaults)) == \
+        repr(tuple(one_trip(open_cavity(defaults), defaults)))
     assert section == VALID_GEOMETRY        # read, never written
     # given values win over the defaults
     given = dict(VALID_GEOMETRY, lt=0.1, fr2=18.0)

@@ -933,7 +933,10 @@ class TestLineStaging:
         values = [lo + (hi - lo) * rng.random() for _ in range(9)]
         values = values if first is None else [first, *values]
         statuses = set()
-        for quantities in (None, ("spot_radius",), ("p_beam",)):
+        # mixed quantities: a line resolves the deepest stage they need once
+        for quantities in (None, ("spot_radius",), ("p_beam",),
+                           ("status", "spot_radius", "c_tilde"),
+                           ("p_beam", "status")):
             for one_axis in (False, True):
                 cfg = preset_with()
                 at = model.line(cfg, path, quantities, one_axis)
@@ -1214,14 +1217,14 @@ class TestOperatingPoint:
         # fields are the rest of FIELD_UNITS in order
         ray = tuple(model._CHAIN[model._RAY_OPTICS].units)
         assert OperatingPoint._fields == (
-            "status", *ray, "power", "swipt", "detail")
+            "status", *ray, "power", "swipt", "reason")
         assert tuple(FIELD_UNITS) == (*ray, *POWER_UNITS, *SWIPT_UNITS)
 
     def test_fields_follow_the_stage_records(self):
         # evaluate_operating_point fills the point positionally with the
         # gain and receiver records, each read through the point by field
         assert OperatingPoint._fields == (
-            "status", "p_in", "spot_radius", "power", "swipt", "detail")
+            "status", "p_in", "spot_radius", "power", "swipt", "reason")
         assert (tuple(POWER_UNITS), tuple(SWIPT_UNITS)) == (
             PowerResult._fields, SwiptResult._fields)
         p = evaluate_operating_point(preset_with())
@@ -1284,6 +1287,39 @@ class TestOperatingPoint:
             "sub-threshold", "ok", "sub-threshold", "stable", "unstable"]
         assert paths["unstable"].detail.startswith("unstable resonator")
         assert paths["p_in = 0"].c_tilde is None
+
+    def test_detail_formatted_only_when_read(self, monkeypatch):
+        # a line of unstable and degenerate d3 cells keeps each cell's
+        # format text and floats, as UnstableResonatorError was raised with
+        # them, and formats no text until a point's detail is read
+        formatted = []
+        text_of = ray_optics.UnstableResonatorError.__str__
+        monkeypatch.setattr(ray_optics.UnstableResonatorError, "__str__",
+                            lambda e: formatted.append(e.args) or text_of(e))
+        cases = ((("geometry.fr2", 2.0),), ray_optics._UNSTABLE, 5), (
+            (("geometry.fr2", math.inf),), ray_optics._DEGENERATE, 4)
+        for base, text, floats in cases:
+            at = model.line(preset_with(*base), "geometry.d3", None)
+            points = [at(d3) for d3 in (2.0, 4.0, 6.0, 8.0, 10.0)]
+            assert formatted == []
+            for p in points:
+                assert p.status == "unstable"
+                assert p.reason[0] is text
+                assert [type(x) for x in p.reason[1:]] == [float] * floats
+                # repr shows the kept floats where it would show the text
+                assert repr(p.reason) in repr(p)
+            detail = points[2].detail
+            assert formatted == [points[2].reason]
+            assert type(detail) is str and detail not in repr(points[2])
+            assert detail == text.format(*points[2].reason[1:])
+            # the same text as the point evaluated alone
+            alone = evaluate_operating_point(
+                preset_with(*base, ("geometry.d3", 6.0)))
+            assert repr(alone) == repr(points[2]) and alone.detail == detail
+            formatted.clear()
+        # a point of any other status has no reason and an empty detail
+        p = evaluate_operating_point(preset_with())
+        assert (p.reason, p.detail) == ((), "")
 
     def test_immutable(self):
         op = evaluate_operating_point(get_preset("paper-2022"))
