@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("optimize", help="grid + golden-section design search")
+    p = sub.add_parser("optimize", help="grid + Brent's-method design search")
     common(p)
     p.add_argument("--axis", action="append", required=True, type=_axis_arg,
                    metavar="PATH:LO:HI[:COUNT[:SPACING]]")

@@ -103,6 +103,8 @@ def reproduce_figure(figure_id: str, out_dir: Path,
             columns.append(Column(column, FIELD_UNITS[q], y))
             series.append({"label": f"{q}, {label}", "column": column})
         columns.append(Column(f"status[{label}]", "", statuses))
+        # let the points go before the next series is swept
+        del result
     x_name, x_unit = _axis_name_unit(first.spec.axis1.path)
     columns.insert(0, Column(x_name, x_unit, first.axis1_values))
     csv_path = out_dir / f"fig{figure_id}.csv"

@@ -22,9 +22,11 @@ from .model import (
     line,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section bracket width at which a search stops
+# golden-section fraction of a bracket, 1 - 1/phi
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+# stop width of a search, relative to its axis values and starting bracket
 _TOL = 1e-6
+_TINY = math.ulp(0.0)
 
 # statuses whose operating point carries usable numbers
 _EVALUATED = (STATUS_OK, STATUS_SUB_THRESHOLD, STATUS_STABLE)
@@ -139,9 +141,12 @@ def reduce_max(result: SweepResult, quantity: str) -> list[float | None]:
 
 def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
-    """Grid search over the axis, then golden-section refinement along it
-    when the sweep is 1-D: one grid line and one probe line, each a
-    model.line on spec.config.
+    """Grid search over the axis, then, when the sweep is 1-D, refinement
+    by Brent's method on the bracket of the grid winner's neighbours: one
+    grid line and one probe line, each a model.line on spec.config.  The
+    refinement stops once its best probe lies within 1e-6 * max(|a|, |b|,
+    b0 - a0) of both ends of the bracket [a, b] narrowed from [a0, b0], so
+    it refines an axis on any scale.
 
     Returns ({path: value, ...}, objective value).  Grid ties break toward
     the lower value (the grid is scanned in increasing order and only
@@ -185,28 +190,66 @@ def find_optimum(spec: SweepSpec, objective: str,
             return -math.inf
         return score(at(x))
 
-    x_opt, s_opt = _golden_section(f, a1[max(best_idx - 1, 0)],
-                                   a1[min(best_idx + 1, len(a1) - 1)])
+    x_opt, s_opt = _brent(f, a1[max(best_idx - 1, 0)],
+                          a1[min(best_idx + 1, len(a1) - 1)])
     # keep the grid winner if refinement landed on a worse or unstable point
     if s_opt < best:
         x_opt, s_opt = a1[best_idx], best
     return {spec.axis1.path: x_opt}, sign * s_opt
 
 
-def _golden_section(f, a: float, b: float) -> tuple[float, float]:
-    """Maximize a unimodal f on [a, b] until the bracket is at most _TOL
-    wide, relative to its ends where they exceed 1 in magnitude."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > _TOL * max(1.0, abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+def _brent(f, a: float, b: float) -> tuple[float, float]:
+    """Maximize f on [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): a parabola through the
+    best three probes where it steps well inside the bracket, else a
+    golden-section step.  Stops once the best probe x lies within the stop
+    width, _TOL * max(|a|, |b|, b0 - a0), of both bracket ends, and returns
+    (x, f(x)).  A probe that ties the best replaces it."""
+    start_width = b - a
+    x = w = v = a + _GOLDEN * start_width
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        # half the stop width, at least the smallest float
+        tol = max(0.5 * _TOL * max(abs(a), abs(b), start_width), _TINY)
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        # a parabola through a non-finite score would compute nan
+        if (abs(e) > tol and math.isfinite(fx) and math.isfinite(fw)
+                and math.isfinite(fv)):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            # take the vertex if it lies inside the bracket and the step is
+            # under half the step before last
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden, d = False, p / q
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = math.copysign(tol, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu

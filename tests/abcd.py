@@ -9,7 +9,9 @@ package, which hands out its matrices as plain tuples of floats; the
 reference closing turns the package's opened cavity into a one-trip
 record, and a reader hands a bare matrix to the package's spot radius.
 Q, the units oracle, carries a value with its dimension through the
-package's formulas.
+package's formulas.  The exact optimizer oracle writes the gain chain once
+more in the stdlib decimal module and finds a search's exact maximiser by
+trisection.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from types import SimpleNamespace
 
 from rbswipt import ray_optics
@@ -446,3 +449,80 @@ def units_shim(monkeypatch, module) -> None:
 def value_of(x) -> float:
     """The float of a Q, or x itself."""
     return x.v if isinstance(x, Q) else x
+
+
+# -- exact optimizer oracle ---------------------------------------------------
+
+# 50 digits: a maximiser is resolved to about half the digits of its value
+EXACT = Context(prec=50)
+# the model's tabulated constants, as written in its equations
+EXACT_PLANCK = Decimal("6.6260693e-34")
+EXACT_LIGHT_SPEED = Decimal("3e8")
+
+
+def exact_beam_power(cfg: Config, path: str):
+    """p_beam of a Config as an exact function of the value of `path`, a
+    gain-chain key such as geometry.r2 or gain.l, in Decimal at 50 digits.
+
+    The gain chain is written again from the model's equations: v = vc vd,
+    g_sat = -ln(r1 r2 v^2) / (2 Gamma l), N_th = N0 exp(g_sat / g0),
+    tau = 1 / (alpha + beta N + auger N^2), P_th = A_s h c l N_th /
+    (lambda eta_pc eta_pa tau), eta_s = eta_pc eta_pa (lambda_pump /
+    lambda) ln(r2) / ln(r1 r2 v^k) and p_beam = max((P_in - P_th) eta_s, 0).
+    The survival vd = 1 - exp(-2 a^2 / w^2) takes w^4 = -lam^2 B D /
+    (pi^2 A C) on the reference one-trip matrix, which `path` does not
+    move.  Every float of the Config enters as its exact value."""
+    with localcontext(EXACT):
+        one_trip_abcd = compose(*one_trip_elements(cavity(cfg["geometry"])))
+        a, b, c, d = map(Decimal, one_trip_abcd)
+        lam, pi = Decimal(cfg["geometry"]["lambda_beam"]), Decimal(math.pi)
+        w2 = (-lam * lam * b * d / (pi * pi * a * c)).sqrt()
+        aperture = Decimal(cfg["gain"]["a"])
+        vd = 1 - (-2 * aperture * aperture / w2).exp()
+        exact = {s: {k: Decimal(v) for k, v in cfg[s].items()}
+                 for s in ("geometry", "gain", "pump", "losses", "link")}
+    section, _, key = path.partition(".")
+
+    def p_beam(x: Decimal) -> Decimal:
+        e = {**exact, section: {**exact[section], key: x}}
+        geo, gain, pump, losses = (e["geometry"], e["gain"], e["pump"],
+                                   e["losses"])
+        r1, r2, lam_b = geo["r1"], geo["r2"], geo["lambda_beam"]
+        with localcontext(EXACT):
+            v = losses["vc"] * vd
+            g_sat = -(r1 * r2 * v * v).ln() / (2 * gain["gamma_conf"]
+                                                * gain["l"])
+            n_th = gain["n0"] * (g_sat / gain["g0"]).exp()
+            tau = 1 / (gain["alpha"] + gain["beta"] * n_th
+                       + gain["auger"] * n_th * n_th)
+            p_th = (gain["a_s"] * EXACT_PLANCK * EXACT_LIGHT_SPEED * gain["l"]
+                    * n_th / (lam_b * pump["eta_pc"] * pump["eta_pa"] * tau))
+            k = int(losses.get("slope_loss_exponent", 1))
+            eta_s = (pump["eta_pc"] * pump["eta_pa"]
+                     * (pump["lambda_pump"] / lam_b)
+                     * r2.ln() / (r1 * r2 * v ** k).ln())
+            return max((e["link"]["p_in"] - p_th) * eta_s, Decimal(0))
+
+    return p_beam
+
+
+def exact_argmax(f, lo: float, hi: float, count: int,
+                 steps: int = 90) -> tuple[Decimal, Decimal, Decimal]:
+    """(a, b, x*) for the exact f on a linear grid of `count` values from
+    lo to hi: [a, b] is the bracket of the best grid value's neighbours,
+    and x* the maximiser on it, found by `steps` trisections of the
+    bracket, each cutting the third beyond the lower of two inner values
+    (so a bracket of width W ends at most (2/3)^steps W wide)."""
+    with localcontext(EXACT):
+        lo_x, hi_x = Decimal(lo), Decimal(hi)
+        grid = [lo_x + (hi_x - lo_x) * i / (count - 1) for i in range(count)]
+        best = max(range(count), key=lambda i: f(grid[i]))
+        a, b = grid[max(best - 1, 0)], grid[min(best + 1, count - 1)]
+        lo_b, hi_b = a, b
+        for _ in range(steps):
+            third = (hi_b - lo_b) / 3
+            if f(lo_b + third) < f(hi_b - third):
+                lo_b += third
+            else:
+                hi_b -= third
+        return a, b, (lo_b + hi_b) / 2

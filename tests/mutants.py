@@ -29,6 +29,7 @@ REPO = Path(__file__).resolve().parents[1]
 ROW = "tests/test_sweep.py::TestRowStaging::"
 PRUNING = "tests/test_sweep.py::TestPruning::"
 LINE = "tests/test_sweep.py::TestLineStaging::"
+FIND = "tests/test_sweep.py::TestFindOptimum::"
 GAIN = "tests/test_gain_power.py::"
 RECEIVER = "tests/test_receiver.py::"
 TABLE = ("tests/test_sweep.py::"
@@ -406,6 +407,29 @@ MUTANTS = [
       "test_f2_and_magnification_exclusive",
       "tests/test_cli.py::TestPresetsAndValidate::"
       "test_config_file_naming_both_keys_rejected")),
+    # the search: Brent's method, its stop width and its tie rule
+    ("parabolic steps off", "sweep.py",
+     "golden, d = False, p / q",
+     "d = p / q",
+     (LINE + "test_stage_calls_in_a_search",
+      LINE + "test_stage_calls_in_the_ci_r2_search")),
+    ("parabola through non-finite scores", "sweep.py",
+     """        if (abs(e) > tol and math.isfinite(fx) and math.isfinite(fw)
+                and math.isfinite(fv)):""",
+     "        if abs(e) > tol:",
+     (FIND + "test_parabola_never_meets_a_non_finite_score",)),
+    ("stop width without the starting bracket", "sweep.py",
+     "max(abs(a), abs(b), start_width)",
+     "max(abs(a), abs(b))",
+     (FIND + "test_refines_axis_near_zero[across-zero]",)),
+    ("stop width rounds to 0", "sweep.py",
+     "tol = max(0.5 * _TOL * max(abs(a), abs(b), start_width), _TINY)",
+     "tol = 0.5 * _TOL * max(abs(a), abs(b), start_width)",
+     (FIND + "test_refines_axis_near_zero[subnormal]",)),
+    ("ties keep the best probe", "sweep.py",
+     "if fu >= fx:",
+     "if fu > fx:",
+     ("tests/test_cli.py::TestOptimize::test_benchmark_reference_optima",)),
     ("axis overflow check off for count 3", "sweep.py",
      'if spacing == "linear" and count > 2 and',
      'if spacing == "linear" and count > 3 and',

@@ -388,8 +388,8 @@ class TestOptimize:
         assert "p_beam = " in out
 
     def test_probes_stay_in_schema_range(self, capsys):
-        # SCHEMA allows the slope-loss exponent 1 or 2 only: a
-        # golden-section probe between them must not be reported
+        # SCHEMA allows the slope-loss exponent 1 or 2 only: a search
+        # probe between them must not be reported
         code, out, _ = run(capsys, "optimize",
                            "--axis", "losses.slope_loss_exponent:1:2:2",
                            "--objective", "p_beam")
@@ -397,6 +397,25 @@ class TestOptimize:
         line = out.splitlines()[0]
         assert line in ("losses.slope_loss_exponent = 1.0",
                         "losses.slope_loss_exponent = 2.0")
+
+    def test_benchmark_reference_optima(self, capsys, monkeypatch):
+        # every search of the optimize benchmark passes the benchmark's own
+        # check of its stored optimum (1e-5 in r2, relative 1e-9 in the
+        # value), so a search change that would need a regenerated
+        # reference fails here first
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        checks = importlib.import_module("checks")
+        workloads = importlib.import_module("workloads")
+        problems, cases = [], workloads.optimize_cases()
+        for case in cases:
+            cmd = workloads.Command("optimize", workloads.optimize_argv(case),
+                                    {"case": case})
+            code, out, err = run(capsys, *cmd.argv)
+            assert (code, err) == (0, ""), case
+            problems += checks.check_optimum(cmd, out)
+        assert problems == []
+        assert len(cases) == 300
 
     def test_no_stable_point_exit_code(self, capsys):
         # fr2 = 2 m leaves every distance in 2-10 m unstable

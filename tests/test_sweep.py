@@ -8,7 +8,14 @@ from pathlib import Path
 
 import curve_reference
 import pytest
-from abcd import d3_factors, d3_roots, get_path, stable_d3_intervals
+from abcd import (
+    d3_factors,
+    d3_roots,
+    exact_argmax,
+    exact_beam_power,
+    get_path,
+    stable_d3_intervals,
+)
 
 from rbswipt import figures, model, ray_optics, sweep
 from rbswipt.config import (
@@ -409,8 +416,8 @@ class TestFindOptimum:
             pytest.approx(e_params["geometry.r2"], abs=1e-4)
 
     def test_probes_stay_in_schema_range(self, monkeypatch):
-        # the exponent's range is "1 or 2": every golden-section probe
-        # between the two grid values falls outside it
+        # the exponent's range is "1 or 2": every probe between the two
+        # grid values falls outside it
         path = "losses.slope_loss_exponent"
         seen = []
 
@@ -435,13 +442,75 @@ class TestFindOptimum:
         def capped(cfg, quantities=None, upstream=()):
             probes.append(get_path(cfg, "gain.n0"))
             if len(probes) > 1000:
-                raise RuntimeError("golden-section search does not stop")
+                raise RuntimeError("search does not stop")
             return stub(cfg, quantities)
 
         spec = SweepSpec(preset_with(), axis1=Axis("gain.n0", 1e24, 3e24, 5))
         patch_evaluate(monkeypatch, capped)
         params, _ = find_optimum(spec, "p_beam")
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
+
+    @pytest.mark.parametrize("path, lo, hi, vertex", [
+        ("receiver.p_pth", -1.0, 1.0, 0.0),
+        ("gain.l", 1e-320, 3e-320, 2e-320)], ids=["across-zero", "subnormal"])
+    def test_refines_axis_near_zero(self, monkeypatch, path, lo, hi, vertex):
+        # a stop width relative to the bracket's ends alone would shrink
+        # with a bracket closing on 0, and one under the smallest float
+        # would round to 0: either search would not stop.  Golden-section
+        # steps alone take 29 probes from a bracket of width 1 to 1e-6
+        probes = []
+        stub = quadratic_stub(vertex, path=path)
+
+        def capped(cfg, quantities=None, upstream=()):
+            probes.append(get_path(cfg, path))
+            if len(probes) > 100:
+                raise RuntimeError("search does not stop")
+            return stub(cfg, quantities)
+
+        spec = SweepSpec(preset_with(), axis1=Axis(path, lo, hi, 5))
+        patch_evaluate(monkeypatch, capped)
+        params, _ = find_optimum(spec, "p_beam")
+        assert lo <= params[path] <= hi
+        if vertex == 0.0:
+            # within the stop width, 1e-6 of the starting bracket [-0.5, 0.5]
+            assert abs(params[path]) <= 1e-6
+
+    def test_parabola_never_meets_a_non_finite_score(self, monkeypatch):
+        # scores read as Watched floats, so a parabola fitted through an
+        # unstable probe's -inf would compute nan and raise; the unstable
+        # stretch below 0.45 forces golden-section steps until the best
+        # three probes are stable
+        class Watched(float):
+            def _checked(self, op, other):
+                out = op(float(self), float(other))
+                if math.isnan(out):
+                    raise ArithmeticError(f"nan from {self!r} and {other!r}")
+                return Watched(out)
+
+            def __mul__(self, other):
+                return self._checked(float.__mul__, other)
+
+            def __rmul__(self, other):
+                return self._checked(float.__rmul__, other)
+
+            def __sub__(self, other):
+                return self._checked(float.__sub__, other)
+
+            def __rsub__(self, other):
+                return self._checked(float.__rsub__, other)
+
+        def watched(cfg, quantities=None, upstream=()):
+            x = get_path(cfg, "receiver.mu")
+            if x < 0.45:
+                return OperatingPoint(status="unstable", p_in=0.0)
+            return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
+                                  ._replace(p_beam=Watched(-(x - 0.47) ** 2)))
+
+        spec = SweepSpec(preset_with(),
+                         axis1=Axis("receiver.mu", 0.0, 1.0, 3))
+        patch_evaluate(monkeypatch, watched)
+        params, _ = find_optimum(spec, "p_beam")
+        assert params["receiver.mu"] == pytest.approx(0.47, abs=2e-6)
 
     def test_no_stable_point_raises(self, monkeypatch):
         def never(cfg, quantities=None, upstream=()):
@@ -451,6 +520,50 @@ class TestFindOptimum:
         patch_evaluate(monkeypatch, never)
         with pytest.raises(OptimizationError):
             find_optimum(spec, "p_beam")
+
+
+def exact_cases():
+    """(overrides, axis) of the searches judged against the exact optimizer
+    oracle: CI's r2 search, the gain.l search whose bracket starts under
+    1e-6 wide, then three r2 and three gain.l searches drawn at random."""
+    rng = random.Random(2021)
+    cases = [((("gain.l", 0.15e-6), ("receiver.mu", 0.5)),
+              ("geometry.r2", 0.80, 0.99, 39)),
+             ((), ("gain.l", 0.05e-6, 3e-6, 30))]
+    for _ in range(3):
+        cases.append(((("gain.l", rng.uniform(0.1e-6, 0.3e-6)),
+                       ("link.p_in", rng.uniform(50.0, 150.0))),
+                      ("geometry.r2", 0.80, 0.99, rng.randint(9, 39))))
+    for _ in range(3):
+        cases.append(((("geometry.r2", rng.uniform(0.85, 0.97)),
+                       ("link.p_in", rng.uniform(50.0, 150.0))),
+                      ("gain.l", 0.05e-6, 3e-6, rng.randint(9, 39))))
+    return cases
+
+
+class TestExactOptimum:
+    """find_optimum against the exact maximiser of p_beam, from the gain
+    chain written again in decimal (tests/abcd.py)."""
+
+    # on these cases every point within the stop width of the maximiser
+    # scores within a relative 2.1e-11 of the maximum (at most, on CI's r2
+    # search), and float evaluation adds about 1e-15
+    REL = 1e-10
+
+    @pytest.mark.parametrize("overrides, axis", exact_cases(),
+                             ids=["ci-r2", "gain-l", "r2-1", "r2-2", "r2-3",
+                                  "l-1", "l-2", "l-3"])
+    def test_lands_within_the_stop_width(self, overrides, axis):
+        cfg = preset_with(*overrides)
+        path = axis[0]
+        params, value = find_optimum(SweepSpec(cfg, Axis(*axis)), "p_beam")
+        p_beam = exact_beam_power(cfg, path)
+        a, b, x_star = exact_argmax(p_beam, *axis[1:])
+        p_star = float(p_beam(x_star))
+        stop_width = 1e-6 * float(max(abs(a), abs(b), b - a))
+        assert abs(params[path] - float(x_star)) <= stop_width
+        assert abs(value - p_star) <= self.REL * p_star
+        assert p_star > 0
 
 
 class TestDeterminism:
@@ -841,25 +954,39 @@ class TestLineStaging:
                           "diffraction_survival": 7, "evaluate_gain": 7}
 
     def test_stage_calls_in_a_search(self, monkeypatch):
-        # the 39 grid cells share the grid line's cavity and every
-        # golden-section probe the probe line's, each opened and closed once
+        # the 39 grid cells share the grid line's cavity and the 6 probes
+        # of Brent's method the probe line's, each opened and closed once
         counts = self.count_calls(monkeypatch, "open_cavity",
                                   "spot_radius_on_gain", "evaluate_gain")
         spec = SweepSpec(preset_with(("gain.l", 0.15e-6)),
                          Axis("geometry.r2", 0.80, 0.99, 39))
         find_optimum(spec, "p_beam")
-        assert (counts["open_cavity"], counts["spot_radius_on_gain"]) == (2, 2)
-        assert counts["evaluate_gain"] > 39 + 20
+        assert counts == {"open_cavity": 2, "spot_radius_on_gain": 2,
+                          "evaluate_gain": 39 + 6}
+
+    def test_stage_calls_in_the_ci_r2_search(self, monkeypatch):
+        # CI's determinism step searches r2 for p_e_out: 39 grid cells and
+        # 6 probes, each through the receiver
+        counts = self.count_calls(monkeypatch, "evaluate_gain",
+                                  "evaluate_receiver")
+        spec = SweepSpec(preset_with(("gain.l", 0.15e-6),
+                                     ("receiver.mu", 0.5)),
+                         Axis("geometry.r2", 0.80, 0.99, 39))
+        find_optimum(spec, "p_e_out")
+        assert counts == {"evaluate_gain": 39 + 6,
+                          "evaluate_receiver": 39 + 6}
 
     def test_stage_calls_in_a_d3_search(self, monkeypatch):
-        # the 9 grid cells close the grid line's cavity, and the probes the
-        # probe line's: 40 evaluations, 2 cavities opened
+        # the 9 grid cells close the grid line's cavity, and the 28 probes
+        # the probe line's: 37 evaluations, 2 cavities opened.  The optimum
+        # is the axis end d3 = 2 m, where no parabola's vertex falls inside
+        # the bracket, so every probe is a golden-section step
         counts = self.count_calls(monkeypatch, "open_cavity",
                                   "spot_radius_on_gain")
         spec = SweepSpec(preset_with(("geometry.fr2", 11.0)),
                          Axis("geometry.d3", 2.0, 10.0, 9))
         find_optimum(spec, "spot_radius")
-        assert counts == {"open_cavity": 2, "spot_radius_on_gain": 40}
+        assert counts == {"open_cavity": 2, "spot_radius_on_gain": 9 + 28}
         # the probes set their own copy of the spec's Config
         assert spec.config == preset_with(("geometry.fr2", 11.0))
 
@@ -926,8 +1053,8 @@ class TestLineStaging:
         ids=["d1", "d3", "r2", "gain-l", "mu", "unstable-first-fr2"])
     def test_line_points_match_single_points(self, path, lo, hi, first):
         # one path per _CHAIN entry, and an fr2 line whose first value is
-        # unstable: at, called in shuffled order as golden section calls
-        # it, gives each value's point as its own Config evaluated alone
+        # unstable: at, called in shuffled order as a search calls it,
+        # gives each value's point as its own Config evaluated alone
         # does, and never writes the Config handed to line
         rng = random.Random(29)
         values = [lo + (hi - lo) * rng.random() for _ in range(9)]
@@ -986,7 +1113,7 @@ class TestLineStaging:
         assert {("unstable", False), ("sub-threshold", True)} <= firsts
 
     def test_probes_match_single_points(self, monkeypatch):
-        # every grid cell and golden-section probe, evaluated with what the
+        # every grid cell and search probe, evaluated with what the
         # search lends it, equals its own Config evaluated alone; each Config
         # is recorded as it is at its evaluation, since a search sets one
         # Config in place
