@@ -209,16 +209,20 @@ def parse_config(text: str, base: Config | None = None) -> Config:
 
 
 def validate_config(cfg: Config) -> None:
-    """Check completeness, ranges, and the f2/tim_magnification exclusivity."""
+    """Check completeness, ranges, and the f2/tim_magnification exclusivity.
+    Each value goes to its range's check directly, and to check_value, which
+    words the error, only when it fails."""
     for section, keys in SCHEMA.items():
         if section not in cfg:
             raise ConfigError(f"missing section [{section}]")
-        for key, (_, optional, _) in keys.items():
-            if key in cfg[section]:
-                check_value(f"{section}.{key}", cfg[section][key])
+        values = cfg[section]
+        for key, (_, optional, bounds) in keys.items():
+            if key in values:
+                if not _RANGES[bounds](values[key]):
+                    check_value(f"{section}.{key}", values[key])
             elif not optional:
                 raise ConfigError(f"missing key {section}.{key}")
-        for key in cfg[section]:
+        for key in values:
             if key not in keys:
                 raise ConfigError(f"unknown key {section}.{key}")
     geo = cfg["geometry"]
@@ -264,12 +268,15 @@ def schema_entry(path: str) -> tuple:
         raise ConfigError(f"unknown parameter path {path!r}") from None
 
 
-def check_value(path: str, value: float) -> None:
-    """Raise ConfigError unless value lies in the SCHEMA range of the dotted
-    parameter path."""
+def check_value(path: str, *values: float) -> None:
+    """Raise ConfigError, naming the first value out of range, unless every
+    value lies in the SCHEMA range of the dotted parameter path; the range
+    is looked up once, so a grid axis is checked in one call."""
     bounds = schema_entry(path)[2]
-    if not _RANGES[bounds](value):
-        raise ConfigError(f"{path} = {value} out of range ({bounds})")
+    inside = _RANGES[bounds]
+    for value in values:
+        if not inside(value):
+            raise ConfigError(f"{path} = {value} out of range ({bounds})")
 
 
 def path_unit(path: str) -> str:

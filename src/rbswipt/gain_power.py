@@ -81,4 +81,7 @@ def evaluate_gain(geometry: Mapping[str, float], gain: Mapping[str, float],
     p_beam = p if (p := (p_in - p_th) * eta_s) > 0.0 else 0.0
     # transmission efficiency p_beam / p_in, zero below threshold
     eta_b = p_beam / p_in if p_in > 0 else 0.0
-    return PowerResult(vd, v, g_sat, n_th, tau, p_th, eta_s, p_beam, eta_b)
+    # tuple.__new__ skips the record's Python-level __new__, as
+    # model.OperatingPoint does
+    return tuple.__new__(PowerResult, (vd, v, g_sat, n_th, tau, p_th, eta_s,
+                                       p_beam, eta_b))

@@ -5,11 +5,12 @@ optics (the spot radius and whether the cavity is stable), gain (beam
 power and whether the link is above threshold) and receiver (harvested
 power and spectral efficiency).  `_CHAIN` is the one place their order,
 fields and entries live.  A caller that names the fields it reads runs
-only up to the deepest stage those fields need; a line's later points
-resume from what its first point lends them (`line`): the results
-of the stages before the line's key enters, in chain order.  A point
-holds the gain's and the receiver's records as the stages return them,
-and reads each of their fields as an attribute.
+only up to the deepest stage those fields need.  A line (`line`)
+evaluates a list of values of one key, and its later points resume from
+what its first point lends them: the results of the stages before the
+line's key enters, in chain order.  A point holds the gain's and the
+receiver's records as the stages return them, and reads each of their
+fields as an attribute.
 """
 
 from __future__ import annotations
@@ -88,14 +89,16 @@ def _entry(path: str) -> int:     # a dotted path's stage, or a section's
 
 
 def line(cfg: Config, path: str, quantities, one_axis=False):
-    """Return at(value): the point of `cfg` with `path` set to a value in
-    its SCHEMA range, through the stages `quantities` needs, for a sweep's
-    row or a search's probes in any order.  cfg is validated and never
-    written: the line takes its own copy of path's section, resolved for
-    path (config.resolve_path drops the key it excludes), and shares the
-    others, so a grid's rows may share every section they do not sweep.
-    at sets the key in place; its first call goes through start_line(),
-    every later call resumes from what that lends, capped for a 1-D line
+    """Return points(values): for a list of values in path's SCHEMA range,
+    the points of `cfg` with `path` set to each, in order, through the
+    stages `quantities` needs.  A sweep's row is one call; a search calls
+    it once per probe, a batch of one, with values in any order.  cfg is
+    validated and never written: the line takes its own copy of path's
+    section, resolved for path (config.resolve_path drops the key it
+    excludes), and shares the others, so a grid's rows may share every
+    section they do not sweep.  points sets the key in place and evaluates
+    each value once; the line's first point goes through start_line(), and
+    every later one resumes from what that lends, capped for a 1-D line
     (`one_axis`).  quantities is cut, once, to the one name that decides
     the deepest stage."""
     quantities = quantities and (max(quantities, key=_STAGE.__getitem__),)
@@ -104,14 +107,18 @@ def line(cfg: Config, path: str, quantities, one_axis=False):
     resolve_path(cell, path)
     swept, lend = cell[section], None
 
-    def at(value: float) -> OperatingPoint:
+    def points(values) -> list[OperatingPoint]:
         nonlocal lend
-        swept[key] = value
-        if lend is None:
-            point, lend = start_line(cell, quantities, path, one_axis)
-            return point
-        return evaluate_operating_point(cell, quantities, lend)
-    return at
+        out = []
+        for value in values:
+            swept[key] = value
+            if lend is None:
+                point, lend = start_line(cell, quantities, path, one_axis)
+                out.append(point)
+            else:
+                out.append(evaluate_operating_point(cell, quantities, lend))
+        return out
+    return points
 
 
 def start_line(cfg: Config, quantities, path: str, one_axis=False):

@@ -64,6 +64,8 @@ def evaluate_receiver(p_beam: float, p_in: float,
         raise ValueError("total noise power must be positive")
     c_tilde = 0.5 * math.log2(
         1.0 + i_d * i_d / (2.0 * math.pi * math.e * n_total_sq))
-    return SwiptResult(p_pv_in, p_apd_in, p_e_out_raw, p_e_out,
-                       p_e_out_raw / p_in, i_d, n_thermal_sq, n_shot_sq,
-                       n_total_sq, c_tilde)
+    # tuple.__new__ skips the record's Python-level __new__
+    return tuple.__new__(SwiptResult, (p_pv_in, p_apd_in, p_e_out_raw,
+                                       p_e_out, p_e_out_raw / p_in, i_d,
+                                       n_thermal_sq, n_shot_sq, n_total_sq,
+                                       c_tilde))

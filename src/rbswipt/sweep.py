@@ -101,17 +101,18 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
     """Evaluate the model at every grid point, axis1-major.
 
     `quantities` names what the caller reads of each point; None evaluates
-    every stage.  A 1-D sweep is one model.line on spec.config; a 2-D
-    grid's rows, one line along axis 2 each, share a copy of spec.config.
-    spec.config and every axis value are checked against SCHEMA here,
-    before any cell, and raise ConfigError when out of range; no cell
-    checks a range again."""
+    every stage.  A 1-D sweep is one model.line on spec.config, handed the
+    axis's values in one call; a 2-D grid's rows, one line along axis 2
+    each and each handed axis 2's values, share a copy of spec.config.
+    spec.config and every axis value, one check_value call per axis, are
+    checked against SCHEMA here, before any cell, and raise ConfigError
+    when out of range; no cell checks a range again."""
     validate_config(spec.config)
     a1 = spec.axis1.values()
     a2 = spec.axis2.values() if spec.axis2 is not None else None
-    for axis, values in ((spec.axis1, a1), (spec.axis2, a2 or ())):
-        for v in values:
-            check_value(axis.path, v)
+    check_value(spec.axis1.path, *a1)
+    if a2 is not None:
+        check_value(spec.axis2.path, *a2)
     # a line resolves its own key and writes no Config; a grid's rows set
     # axis 1 on a copy resolved for it, as resolving may drop an excluded key
     axis, values, rows = spec.axis1, a1, [spec.config]
@@ -122,7 +123,7 @@ def run_sweep(spec: SweepSpec, quantities=None) -> SweepResult:
         rows = [{**cfg, s1: {**cfg[s1], k1: v}} for v in a1]
     points = []
     for row in rows:
-        points += map(line(row, axis.path, quantities, a2 is None), values)
+        points += line(row, axis.path, quantities, a2 is None)(values)
     return SweepResult(spec, a1, a2, points)
 
 
@@ -143,10 +144,11 @@ def find_optimum(spec: SweepSpec, objective: str,
                  sense: str = "max") -> tuple[dict, float]:
     """Grid search over the axis, then, when the sweep is 1-D, refinement
     by Brent's method on the bracket of the grid winner's neighbours: one
-    grid line and one probe line, each a model.line on spec.config.  The
-    refinement stops once its best probe lies within 1e-6 * max(|a|, |b|,
-    b0 - a0) of both ends of the bracket [a, b] narrowed from [a0, b0], so
-    it refines an axis on any scale.
+    grid line and one probe line, each a model.line on spec.config, the
+    probe line called on each probe as a batch of one.  The refinement
+    stops once its best probe lies within 1e-6 * max(|a|, |b|, b0 - a0) of
+    both ends of the bracket [a, b] narrowed from [a0, b0], so it refines
+    an axis on any scale.
 
     Returns ({path: value, ...}, objective value).  Grid ties break toward
     the lower value (the grid is scanned in increasing order and only
@@ -180,7 +182,7 @@ def find_optimum(spec: SweepSpec, objective: str,
         return ({spec.axis1.path: a1[i],
                  spec.axis2.path: result.axis2_values[j]}, sign * best)
 
-    at = line(spec.config, spec.axis1.path, quantities, one_axis=True)
+    probe = line(spec.config, spec.axis1.path, quantities, one_axis=True)
 
     def f(x: float) -> float:
         # a probe between grid values may leave a range with gaps
@@ -188,7 +190,7 @@ def find_optimum(spec: SweepSpec, objective: str,
             check_value(spec.axis1.path, x)
         except ConfigError:
             return -math.inf
-        return score(at(x))
+        return score(*probe([x]))
 
     x_opt, s_opt = _brent(f, a1[max(best_idx - 1, 0)],
                           a1[min(best_idx + 1, len(a1) - 1)])

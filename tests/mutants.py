@@ -106,14 +106,18 @@ MUTANTS = [
      (LINE + "test_probes_match_single_points",
       LINE + "test_points_match_single_points")),
     ("d3 probes lent no cavity", "sweep.py",
-     "return score(at(x))",
-     "return score(line(cfg, spec.axis1.path, quantities, True)(x))",
+     "return score(*probe([x]))",
+     "return score(*line(spec.config, spec.axis1.path, quantities, True)"
+     "([x]))",
      (LINE + "test_stage_calls_in_a_d3_search",
       LINE + "test_stage_calls_in_a_search")),
     ("a line's first point evaluated twice", "model.py",
-     """            point, lend = start_line(cell, quantities, path, one_axis)
-            return point
-""", """            _, lend = start_line(cell, quantities, path, one_axis)
+     """                point, lend = start_line(cell, quantities, path, one_axis)
+                out.append(point)
+            else:
+                out.append(evaluate_operating_point(cell, quantities, lend))
+""", """                _, lend = start_line(cell, quantities, path, one_axis)
+            out.append(evaluate_operating_point(cell, quantities, lend))
 """,
      (LINE + "test_stage_calls_in_a_d3_search",
       ROW + "test_one_evaluation_per_cell")),
@@ -172,9 +176,11 @@ MUTANTS = [
     # a d3 or fr2 line opens its cavity once, in its first point's call,
     # and closes it per point
     ("every line lent the first line's results", "model.py",
-     "            point, lend = start_line(cell, quantities, path, one_axis)\n",
-     "            point, lend = start_line(cell, quantities, path, one_axis)\n"
-     '            lend = line.__dict__.setdefault("lend", lend)\n',
+     "                point, lend = start_line(cell, quantities, path, "
+     "one_axis)\n",
+     "                point, lend = start_line(cell, quantities, path, "
+     "one_axis)\n"
+     '                lend = line.__dict__.setdefault("lend", lend)\n',
      (ROW + "test_cells_match_single_points",
       "tests/test_sweep.py::TestRunSweep::"
       "test_geometry_grid_with_unstable_cells")),
@@ -215,18 +221,19 @@ MUTANTS = [
     # model.line evaluates a line's cells on its own copy of the swept
     # section, set in place, and points are built with tuple.__new__
     ("the swept key set after the cell", "model.py",
-     """        swept[key] = value
-        if lend is None:
-            point, lend = start_line(cell, quantities, path, one_axis)
-            return point
-        return evaluate_operating_point(cell, quantities, lend)
-""", """        if lend is None:
-            swept[key] = value
-            point, lend = start_line(cell, quantities, path, one_axis)
-            return point
-        point = evaluate_operating_point(cell, quantities, lend)
-        swept[key] = value
-        return point
+     """            swept[key] = value
+            if lend is None:
+                point, lend = start_line(cell, quantities, path, one_axis)
+                out.append(point)
+            else:
+                out.append(evaluate_operating_point(cell, quantities, lend))
+""", """            if lend is None:
+                swept[key] = value
+                point, lend = start_line(cell, quantities, path, one_axis)
+                out.append(point)
+            else:
+                out.append(evaluate_operating_point(cell, quantities, lend))
+                swept[key] = value
 """,
      ("tests/test_sweep.py::TestRunSweep::test_matches_scalar_evaluation",
       "tests/test_sweep.py::TestRunSweep::test_cell_configs_match_set_path",
@@ -270,9 +277,15 @@ MUTANTS = [
      "cell = {**cfg, section: dict(cfg[section])}",
      "cell = {**cfg}",
      (LINE + "test_line_points_match_single_points",)),
-    ("at lends nothing after the first point", "model.py",
-     "return evaluate_operating_point(cell, quantities, lend)",
-     "return evaluate_operating_point(cell, quantities, ())",
+    # a line evaluates a list of values, each once and in order
+    ("a line reorders its values", "model.py",
+     "        for value in values:\n",
+     "        for value in reversed(values):\n",
+     (LINE + "test_points_match_single_points",
+      ROW + "test_cells_match_single_points")),
+    ("a line lends nothing after its first point", "model.py",
+     "out.append(evaluate_operating_point(cell, quantities, lend))",
+     "out.append(evaluate_operating_point(cell, quantities, ()))",
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_d3_search",
       ROW + "test_stage_calls_on_a_p_in_mu_grid")),
@@ -387,6 +400,19 @@ MUTANTS = [
      '"in (0, 1]": lambda v: 0 < v <= 1,',
      '"in (0,1]": lambda v: 0 < v <= 1,',
      ("tests/test_config.py::test_ranges_and_schema_agree",)),
+    # check_value checks a whole axis in one call, and validate_config calls
+    # each range's check itself
+    ("check_value checks only its first value", "config.py",
+     "    for value in values:\n",
+     "    for value in values[:1]:\n",
+     ("tests/test_config.py::TestRangeChecks::"
+      "test_check_value_names_the_first_value_out_of_range",
+      "tests/test_cli.py::TestSweep::test_axis_value_out_of_range")),
+    ("validate_config skips the 1-or-2 range", "config.py",
+     "if not _RANGES[bounds](values[key]):",
+     'if bounds != "1 or 2" and not _RANGES[bounds](values[key]):',
+     ("tests/test_config.py::TestRangeChecks::test_validate_config_words_"
+      "every_range[losses.slope_loss_exponent]",)),
     ("no path prefix on a typed value's error", "config.py",
      'raise ConfigError(f"{path}: {e}") from None',
      "raise",

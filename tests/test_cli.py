@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import random
 import subprocess
@@ -11,10 +12,10 @@ import curve_reference
 import pytest
 
 import rbswipt
-from rbswipt import cli
+from rbswipt import cli, figures
 from rbswipt.cli import run_cli
-from rbswipt.config import _CANONICAL_UNIT, SCHEMA, get_preset
-from rbswipt.model import FIELD_UNITS
+from rbswipt.config import _CANONICAL_UNIT, SCHEMA, get_preset, set_path
+from rbswipt.model import FIELD_UNITS, evaluate_operating_point
 from rbswipt.output import write_curve_file
 
 
@@ -110,6 +111,21 @@ class TestSweep:
         assert code == 0
         assert ("# columns: link.p_in [W], p_beam [W], c_tilde [bit/s/Hz], "
                 "status []") in (tmp_path / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("axis, message", [
+        ("geometry.f1:-1:1:3",
+         "geometry.f1 = 0.0 out of range (finite, nonzero)"),
+        ("losses.slope_loss_exponent:1:2:3",
+         "losses.slope_loss_exponent = 1.5 out of range (1 or 2)")])
+    def test_axis_value_out_of_range(self, capsys, tmp_path, axis, message):
+        # a grid value inside the axis, out of its path's range, as axis 1
+        # or axis 2: exit 3 with the value named, before any file is written
+        for axes in ((axis,), ("link.p_in:1:2:2", axis),
+                     (axis, "link.p_in:1:2:2")):
+            code, out, err = run(capsys, "sweep", "--out-dir", str(tmp_path),
+                                 *(a for x in axes for a in ("--axis", x)))
+            assert (code, out, err) == (3, "", f"config error: {message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_bytes_match_row_by_row_reference(self, capsys, tmp_path,
                                               monkeypatch):
@@ -417,6 +433,23 @@ class TestOptimize:
         assert problems == []
         assert len(cases) == 300
 
+    def test_optima_match_pinned_text(self, capsys, monkeypatch):
+        # the 300 searches of the optimize benchmark print their optima
+        # byte for byte as tests/reference/optimize_optima.json holds them,
+        # so a change that moves any printed optimum, even within the
+        # benchmark's tolerance, fails here
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        pinned = json.loads((Path(__file__).parent / "reference"
+                             / "optimize_optima.json").read_text())
+        printed = {}
+        for case in workloads.optimize_cases():
+            code, out, err = run(capsys, *workloads.optimize_argv(case))
+            assert (code, err) == (0, ""), case
+            printed[workloads.case_key(case)] = out
+        assert len(pinned) == 300 and printed == pinned
+
     def test_no_stable_point_exit_code(self, capsys):
         # fr2 = 2 m leaves every distance in 2-10 m unstable
         code, out, err = run(capsys, "optimize",
@@ -469,6 +502,114 @@ class TestReproduceFigure:
         assert exc.value.code == 2
         assert "--preset" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def curve_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """A curve file's column names and data rows, as text cells."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+    return header, rows
+
+
+def cell_text(value) -> str:
+    """A point's field as a curve file writes it: repr, or "" for None."""
+    return "" if value is None else repr(value)
+
+
+class TestParseBack:
+    """Every row a curve file writes parses back to the point `evaluate`
+    gives: the row's Config, rebuilt from the preset and the row's axis
+    values as written, evaluated alone through every stage, has each
+    written cell as its field's repr and the written status."""
+
+    @staticmethod
+    def draw_axis(rng, path):
+        """PATH:LO:HI:COUNT text of a random axis on path: p_in from 0, an
+        fr2 range from 1-3 m (unstable) to 15-25 m, any other key 0.5 to
+        1.5 times its preset value, kept inside its SCHEMA range."""
+        if path == "link.p_in":
+            lo, hi = 0.0, rng.uniform(50.0, 150.0)
+        elif path == "geometry.fr2":
+            lo, hi = rng.uniform(1.0, 3.0), rng.uniform(15.0, 25.0)
+        else:
+            section, _, key = path.partition(".")
+            # the preset sets f2 through its magnification 12: 60 mm
+            v = get_preset("paper-2022")[section].get(key, 0.06)
+            lo, hi = sorted((v * rng.uniform(0.5, 1.0),
+                             v * rng.uniform(1.0, 1.5)))
+            if SCHEMA[section][key][2] in ("in (0, 1]", "in [0, 1]"):
+                hi = min(hi, 1.0)
+        return f"{path}:{lo!r}:{hi!r}:{rng.randint(2, 6)}"
+
+    def test_sweep_cells_match_evaluated_points(self, capsys, tmp_path):
+        rng = random.Random(15)
+        # every key but those with no finite preset value to scale (lt,
+        # fr1) and the exponent, whose range holds 1 and 2 only
+        paths = [f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s]
+                 if k not in ("lt", "fr1", "slope_loss_exponent")]
+        # an unstable p_in grid and a p_in-from-0 line come first
+        draws = [("geometry.fr2", "link.p_in"), ("link.p_in",)]
+        for _ in range(60):
+            draws.append(tuple(rng.sample(paths, rng.choice((1, 2)))))
+        statuses, written = set(), 0
+        for i, axes in enumerate(draws):
+            if set(axes) == {"geometry.f2", "geometry.tim_magnification"}:
+                continue
+            texts = [self.draw_axis(rng, path) for path in axes]
+            quantities = rng.sample(list(FIELD_UNITS), rng.randint(1, 4))
+            name = f"sweep{i}.csv"
+            code, _, err = run(
+                capsys, "sweep", "--out-dir", str(tmp_path), "--output", name,
+                *(a for text in texts for a in ("--axis", text)),
+                *(a for q in quantities for a in ("--quantity", q)))
+            assert code == 0, (texts, err)
+            header, rows = curve_rows(tmp_path / name)
+            assert header == [*axes, *quantities, "status"]
+            assert len(rows) == math.prod(int(t.rsplit(":", 1)[1])
+                                          for t in texts)
+            for row in rows:
+                cfg = get_preset("paper-2022")
+                for path, text in zip(axes, row):
+                    set_path(cfg, path, float(text))
+                point = evaluate_operating_point(cfg)
+                assert row[len(axes):] == [
+                    *(cell_text(getattr(point, q)) for q in quantities),
+                    point.status], (texts, row)
+                statuses.add(point.status)
+                written += len(quantities)
+        assert statuses == {"ok", "sub-threshold", "unstable"}
+        assert written > 500
+
+    def test_figure_series_match_evaluated_points(self, capsys, tmp_path):
+        # each non-reduced figure's series: the figure's fixed overrides and
+        # series value, and the row's swept value, set on the preset
+        rng = random.Random(15)
+        statuses = set()
+        for fid, (series_path, series_values, swept, reduced, fixed,
+                  quantities) in figures._FIGURES.items():
+            if reduced:
+                continue
+            points = rng.randint(2, 9)
+            code, _, err = run(capsys, "reproduce-figure", fid, "--points",
+                               str(points), "--out-dir", str(tmp_path))
+            assert code == 0, (fid, err)
+            header, rows = curve_rows(tmp_path / f"fig{fid}.csv")
+            width = len(quantities) + 1
+            assert len(header) == 1 + width * len(series_values)
+            assert len(rows) == points
+            for row in rows:
+                for s, value in enumerate(series_values):
+                    cfg = get_preset("paper-2022")
+                    for path, v in (*fixed, (series_path, value),
+                                    (swept[0], float(row[0]))):
+                        set_path(cfg, path, v)
+                    point = evaluate_operating_point(cfg)
+                    cells = row[1 + s * width:1 + (s + 1) * width]
+                    assert cells == [
+                        *(cell_text(getattr(point, q)) for q in quantities),
+                        point.status], (fid, value, row[0])
+                    statuses.add(point.status)
+        assert statuses == {"ok", "sub-threshold", "unstable"}
 
 
 class TestPresetsAndValidate:

@@ -7,6 +7,7 @@ from rbswipt.config import (
     _RANGES,
     SCHEMA,
     ConfigError,
+    check_value,
     config_digest,
     copy_config,
     get_preset,
@@ -14,6 +15,7 @@ from rbswipt.config import (
     parse_quantity,
     serialize_config,
     set_path,
+    validate_config,
 )
 from rbswipt.ray_optics import open_cavity
 
@@ -106,6 +108,66 @@ def test_ranges_and_schema_agree():
     # a range text missing from _RANGES would be a KeyError in check_value
     used = {entry[2] for keys in SCHEMA.values() for entry in keys.values()}
     assert used == set(_RANGES)
+
+
+# one value out of each _RANGES text's range, on a path of that range, and
+# the error every range check words it with
+RANGE_CASES = [
+    ("geometry.d1", 0.0, "geometry.d1 = 0.0 out of range (finite > 0)"),
+    ("receiver.i_bg", -1.0,
+     "receiver.i_bg = -1.0 out of range (finite >= 0)"),
+    ("geometry.r2", 0.0, "geometry.r2 = 0.0 out of range (in (0, 1])"),
+    ("receiver.mu", 1.5, "receiver.mu = 1.5 out of range (in [0, 1])"),
+    ("geometry.f1", 0.0,
+     "geometry.f1 = 0.0 out of range (finite, nonzero)"),
+    ("receiver.p_pth", math.nan,
+     "receiver.p_pth = nan out of range (finite)"),
+    ("geometry.fr2", -math.inf,
+     "geometry.fr2 = -inf out of range (> 0 or inf)"),
+    ("losses.slope_loss_exponent", 1.5,
+     "losses.slope_loss_exponent = 1.5 out of range (1 or 2)")]
+
+
+class TestRangeChecks:
+    def test_check_value_names_the_first_value_out_of_range(self):
+        # one call checks a whole grid axis: every value, in order
+        check_value("geometry.f1")
+        check_value("geometry.f1", -1.0, -0.5, 0.5, 1.0)
+        for values, message in (
+                ((-1.0, 0.0, math.inf), "geometry.f1 = 0.0 out of range "
+                                        "(finite, nonzero)"),
+                ((-1.0, 1.0, math.inf, 0.0), "geometry.f1 = inf out of range "
+                                             "(finite, nonzero)")):
+            with pytest.raises(ConfigError) as e:
+                check_value("geometry.f1", *values)
+            assert str(e.value) == message
+        # the value out of range may be the last
+        with pytest.raises(ConfigError) as e:
+            check_value("losses.slope_loss_exponent", 1.0, 2.0, 1.0, 1.5)
+        assert str(e.value) == ("losses.slope_loss_exponent = 1.5 out of "
+                                "range (1 or 2)")
+        with pytest.raises(ConfigError) as e:
+            check_value("geometry.nope", 1.0)
+        assert str(e.value) == "unknown parameter path 'geometry.nope'"
+
+    @pytest.mark.parametrize("path, value, message", RANGE_CASES,
+                             ids=[case[0] for case in RANGE_CASES])
+    def test_validate_config_words_every_range(self, path, value, message):
+        # validate_config calls each range's check itself, and words a
+        # failure as check_value and set_path do
+        section, _, key = path.partition(".")
+        cfg = get_preset("paper-2022")
+        cfg[section][key] = value
+        for check in (validate_config, lambda c: set_path(c, path, value),
+                      lambda c: check_value(path, value)):
+            with pytest.raises(ConfigError) as e:
+                check(cfg)
+            assert str(e.value) == message
+
+    def test_every_range_has_a_case(self):
+        bounds = [SCHEMA[section][key][2] for section, _, key in
+                  (case[0].partition(".") for case in RANGE_CASES)]
+        assert sorted(bounds) == sorted(_RANGES)
 
 
 class TestRoundTrip:

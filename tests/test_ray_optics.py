@@ -381,9 +381,9 @@ class TestSpotRadius:
                             / (math.pi * math.pi * (m.a * m.c)))
                 text = (f"unstable resonator: spot-radius radicand "
                         f"{radicand:.6g} < 0 for matrix {entries}")
-            at = model.line(cfg, path, None)
-            at(first)
-            point = at(g[path.partition(".")[2]])
+            points = model.line(cfg, path, None)
+            points([first])
+            point, = points([g[path.partition(".")[2]]])
             assert point.status == "unstable"
             assert point.detail == text
             assert evaluate_operating_point(cfg).detail == text

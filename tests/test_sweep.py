@@ -1046,6 +1046,22 @@ class TestLineStaging:
                 assert point.status == "unstable"
                 assert repr(point) == repr(evaluate_operating_point(cfg))
 
+    def test_line_of_no_values(self, monkeypatch):
+        # a line called on no values returns no points and runs no stage;
+        # its first value, in a later call, still starts the line
+        names = ("start_line", "evaluate_operating_point", "open_cavity",
+                 "spot_radius_on_gain", "diffraction_survival",
+                 "evaluate_gain", "evaluate_receiver")
+        alone = [evaluate_operating_point(preset_with(("geometry.d3", d3)))
+                 for d3 in (3.0, 4.0)]
+        counts = self.count_calls(monkeypatch, *names)
+        points = model.line(preset_with(), "geometry.d3", None)
+        assert points([]) == []
+        assert counts == dict.fromkeys(names, 0)
+        assert repr(points([3.0, 4.0])) == repr(alone)
+        assert points([]) == []
+        assert counts["start_line"] == counts["open_cavity"] == 1
+
     @pytest.mark.parametrize("path, lo, hi, first", [
         ("geometry.d1", 10e-3, 30e-3, None), ("geometry.d3", 2.0, 10.0, None),
         ("geometry.r2", 0.85, 0.95, None), ("gain.l", 0.15e-6, 3e-6, None),
@@ -1053,9 +1069,10 @@ class TestLineStaging:
         ids=["d1", "d3", "r2", "gain-l", "mu", "unstable-first-fr2"])
     def test_line_points_match_single_points(self, path, lo, hi, first):
         # one path per _CHAIN entry, and an fr2 line whose first value is
-        # unstable: at, called in shuffled order as a search calls it,
-        # gives each value's point as its own Config evaluated alone
-        # does, and never writes the Config handed to line
+        # unstable: the line, called on one value at a time in shuffled
+        # order as a search calls it, gives each value's point as its own
+        # Config evaluated alone does, and never writes the Config handed
+        # to line
         rng = random.Random(29)
         values = [lo + (hi - lo) * rng.random() for _ in range(9)]
         values = values if first is None else [first, *values]
@@ -1066,9 +1083,9 @@ class TestLineStaging:
                            ("p_beam", "status")):
             for one_axis in (False, True):
                 cfg = preset_with()
-                at = model.line(cfg, path, quantities, one_axis)
+                points = model.line(cfg, path, quantities, one_axis)
                 for v in values:
-                    point = at(v)
+                    point, = points([v])
                     assert repr(point) == repr(evaluate_operating_point(
                         preset_with((path, v)), quantities)), (path, v)
                     statuses.add(point.status)
@@ -1426,8 +1443,8 @@ class TestOperatingPoint:
         cases = ((("geometry.fr2", 2.0),), ray_optics._UNSTABLE, 5), (
             (("geometry.fr2", math.inf),), ray_optics._DEGENERATE, 4)
         for base, text, floats in cases:
-            at = model.line(preset_with(*base), "geometry.d3", None)
-            points = [at(d3) for d3 in (2.0, 4.0, 6.0, 8.0, 10.0)]
+            points = model.line(preset_with(*base), "geometry.d3", None)(
+                [2.0, 4.0, 6.0, 8.0, 10.0])
             assert formatted == []
             for p in points:
                 assert p.status == "unstable"
