@@ -98,14 +98,19 @@ def line(cfg: Config, path: str, quantities, one_axis=False):
     excludes), and shares the others, so a grid's rows may share every
     section they do not sweep.  points sets the key in place and evaluates
     each value once; the line's first point goes through start_line(), and
-    every later one resumes from what that lends, capped for a 1-D line
-    (`one_axis`).  quantities is cut, once, to the one name that decides
-    the deepest stage."""
+    every later one resumes from what that lends.  The line decides once
+    what it may lend: the stages before path enters, at most the spot
+    radius for a 1-D line (`one_axis`).  quantities is cut, once, to the
+    one name that decides the deepest stage."""
     quantities = quantities and (max(quantities, key=_STAGE.__getitem__),)
     section, _, key = path.partition(".")
     cell = {**cfg, section: dict(cfg[section])}
     resolve_path(cell, path)
     swept, lend = cell[section], None
+    # a 1-D line (a 1-D sweep or search) lends at most the spot radius: lent
+    # the gain, fig 9's receiver line would skip ray optics, and CI pins
+    # traced figures' ray_optics.calls to its cells until a benchmark change
+    entry = min(_entry(path), _GAIN) if one_axis else _entry(path)
 
     def points(values) -> list[OperatingPoint]:
         nonlocal lend
@@ -113,7 +118,7 @@ def line(cfg: Config, path: str, quantities, one_axis=False):
         for value in values:
             swept[key] = value
             if lend is None:
-                point, lend = start_line(cell, quantities, path, one_axis)
+                point, lend = start_line(cell, quantities, entry)
                 out.append(point)
             else:
                 out.append(evaluate_operating_point(cell, quantities, lend))
@@ -121,24 +126,21 @@ def line(cfg: Config, path: str, quantities, one_axis=False):
     return points
 
 
-def start_line(cfg: Config, quantities, path: str, one_axis=False):
+def start_line(cfg: Config, quantities, entry: int):
     """Evaluate a line's first point, `cfg`, and return it with what the
-    line's later points resume from: the results of the stages before
-    `path` enters, in chain order (the cavity up to lens f2, the spot
+    line's later points resume from: the results of the chain's first
+    `entry` stages, in chain order (the cavity up to lens f2, the spot
     radius, the PowerResult), cut to the stages the point ran, so an
     unstable point lends only its cavity.  The cavity is opened in this
-    same call, whatever the point's status."""
+    same call, whatever the point's status: a public model call, so a
+    line's first cell is one ray-optics visit in the bench's traces."""
     try:
         cavity = open_cavity(cfg["geometry"])
     except (ValueError, ArithmeticError):
         # evaluated alone, the point raises as it names
         return evaluate_operating_point(cfg, quantities, ()), ()
     point = evaluate_operating_point(cfg, quantities, (cavity,))
-    entry = min(_entry(path), _RAN.get(point.status, _RECEIVER))
-    # a 1-D line (a 1-D sweep or search) lends at most the spot radius: lent
-    # the gain, fig 9's receiver line would skip ray optics, and CI pins
-    # traced figures' ray_optics.calls to its cells until a benchmark change
-    entry = min(entry, _GAIN) if one_axis else entry
+    entry = min(entry, _RAN.get(point.status, _RECEIVER))
     return point, (cavity, point.spot_radius, point.power)[:entry]
 
 

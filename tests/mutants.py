@@ -34,6 +34,7 @@ GAIN = "tests/test_gain_power.py::"
 RECEIVER = "tests/test_receiver.py::"
 TABLE = ("tests/test_sweep.py::"
          "test_no_key_moves_a_field_written_before_its_section_enters")
+PINS = "tests/test_cli.py::test_traced_pins_hold"
 
 # (name, file under src/rbswipt, exact old text, new text, test ids that
 # must each fail; a parametrized test fails when any of its cases does)
@@ -72,13 +73,13 @@ MUTANTS = [
     # row staging (restated from the hand-run checks of row-staged sweeps):
     # a 2-D row's later cells resume from its first cell
     ("a line's first point runs every stage", "model.py",
-     "start_line(cell, quantities, path, one_axis)",
-     "start_line(cell, None, path, one_axis)",
+     "start_line(cell, quantities, entry)",
+     "start_line(cell, None, entry)",
      (ROW + "test_cells_match_single_points",
       ROW + "test_prefix_stops_at_the_deepest_stage_quantities_need")),
     ("rows lend nothing", "model.py",
-     "entry = min(entry, _GAIN) if one_axis else entry",
-     "entry = min(entry, _GAIN) if one_axis else 0",
+     "_GAIN) if one_axis else _entry(path)",
+     "_GAIN) if one_axis else 0",
      (ROW + "test_stage_calls_on_a_p_in_mu_grid",
       ROW + "test_prefix_by_section")),
     ("gain axes staged as receiver ones", "model.py",
@@ -100,9 +101,8 @@ MUTANTS = [
      (LINE + "test_stage_calls_on_an_r2_line",
       LINE + "test_stage_calls_in_a_search", TABLE)),
     ("1-D lines share ray optics", "model.py",
-     "start_line(cell, quantities, path, one_axis)",
-     'start_line(cell, quantities, "geometry.r2" if one_axis else path,'
-     " one_axis)",
+     "entry = min(_entry(path), _GAIN) if one_axis",
+     "entry = _GAIN if one_axis",
      (LINE + "test_probes_match_single_points",
       LINE + "test_points_match_single_points")),
     ("d3 probes lent no cavity", "sweep.py",
@@ -112,25 +112,25 @@ MUTANTS = [
      (LINE + "test_stage_calls_in_a_d3_search",
       LINE + "test_stage_calls_in_a_search")),
     ("a line's first point evaluated twice", "model.py",
-     """                point, lend = start_line(cell, quantities, path, one_axis)
+     """                point, lend = start_line(cell, quantities, entry)
                 out.append(point)
             else:
                 out.append(evaluate_operating_point(cell, quantities, lend))
-""", """                _, lend = start_line(cell, quantities, path, one_axis)
+""", """                _, lend = start_line(cell, quantities, entry)
             out.append(evaluate_operating_point(cell, quantities, lend))
 """,
      (LINE + "test_stage_calls_in_a_d3_search",
       ROW + "test_one_evaluation_per_cell")),
     ("every line shares ray optics", "model.py",
-     "entry = min(_entry(path), _RAN",
-     "entry = min(max(_entry(path), _GAIN), _RAN",
+     "min(_entry(path), _GAIN) if one_axis else _entry(path)",
+     "_GAIN if one_axis else max(_entry(path), _GAIN)",
      (LINE + "test_stage_calls_on_a_geometry_line",
       LINE + "test_points_match_single_points",
       LINE + "test_probes_match_single_points",
       ROW + "test_prefix_by_section")),
     ("1-D lines lent the first point's gain", "model.py",
-     "start_line(cell, quantities, path, one_axis)",
-     'start_line(cell, quantities, "receiver.mu" if one_axis else path)',
+     "entry = min(_entry(path), _GAIN) if one_axis",
+     "entry = _RECEIVER if one_axis",
      (LINE + "test_probes_match_single_points",
       LINE + "test_points_match_single_points",
       PRUNING + "test_find_optimum_identical_without_pruning")),
@@ -138,17 +138,35 @@ MUTANTS = [
      "line(row, axis.path, quantities, a2 is None)",
      "line(row, axis.path, quantities, False)",
      (LINE + "test_stage_calls_on_a_receiver_line",)),
-    # one rule, in model.start_line, decides what a line's first point
-    # lends: the results of the stages before the line's key enters
+    # a line decides once, in model.line, how many stages its first point
+    # may lend: those before the line's key enters, at most the spot radius
+    # on a 1-D line; start_line cuts that to the stages the point ran
     ("rows capped at ray optics", "model.py",
-     "entry = min(entry, _GAIN) if one_axis else entry",
-     "entry = min(entry, _GAIN)",
+     "if one_axis else _entry(path)",
+     "",
      (ROW + "test_stage_calls_on_a_p_in_mu_grid",
       ROW + "test_prefix_by_section")),
     ("the 1-D cap removed", "model.py",
-     "    entry = min(entry, _GAIN) if one_axis else entry\n", "",
+     "min(_entry(path), _GAIN) if one_axis else _entry(path)",
+     "_entry(path)",
      (LINE + "test_stage_calls_on_a_receiver_line",
       ROW + "test_prefix_by_section")),
+    # the bench's traced pins: one ray-optics visit per figure cell, which
+    # needs the 1-D cap and a line's cavity opened inside the model call
+    # start_line.  Neither mutant changes an output, and opening the cavity
+    # in the closure changes no stage call either
+    ("1-D cap removed (raised to the receiver)", "model.py",
+     "min(_entry(path), _GAIN) if one_axis",
+     "min(_entry(path), _RECEIVER) if one_axis",
+     (PINS,)),
+    ("cavity opened in the line's closure", "model.py",
+     "                point, lend = start_line(cell, quantities, entry)\n",
+     """                cavity = open_cavity(cell["geometry"])
+                point = evaluate_operating_point(cell, quantities, (cavity,))
+                lend = (cavity, point.spot_radius, point.power)[:min(
+                    entry, _RAN.get(point.status, _RECEIVER))]
+""",
+     (PINS,)),
     ("an unstable first point lends its spot radius", "model.py",
      "_RAN = {STATUS_UNSTABLE: _RAY_OPTICS,",
      "_RAN = {STATUS_UNSTABLE: _GAIN,",
@@ -176,10 +194,8 @@ MUTANTS = [
     # a d3 or fr2 line opens its cavity once, in its first point's call,
     # and closes it per point
     ("every line lent the first line's results", "model.py",
-     "                point, lend = start_line(cell, quantities, path, "
-     "one_axis)\n",
-     "                point, lend = start_line(cell, quantities, path, "
-     "one_axis)\n"
+     "                point, lend = start_line(cell, quantities, entry)\n",
+     "                point, lend = start_line(cell, quantities, entry)\n"
      '                lend = line.__dict__.setdefault("lend", lend)\n',
      (ROW + "test_cells_match_single_points",
       "tests/test_sweep.py::TestRunSweep::"
@@ -223,13 +239,13 @@ MUTANTS = [
     ("the swept key set after the cell", "model.py",
      """            swept[key] = value
             if lend is None:
-                point, lend = start_line(cell, quantities, path, one_axis)
+                point, lend = start_line(cell, quantities, entry)
                 out.append(point)
             else:
                 out.append(evaluate_operating_point(cell, quantities, lend))
 """, """            if lend is None:
                 swept[key] = value
-                point, lend = start_line(cell, quantities, path, one_axis)
+                point, lend = start_line(cell, quantities, entry)
                 out.append(point)
             else:
                 out.append(evaluate_operating_point(cell, quantities, lend))

@@ -504,6 +504,40 @@ class TestReproduceFigure:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_traced_pins_hold(tmp_path, monkeypatch):
+    # the benchmark's counter self-test, run on small inputs through its own
+    # tracer: every figure cell is one ray-optics visit and every cell of a
+    # p_in x mu sweep that emits every field one receiver visit.  A line's
+    # first point opens its cavity inside a model call of its own, and a
+    # 1-D line lends at most the spot radius, so both pins hold
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    sweep_argv = ["sweep", "--axis", "link.p_in:20:150:7",
+                  "--axis", "receiver.mu:0:0.99:7", "--out-dir", str(tmp_path)]
+    for q in workloads.SWEEP_FIELDS:
+        sweep_argv += ["--quantity", q]
+    runs = {"figures": [["reproduce-figure", fid, "--points", "7",
+                         "--out-dir", str(tmp_path)]
+                        for fid in workloads.FIGURE_IDS],
+            "sweep": [sweep_argv]}
+    counts = {}
+    for name, commands in runs.items():
+        traced = tracer.Tracer()
+        traced.install()
+        try:
+            # through the module: install rebinds cli.run_cli
+            codes = [cli.run_cli(argv) for argv in commands]
+        finally:
+            traced.uninstall()
+        assert codes == [0] * len(commands), name
+        counts[name] = traced.counts()
+    figure, sweep = counts["figures"], counts["sweep"]
+    assert figure["ray_optics.calls"] == figure["sweep.cells"] == 245
+    assert sweep["receiver.calls"] == sweep["sweep.cells"] == 49
+
+
 def curve_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     """A curve file's column names and data rows, as text cells."""
     header, *rows = [line.split(",") for line in path.read_text().splitlines()

@@ -26,7 +26,7 @@ from rbswipt.config import (
     get_preset,
     set_path,
 )
-from rbswipt.gain_power import POWER_UNITS, PowerResult
+from rbswipt.gain_power import POWER_UNITS, PowerResult, evaluate_gain
 from rbswipt.model import FIELD_UNITS, OperatingPoint, evaluate_operating_point
 from rbswipt.output import Column, write_curve_file
 from rbswipt.receiver import SWIPT_UNITS, SwiptResult
@@ -53,9 +53,11 @@ def mu_spec(count=5) -> SweepSpec:
 
 
 def patch_evaluate(monkeypatch, fn):
-    """Route every cell and probe through fn: model.line evaluates a
-    line's first point in model.start_line and every other one itself, both
-    by the module-global name."""
+    """Route every cell and probe through fn, a stand-in for
+    model.evaluate_operating_point, which model looks up by its module-global
+    name for each point of a line.  fn takes the cell's Config, then the
+    quantities and what the line's first point lends, which a stub that
+    builds its own point passes on or drops as *rest."""
     monkeypatch.setattr(model, "evaluate_operating_point", fn)
 
 
@@ -215,7 +217,7 @@ class TestRunSweep:
         # place, so each cell's is recorded as it is at its evaluation
         seen = []
 
-        def record(cfg, quantities=None, upstream=()):
+        def record(cfg, *rest):
             seen.append(copy_config(cfg))
             return OperatingPoint("stable", 0.0)
 
@@ -241,8 +243,8 @@ class TestRunSweep:
         # Config is recorded as it is at its evaluation
         seen = []
 
-        def recorded(cfg, quantities=None, upstream=()):
-            point = evaluate_operating_point(cfg, quantities, upstream)
+        def recorded(cfg, quantities=None, *rest):
+            point = evaluate_operating_point(cfg, quantities, *rest)
             seen.append((copy_config(cfg), quantities, point))
             return point
 
@@ -368,7 +370,7 @@ class TestReduceMax:
 
 
 def quadratic_stub(vertex, path="receiver.mu"):
-    def evaluate(cfg, quantities=None, upstream=()):
+    def evaluate(cfg, *rest):
         x = get_path(cfg, path)
         return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
                               ._replace(p_beam=-(x - vertex) ** 2))
@@ -387,7 +389,7 @@ class TestFindOptimum:
 
     def test_minimize(self, monkeypatch):
         vertex = 0.25
-        def stub(cfg, quantities=None, upstream=()):
+        def stub(cfg, *rest):
             x = get_path(cfg, "receiver.mu")
             return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
                                   ._replace(p_beam=(x - vertex) ** 2))
@@ -417,17 +419,18 @@ class TestFindOptimum:
 
     def test_probes_stay_in_schema_range(self, monkeypatch):
         # the exponent's range is "1 or 2": every probe between the two
-        # grid values falls outside it
+        # grid values falls outside it.  The exponent enters at the gain,
+        # whose stage sees every grid cell and probe the search evaluates
         path = "losses.slope_loss_exponent"
         seen = []
 
-        def checked(cfg, quantities=None, upstream=()):
-            seen.append(get_path(cfg, path))
+        def checked(geometry, gain, pump, losses, *rest):
+            seen.append(losses["slope_loss_exponent"])
             check_value(path, seen[-1])
-            return evaluate_operating_point(cfg, quantities)
+            return evaluate_gain(geometry, gain, pump, losses, *rest)
 
         spec = SweepSpec(preset_with(), axis1=Axis(path, 1.0, 2.0, 2))
-        patch_evaluate(monkeypatch, checked)
+        monkeypatch.setattr(model, "evaluate_gain", checked)
         params, _ = find_optimum(spec, "p_beam")
         assert seen == [1.0, 2.0]
         assert params[path] in (1.0, 2.0)
@@ -439,11 +442,11 @@ class TestFindOptimum:
         probes = []
         stub = quadratic_stub(vertex, path="gain.n0")
 
-        def capped(cfg, quantities=None, upstream=()):
+        def capped(cfg, *rest):
             probes.append(get_path(cfg, "gain.n0"))
             if len(probes) > 1000:
                 raise RuntimeError("search does not stop")
-            return stub(cfg, quantities)
+            return stub(cfg, *rest)
 
         spec = SweepSpec(preset_with(), axis1=Axis("gain.n0", 1e24, 3e24, 5))
         patch_evaluate(monkeypatch, capped)
@@ -461,11 +464,11 @@ class TestFindOptimum:
         probes = []
         stub = quadratic_stub(vertex, path=path)
 
-        def capped(cfg, quantities=None, upstream=()):
+        def capped(cfg, *rest):
             probes.append(get_path(cfg, path))
             if len(probes) > 100:
                 raise RuntimeError("search does not stop")
-            return stub(cfg, quantities)
+            return stub(cfg, *rest)
 
         spec = SweepSpec(preset_with(), axis1=Axis(path, lo, hi, 5))
         patch_evaluate(monkeypatch, capped)
@@ -499,7 +502,7 @@ class TestFindOptimum:
             def __rsub__(self, other):
                 return self._checked(float.__rsub__, other)
 
-        def watched(cfg, quantities=None, upstream=()):
+        def watched(cfg, *rest):
             x = get_path(cfg, "receiver.mu")
             if x < 0.45:
                 return OperatingPoint(status="unstable", p_in=0.0)
@@ -513,7 +516,7 @@ class TestFindOptimum:
         assert params["receiver.mu"] == pytest.approx(0.47, abs=2e-6)
 
     def test_no_stable_point_raises(self, monkeypatch):
-        def never(cfg, quantities=None, upstream=()):
+        def never(cfg, *rest):
             return OperatingPoint(status="unstable", p_in=0.0)
         spec = SweepSpec(preset_with(),
                          axis1=Axis("receiver.mu", 0.0, 1.0, 5))
@@ -615,7 +618,7 @@ class TestDeterminism:
             [["0.0", "-0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]]
 
 
-def unpruned(cfg, quantities=None, upstream=()):
+def unpruned(cfg, *rest):
     return evaluate_operating_point(cfg)
 
 
@@ -755,6 +758,36 @@ def p_in_mu_spec(*overrides, counts=(4, 5)) -> SweepSpec:
                      axis2=Axis("receiver.mu", 0.0, 0.99, counts[1]))
 
 
+# the chain's first three stages are the cavity opened up to lens f2, its
+# spot radius and the gain's PowerResult.  Of these, the stages that run
+# before a key enters are none for a geometry key but d3 and fr2 (the open
+# cavity) and r1 and r2 (its spot radius too), all three for a receiver
+# key and two for any other
+KEYED = {"geometry.d3": 1, "geometry.fr2": 1, "geometry.r1": 2,
+         "geometry.r2": 2}
+
+
+def stages_before(path):
+    return KEYED.get(path, {"geometry": 0, "receiver": 3}.get(
+        path.partition(".")[0], 2))
+
+
+# how many of the three a point of each status ran
+STAGES_RAN = {"unstable": 1, "stable": 2, "ok": 3, "sub-threshold": 3}
+
+
+def line_stage_calls(points, shared):
+    """The stage calls a line's points make when each later point reuses
+    the first `shared` stages of the line's first point and runs the rest
+    itself: a cavity opened, a spot radius taken and a gain evaluated once
+    for the whole line when shared, else by every point that needs it."""
+    n = len(points)
+    gains = sum(p.status in ("ok", "sub-threshold") for p in points)
+    return {"open_cavity": 1 if shared >= 1 else n,
+            "spot_radius_on_gain": 1 if shared >= 2 else n,
+            "evaluate_gain": 1 if shared >= 3 else gains}
+
+
 class TestRowStaging:
     """A 2-D grid's row is a line: its first cell lends the later cells the
     stages before axis 2 enters, and every cell is still the point of its
@@ -780,15 +813,19 @@ class TestRowStaging:
                 cases.append((base, path1, path2, rng.choice(quantity_sets)))
         return cases
 
-    def test_cells_match_single_points(self):
+    def test_cells_match_single_points(self, monkeypatch):
         rng = random.Random(18)
         by_path = {a[0]: a for a in ROW_AXES}
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain", "evaluate_gain")
         statuses, sections, cuts = set(), set(), set()
         for base, path1, path2, quantities in self.grid_cases(rng, 200):
             spec = SweepSpec(preset_with(*base),
                              Axis(*by_path[path1], rng.randint(2, 4)),
                              Axis(*by_path[path2], rng.randint(2, 4)))
+            counts.update(dict.fromkeys(counts, 0))
             result = run_sweep(spec, quantities=quantities)
+            made = dict(counts)
             cells = [(v1, v2) for v1 in result.axis1_values
                      for v2 in result.axis2_values]
             for point, (v1, v2) in zip(result.points, cells, strict=True):
@@ -797,22 +834,23 @@ class TestRowStaging:
                     evaluate_operating_point(cfg, quantities))
                 statuses.add(point.status)
             sections.add(path2.partition(".")[0])
-            # each row's first cell's status, paired with the length of
-            # what it lent the row's later cells
-            n2 = len(result.axis2_values)
-            for first, v1 in zip(result.points[::n2], result.axis1_values,
-                                 strict=True):
-                cfg = preset_with(*base, (path1, v1),
-                                  (path2, result.axis2_values[0]))
-                point, lend = model.start_line(cfg, quantities, path2)
-                assert repr(point) == repr(first)
-                cuts.add((first.status, len(lend)))
+            # each row's later cells reuse the stages before axis 2 enters
+            # that the row's first cell ran, and run the rest themselves:
+            # the grid's stage calls, row by row
+            n2, want = len(result.axis2_values), dict.fromkeys(counts, 0)
+            for i in range(0, len(result.points), n2):
+                row = result.points[i:i + n2]
+                shared = min(stages_before(path2), STAGES_RAN[row[0].status])
+                for name, n in line_stage_calls(row, shared).items():
+                    want[name] += n
+                cuts.add((row[0].status, shared))
+            assert made == want, (base, path1, path2, quantities)
         assert statuses == {"ok", "sub-threshold", "stable", "unstable"}
         assert {"geometry", "receiver", "gain", "link"} <= sections
-        # a lend is cut to the stages before axis 2 enters (none on a
-        # geometry axis but d3, fr2, r1 and r2) and to those the first cell
-        # ran: an unstable cell lends at most its cavity, a stable one at
-        # most its spot radius
+        # the draw covers every first-cell status with every number of
+        # stages its row can reuse: none on a geometry axis but d3, fr2, r1
+        # and r2, at most the cavity after an unstable first cell and at
+        # most the spot radius after a stable one
         assert cuts == {("ok", 1), ("ok", 2), ("ok", 3),
                         ("stable", 0), ("stable", 1), ("stable", 2),
                         ("sub-threshold", 0), ("sub-threshold", 1),
@@ -838,13 +876,7 @@ class TestRowStaging:
 
     def test_one_evaluation_per_cell(self, monkeypatch):
         # a line's first point lends: no point is evaluated only to be lent
-        calls = []
-
-        def counted(cfg, quantities=None, upstream=()):
-            calls.append(cfg)
-            return evaluate_operating_point(cfg, quantities, upstream)
-
-        patch_evaluate(monkeypatch, counted)
+        counts = self.count_calls(monkeypatch, "evaluate_operating_point")
         rng = random.Random(23)
         by_path = {a[0]: a for a in ROW_AXES}
         for base, path1, path2, quantities in self.grid_cases(rng, 60):
@@ -852,51 +884,56 @@ class TestRowStaging:
             axis2 = Axis(*by_path[path2], rng.randint(2, 5))
             for axes, cells in (((axis1,), axis1.count),
                                 ((axis1, axis2), axis1.count * axis2.count)):
-                calls.clear()
+                counts["evaluate_operating_point"] = 0
                 run_sweep(SweepSpec(preset_with(*base), *axes), quantities)
-                assert len(calls) == cells, (path1, path2, quantities)
+                assert counts["evaluate_operating_point"] == cells, (
+                    path1, path2, quantities)
 
     @pytest.mark.parametrize("path", [
         *SCHEMA, *(f"{s}.{k}" for s in SCHEMA for k in SCHEMA[s])])
-    def test_prefix_by_section(self, path):
-        # what a line's first point lends a line that sets the path, as a
-        # 2-D row and as a 1-D line: the results of the stages before the
-        # path enters, in chain order (the cavity up to lens f2, the spot
-        # radius, the PowerResult), cut to the stages the point ran
-        # the stages before the path enters: none for a geometry key but
-        # d3 and fr2 (the open cavity) and r1 and r2 (its spot radius too),
-        # the PowerResult too for a receiver key, two for any other key
-        keyed = {"geometry.d3": 1, "geometry.fr2": 1, "geometry.r1": 2,
-                 "geometry.r2": 2}
-        before = keyed.get(path, {"geometry": 0, "receiver": 3}.get(
-            path.partition(".")[0], 2))
-        points = {"ok": (preset_with(), None),
-                  "stable": (preset_with(), ("spot_radius",)),
-                  "sub-threshold": (preset_with(("link.p_in", 0.0)), None),
-                  "unstable": (preset_with(("geometry.fr2", 2.0)), None)}
-        for status, (cfg, quantities) in points.items():
-            for one_axis in (False, True):
-                point, lend = model.start_line(cfg, quantities, path,
-                                               one_axis=one_axis)
-                assert point.status == status
-                assert repr(point) == repr(
-                    evaluate_operating_point(cfg, quantities))
-                ran = {"unstable": 1, "stable": 2}.get(status, 3)
-                want = min(before, ran, 2 if one_axis else 3)
-                assert len(lend) == want, (status, one_axis)
-                # the 1-D cap lends at most the spot radius, an unstable
-                # point at most its cavity
-                assert len(lend) <= 2 or not one_axis
-                assert len(lend) <= 1 or status != "unstable"
-                full = (ray_optics.open_cavity(cfg["geometry"]),
-                        point.spot_radius, point.power)
-                assert repr(lend) == repr(full[:want])
-        assert points["sub-threshold"][0]["link"]["p_in"] == 0.0
+    def test_prefix_by_section(self, monkeypatch, path):
+        # the stages a line's later points reuse from its first point, as a
+        # 2-D row and as a 1-D line, read from the stage calls of a line of
+        # three points at one value: the stages before the path enters, in
+        # chain order (the cavity up to lens f2, the spot radius, the
+        # PowerResult), cut to those the first point ran and, on a 1-D
+        # line, to the spot radius.  A section stands for each of its keys
+        # that enters with it; the preset derives f2 and lt
+        keys = [path] if "." in path else [
+            f"{path}.{k}" for k in SCHEMA[path] if f"{path}.{k}" not in KEYED]
+        derived = {"geometry.f2": 0.06, "geometry.lt": 0.055}
+        points = {"ok": ((), None),
+                  "stable": ((), ("spot_radius",)),
+                  "sub-threshold": ((("link.p_in", 0.0),), None),
+                  "unstable": ((("geometry.fr2", 2.0),), None)}
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain", "evaluate_gain")
+        for key in keys:
+            for status, (base, quantities) in points.items():
+                cfg = preset_with(*base)
+                section, _, name = key.partition(".")
+                value = cfg[section].get(name, derived.get(key))
+                alone = evaluate_operating_point(
+                    preset_with(*base, (key, value)), quantities)
+                assert alone.status == status, key
+                for dims, cap in ((2, 3), (1, 2)):
+                    counts.update(dict.fromkeys(counts, 0))
+                    line = model.line(cfg, key, quantities, dims == 1)
+                    got = line([value] * 3)
+                    assert [repr(p) for p in got] == [repr(alone)] * 3
+                    shared = min(stages_before(key), STAGES_RAN[status], cap)
+                    assert counts == line_stage_calls(got, shared), (
+                        key, status, dims)
+                    # a 1-D line's points each run the gain they need, and
+                    # an unstable first point's line closes every cavity
+                    assert dims == 2 or counts["evaluate_gain"] in (0, 3)
+                    assert status != "unstable" or \
+                        counts["spot_radius_on_gain"] == 3
 
     @staticmethod
     def count_calls(monkeypatch, *names):
-        # each function counted where the chain calls it: from model
-        # (evaluate_operating_point and start_line)
+        # each function counted where the chain calls it: by its name in
+        # model, where a line's closure and each stage look it up
         counts = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, name=name, function=getattr(model, name)):
@@ -1049,7 +1086,7 @@ class TestLineStaging:
     def test_line_of_no_values(self, monkeypatch):
         # a line called on no values returns no points and runs no stage;
         # its first value, in a later call, still starts the line
-        names = ("start_line", "evaluate_operating_point", "open_cavity",
+        names = ("evaluate_operating_point", "open_cavity",
                  "spot_radius_on_gain", "diffraction_survival",
                  "evaluate_gain", "evaluate_receiver")
         alone = [evaluate_operating_point(preset_with(("geometry.d3", d3)))
@@ -1060,7 +1097,10 @@ class TestLineStaging:
         assert counts == dict.fromkeys(names, 0)
         assert repr(points([3.0, 4.0])) == repr(alone)
         assert points([]) == []
-        assert counts["start_line"] == counts["open_cavity"] == 1
+        # the d3 line's first point opened the cavity both points close
+        assert counts["open_cavity"] == 1
+        assert counts["evaluate_operating_point"] == \
+            counts["spot_radius_on_gain"] == 2
 
     @pytest.mark.parametrize("path, lo, hi, first", [
         ("geometry.d1", 10e-3, 30e-3, None), ("geometry.d3", 2.0, 10.0, None),
@@ -1081,9 +1121,9 @@ class TestLineStaging:
         for quantities in (None, ("spot_radius",), ("p_beam",),
                            ("status", "spot_radius", "c_tilde"),
                            ("p_beam", "status")):
-            for one_axis in (False, True):
+            for dims in (2, 1):     # a grid's row, a 1-D line
                 cfg = preset_with()
-                points = model.line(cfg, path, quantities, one_axis)
+                points = model.line(cfg, path, quantities, dims == 1)
                 for v in values:
                     point, = points([v])
                     assert repr(point) == repr(evaluate_operating_point(
@@ -1136,30 +1176,34 @@ class TestLineStaging:
         # Config in place
         seen = []
 
-        def recorded(cfg, quantities=None, upstream=()):
-            point = evaluate_operating_point(cfg, quantities, upstream)
-            seen.append((copy_config(cfg), quantities, upstream, point))
+        def recorded(cfg, quantities=None, *rest):
+            point = evaluate_operating_point(cfg, quantities, *rest)
+            seen.append((copy_config(cfg), quantities, point))
             return point
 
         patch_evaluate(monkeypatch, recorded)
+        counts = self.count_calls(monkeypatch, "open_cavity")
         rng = random.Random(22)
         by_path = {a[0]: a for a in ROW_AXES}
         objectives = ("p_beam", "eta_b", "p_e_out", "c_tilde", "spot_radius")
-        lent = 0
+        opened = evaluated = 0
         for base, path in self.line_cases(rng, 40):
             spec = SweepSpec(preset_with(*base),
                              Axis(*by_path[path], rng.randint(2, 7)))
             seen.clear()
+            counts["open_cavity"] = 0
             try:
                 find_optimum(spec, rng.choice(objectives))
             except OptimizationError:
                 pass
             assert seen
-            for cfg, quantities, upstream, point in seen:
+            opened += counts["open_cavity"]
+            evaluated += len(seen)
+            for cfg, quantities, point in seen:
                 assert repr(point) == repr(
                     evaluate_operating_point(cfg, quantities)), path
-                lent += bool(upstream)
-        assert lent > 0
+        # lines that lent saved work: fewer cavities opened than points
+        assert opened < evaluated
 
 
     @pytest.mark.parametrize("overrides, message", [
@@ -1356,6 +1400,8 @@ class TestFigures:
 
 
 class TestOperatingPoint:
+    count_calls = staticmethod(TestRowStaging.count_calls)
+
     def test_fields_follow_the_unit_table(self):
         # the ray-optics fields, then one record per later stage, whose
         # fields are the rest of FIELD_UNITS in order
@@ -1375,15 +1421,29 @@ class TestOperatingPoint:
         assert [getattr(p, f) for f in PowerResult._fields] == list(p.power)
         assert [getattr(p, f) for f in SwiptResult._fields] == list(p.swipt)
 
-    def test_every_path_builds_a_full_record(self):
+    def test_every_path_builds_a_full_record(self, monkeypatch):
         # each return path of evaluate_operating_point builds its point with
-        # tuple.__new__, which checks no length: every one is a whole record
+        # tuple.__new__, which checks no length: every one is a whole record.
+        # A line's second point resumes from its first: a receiver row's
+        # from the cavity, spot radius and gain, a p_in row's from the cavity
+        # and spot radius, a d3 line's from the cavity, stable or not
         full = evaluate_operating_point(preset_with())
-        lends = {path: model.start_line(preset_with(), None, path)[1]
-                 for path in ("receiver.mu", "link.p_in", "geometry.d3")}
-        lends["unstable"] = model.start_line(
-            preset_with(("geometry.fr2", 2.0)), None, "geometry.d3")[1]
-        assert [len(lend) for lend in lends.values()] == [3, 2, 1, 1]
+        counts = self.count_calls(monkeypatch, "open_cavity",
+                                  "spot_radius_on_gain", "evaluate_gain")
+        seconds, calls = {}, {}
+        for name, base, path, quantities, values in (
+                ("receiver", (), "receiver.mu", None, [0.99, 0.3]),
+                ("gain", (), "link.p_in", None, [100.0, 5.0]),
+                ("d3", (), "geometry.d3", ("spot_radius",), [10.0, 3.0]),
+                ("unstable d3", (("geometry.fr2", 2.0),), "geometry.d3",
+                 None, [10.0, 3.0])):
+            counts.update(dict.fromkeys(counts, 0))
+            seconds[name] = model.line(preset_with(*base), path,
+                                       quantities)(values)[1]
+            calls[name] = tuple(counts.values())
+        # (cavities opened, spot radii taken, gains evaluated) per line
+        assert calls == {"receiver": (1, 1, 1), "gain": (1, 1, 2),
+                         "d3": (1, 2, 0), "unstable d3": (1, 2, 0)}
         paths = {
             "spot only": evaluate_operating_point(preset_with(),
                                                   ("spot_radius",)),
@@ -1396,17 +1456,10 @@ class TestOperatingPoint:
             "p_in = 0": evaluate_operating_point(
                 preset_with(("link.p_in", 0.0))),
             "receiver cell lent a cavity, spot radius and gain":
-                evaluate_operating_point(preset_with(("receiver.mu", 0.3)),
-                                         None, lends["receiver.mu"]),
-            "gain cell lent a cavity and spot radius":
-                evaluate_operating_point(preset_with(("link.p_in", 5.0)),
-                                         None, lends["link.p_in"]),
-            "d3 cell lent a cavity": evaluate_operating_point(
-                preset_with(("geometry.d3", 3.0)), ("spot_radius",),
-                lends["geometry.d3"]),
-            "unstable d3 cell lent a cavity": evaluate_operating_point(
-                preset_with(("geometry.fr2", 2.0), ("geometry.d3", 3.0)),
-                None, lends["unstable"]),
+                seconds["receiver"],
+            "gain cell lent a cavity and spot radius": seconds["gain"],
+            "d3 cell lent a cavity": seconds["d3"],
+            "unstable d3 cell lent a cavity": seconds["unstable d3"],
         }
         received = {"full chain",
                     "receiver cell lent a cavity, spot radius and gain",
