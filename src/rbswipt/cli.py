@@ -29,7 +29,7 @@ from .model import (
     STATUS_UNSTABLE,
     evaluate_operating_point,
 )
-from .output import Column, operating_point_report, write_curve_file
+from .output import Column, operating_point_report, out_file, write_curve_file
 from .sweep import Axis, OptimizationError, SweepSpec, find_optimum, run_sweep
 
 EXIT_OK = 0
@@ -40,21 +40,6 @@ EXIT_OPTIMIZATION = 5
 
 def _out_dir(args) -> Path:
     return Path(args.out_dir or os.environ.get("RBSWIPT_OUT_DIR", "."))
-
-
-def _out_file(out_dir: Path, name: str) -> Path:
-    """out_dir / name, checked before any cell to be writable as a file.
-    Nothing is created: a missing out_dir passes if its nearest existing
-    ancestor is a directory (it is made just before the write), while a
-    directory named inside `name` must exist already."""
-    path = out_dir / name
-    if path.is_dir():
-        raise ConfigError(f"output file {str(path)!r} is a directory")
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not nearest.is_dir() or (path.parent != out_dir
-                                and not path.parent.is_dir()):
-        raise ConfigError(f"no directory for output file {str(path)!r}")
-    return path
 
 
 def _read_config(path: str) -> str:
@@ -131,7 +116,7 @@ def cmd_sweep(args) -> int:
     quantities = args.quantity or ["p_beam"]
     _check_fields(quantities)
     spec = _cfg_spec(args)
-    out = _out_file(_out_dir(args), args.output)
+    out = out_file(_out_dir(args), args.output)
     result = run_sweep(spec, quantities=(*quantities, "status"))
     # points are axis1-major: axis 1 repeats each value, axis 2 tiles
     a1, a2 = result.axis1_values, result.axis2_values
@@ -150,7 +135,6 @@ def cmd_sweep(args) -> int:
             fields.update(zip(record[0]._fields, zip(*record)))
     columns += [Column(q, FIELD_UNITS[q], fields[q]) for q in quantities]
     columns.append(Column("status", "", statuses))
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_curve_file(out, args.preset, spec.config, columns)
     counts = ", ".join(f"{statuses.count(s)} {s}" for s in
                        (STATUS_OK, STATUS_SUB_THRESHOLD, STATUS_UNSTABLE))
@@ -171,10 +155,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_reproduce_figure(args) -> int:
-    out = _out_dir(args)
-    csv, plot = (_out_file(out, f"fig{args.id}{ext}")
-                 for ext in (".csv", ".plot.json"))
-    reproduce_figure(args.id, out, points=args.points)
+    csv, plot = reproduce_figure(args.id, _out_dir(args), points=args.points)
     print(f"wrote {csv} and {plot}")
     return EXIT_OK
 

@@ -13,6 +13,9 @@ assumptions:
   near r2 = 0.90 as reported.
 * figs 9/10: the power operating point r2 = 0.90, l = 3 um; fig 9 at
   p_in = 100 W, fig 10 at mu = 0.99.
+
+`reproduce_figure` writes fig<id>.csv and fig<id>.plot.json, both named
+and checked by `output.out_file` before the first sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 from .config import get_preset, path_unit, set_path
 from .model import FIELD_UNITS, STATUS_OK
-from .output import Column, write_curve_file, write_plot_description
+from .output import Column, out_file, write_curve_file, write_plot_description
 from .sweep import Axis, SweepSpec, reduce_max, run_sweep
 
 _UM = 1e-6
@@ -76,14 +79,15 @@ def _series_sweeps(figure_id: str, points: int):
 
 
 def reproduce_figure(figure_id: str, out_dir: Path,
-                     points: int = 121) -> None:
+                     points: int = 121) -> tuple[Path, Path]:
     """Run the named scenario and emit <out_dir>/fig<id>.csv plus
-    fig<id>.plot.json."""
+    fig<id>.plot.json; return both paths.  Both are checked by out_file
+    before the first sweep (ConfigError), so no figure is half written."""
     if figure_id not in _FIGURES:
         raise ValueError(
             f"unknown figure id {figure_id!r}; known: {FIGURE_IDS}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, plot_path = (out_file(out_dir, f"fig{figure_id}{ext}")
+                           for ext in (".csv", ".plot.json"))
     first, columns, series = None, [], []
     for label, spec, quantities, reduce_d3 in _series_sweeps(figure_id, points):
         # a non-reduced series also writes each point's status
@@ -107,13 +111,12 @@ def reproduce_figure(figure_id: str, out_dir: Path,
         del result
     x_name, x_unit = _axis_name_unit(first.spec.axis1.path)
     columns.insert(0, Column(x_name, x_unit, first.axis1_values))
-    csv_path = out_dir / f"fig{figure_id}.csv"
     write_curve_file(csv_path, f"fig{figure_id}", first.spec.config, columns)
     write_plot_description(
-        out_dir / f"fig{figure_id}.plot.json",
-        title=f"figure {figure_id}",
+        plot_path, title=f"figure {figure_id}",
         x_label=f"{x_name} [{x_unit}]" if x_unit else x_name,
         y_label=", ".join(quantities),
         csv_file=csv_path.name,
         series=series,
     )
+    return csv_path, plot_path

@@ -1,5 +1,8 @@
-"""Curve-file and report emission.
+"""Curve-file and report emission, and the paths they are written to.
 
+Every file a command writes is named by `out_file`, which checks it before
+any cell is evaluated; `write_curve_file` makes its missing directories
+just before it writes, so a rejected command leaves no directory behind.
 Curve files are CSV with a '#'-prefixed metadata header embedding the
 scenario id, the resolved-configuration digest, the full configuration, and
 per-column units.  Floats are written with repr so the file parses back to
@@ -14,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from pathlib import Path
 
-from .config import Config, config_digest, serialize_config
+from .config import Config, ConfigError, config_digest, serialize_config
 from .model import FIELD_UNITS, OperatingPoint
 
 
@@ -37,6 +40,23 @@ def _cells(values: Sequence, memo: dict) -> list[str]:
     return cells
 
 
+def out_file(out_dir: Path | str, name: str) -> Path:
+    """out_dir / name, checked before any cell to be writable as a file.
+    Nothing is created: a missing out_dir passes if its nearest existing
+    ancestor is a directory (write_curve_file makes it), while a directory
+    named inside `name` must exist already.  A name that leaves no file
+    under out_dir ("", ".", "..") names a directory too."""
+    out_dir = Path(out_dir)
+    path = out_dir / name
+    if path == out_dir or path.name == ".." or path.is_dir():
+        raise ConfigError(f"output file {str(path)!r} names a directory")
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir() or (path.parent != out_dir
+                                and not path.parent.is_dir()):
+        raise ConfigError(f"no directory for output file {str(path)!r}")
+    return path
+
+
 def write_curve_file(path: Path, scenario: str, config: Config,
                      columns: list[Column]) -> None:
     n = len(columns[0].values)
@@ -55,6 +75,7 @@ def write_curve_file(path: Path, scenario: str, config: Config,
     lines.append(",".join(c.name for c in columns))
     memo = {}
     lines += map(",".join, zip(*(_cells(c.values, memo) for c in columns)))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 

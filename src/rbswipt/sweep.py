@@ -148,7 +148,8 @@ def find_optimum(spec: SweepSpec, objective: str,
     probe line called on each probe as a batch of one.  The refinement
     stops once its best probe lies within 1e-6 * max(|a|, |b|, b0 - a0) of
     both ends of the bracket [a, b] narrowed from [a0, b0], so it refines
-    an axis on any scale.
+    an axis on any scale; a bracket spanning the floats, inf wide, keeps
+    the grid winner.
 
     Returns ({path: value, ...}, objective value).  Grid ties break toward
     the lower value (the grid is scanned in increasing order and only
@@ -192,8 +193,9 @@ def find_optimum(spec: SweepSpec, objective: str,
             return -math.inf
         return score(*probe([x]))
 
-    x_opt, s_opt = _brent(f, a1[max(best_idx - 1, 0)],
-                          a1[min(best_idx + 1, len(a1) - 1)])
+    lo, hi = a1[max(best_idx - 1, 0)], a1[min(best_idx + 1, len(a1) - 1)]
+    # a bracket spanning the floats is inf wide: it is not refined
+    x_opt, s_opt = _brent(f, lo, hi) if hi - lo < math.inf else (lo, -math.inf)
     # keep the grid winner if refinement landed on a worse or unstable point
     if s_opt < best:
         x_opt, s_opt = a1[best_idx], best
@@ -214,7 +216,7 @@ def _brent(f, a: float, b: float) -> tuple[float, float]:
     while True:
         # half the stop width, at least the smallest float
         tol = max(0.5 * _TOL * max(abs(a), abs(b), start_width), _TINY)
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b     # a + b may overflow
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             return x, fx
         golden = True

@@ -35,6 +35,8 @@ RECEIVER = "tests/test_receiver.py::"
 TABLE = ("tests/test_sweep.py::"
          "test_no_key_moves_a_field_written_before_its_section_enters")
 PINS = "tests/test_cli.py::test_traced_pins_hold"
+UNWRITABLE = "tests/test_cli.py::test_unwritable_output_exit_code["
+FIGURES = "tests/test_sweep.py::TestFigures::"
 
 # (name, file under src/rbswipt, exact old text, new text, test ids that
 # must each fail; a parametrized test fails when any of its cases does)
@@ -467,7 +469,7 @@ MUTANTS = [
     ("stop width rounds to 0", "sweep.py",
      "tol = max(0.5 * _TOL * max(abs(a), abs(b), start_width), _TINY)",
      "tol = 0.5 * _TOL * max(abs(a), abs(b), start_width)",
-     (FIND + "test_refines_axis_near_zero[subnormal]",)),
+     (FIND + "test_refines_axis_near_zero[subnormal-narrow]",)),
     ("ties keep the best probe", "sweep.py",
      "if fu >= fx:",
      "if fu > fx:",
@@ -476,11 +478,35 @@ MUTANTS = [
      'if spacing == "linear" and count > 2 and',
      'if spacing == "linear" and count > 3 and',
      ("tests/test_sweep.py::TestAxis::test_invalid",)),
+    ("overflowing midpoint", "sweep.py",
+     "m = 0.5 * a + 0.5 * b",
+     "m = 0.5 * (a + b)",
+     (FIND + "test_refines_axis_far_above_one",)),
+    ("an infinite bracket refined", "sweep.py",
+     "_brent(f, lo, hi) if hi - lo < math.inf else (lo, -math.inf)",
+     "_brent(f, lo, hi)",
+     (FIND + "test_refines_axis_far_above_one",)),
     ("axis overflow check on count 2", "sweep.py",
      'if spacing == "linear" and count > 2 and',
      'if spacing == "linear" and count > 1 and',
      ("tests/test_sweep.py::TestAxis::test_wide_finite_grids_accepted",
       "tests/test_cli.py::test_two_value_axis_spanning_the_floats")),
+    # output paths: checked before any cell, made just before the write
+    ("degenerate output names accepted", "output.py",
+     'if path == out_dir or path.name == ".." or path.is_dir():',
+     "if path.is_dir():",
+     (UNWRITABLE + "sweep --axis link.p_in:1:5:2 --out-dir {dir}/new "
+      "--output ]",
+      UNWRITABLE + "sweep --axis link.p_in:1:5:2 --out-dir {dir}/new "
+      "--output ..]")),
+    ("write_curve_file makes no directory", "output.py",
+     "    path.parent.mkdir(parents=True, exist_ok=True)\n", "",
+     ("tests/test_cli.py::test_sweep_creates_missing_out_dir",)),
+    ("reproduce_figure checks no file", "figures.py",
+     'out_file(out_dir, f"fig{figure_id}{ext}")',
+     'Path(out_dir, f"fig{figure_id}{ext}")',
+     (FIGURES + "test_file_in_the_way_writes_nothing",
+      UNWRITABLE + "reproduce-figure 9 --points 3 --out-dir {dir}/plot]")),
 ]
 
 

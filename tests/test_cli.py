@@ -186,6 +186,16 @@ UNWRITABLE_OUTPUT = [
     # the second file is in the way: the first must not be written either
     (["reproduce-figure", "9", "--points", "3", "--out-dir", "{dir}/plot"],
      "{dir}/plot/fig9.plot.json"),
+    # a name that leaves no file under the directory: the CSV would be
+    # written as the directory itself, or as its parent
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}/new",
+      "--output", ""], "'{dir}/new'"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}/new",
+      "--output", "."], "'{dir}/new'"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}/new",
+      "--output", "./"], "'{dir}/new'"),
+    (["sweep", "--axis", "link.p_in:1:5:2", "--out-dir", "{dir}/new",
+      "--output", ".."], "'{dir}/new/..'"),
 ]
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import types
 from pathlib import Path
 
@@ -453,14 +454,40 @@ class TestFindOptimum:
         params, _ = find_optimum(spec, "p_beam")
         assert params["gain.n0"] == pytest.approx(vertex, rel=1e-6)
 
+        # brackets reaching 1e308, on the real model, whose scores stay
+        # finite there: a + b overflows near the top, and a two-value axis
+        # spanning the floats is a bracket of infinite width, kept as the
+        # grid left it.  Every cell and probe is range-checked first, and
+        # a probe out of range reaches no model, so the checks are capped
+        monkeypatch.undo()
+        checks = itertools.count()
+
+        def capped_check(path, *values):
+            if next(checks) > 1000:
+                raise RuntimeError("search does not stop")
+            check_value(path, *values)
+
+        monkeypatch.setattr(sweep, "check_value", capped_check)
+        for axis, objective in [(("link.p_in", 1.0, 1e308, 3), "p_beam"),
+                                (("link.p_in", 1e-320, 1e308, 3, "log"),
+                                 "p_beam"),
+                                (("receiver.p_pth", -1e308, 1e308, 2),
+                                 "p_e_out")]:
+            spec = SweepSpec(preset_with(), axis1=Axis(*axis))
+            assert find_optimum(spec, objective)[0] == {axis[0]: 1e308}
+
     @pytest.mark.parametrize("path, lo, hi, vertex", [
         ("receiver.p_pth", -1.0, 1.0, 0.0),
-        ("gain.l", 1e-320, 3e-320, 2e-320)], ids=["across-zero", "subnormal"])
+        ("gain.l", 1e-320, 3e-320, 2e-320),
+        ("gain.l", 1e-321, 5e-321, 2e-321)],
+        ids=["across-zero", "subnormal", "subnormal-narrow"])
     def test_refines_axis_near_zero(self, monkeypatch, path, lo, hi, vertex):
         # a stop width relative to the bracket's ends alone would shrink
         # with a bracket closing on 0, and one under the smallest float
-        # would round to 0: either search would not stop.  Golden-section
-        # steps alone take 29 probes from a bracket of width 1 to 1e-6
+        # would round to 0: either search would not stop (a zero width
+        # stops the wider subnormal search by chance, at a probe equal to
+        # the sum of its halved ends).  Golden-section steps alone take 29
+        # probes from a bracket of width 1 to 1e-6
         probes = []
         stub = quadratic_stub(vertex, path=path)
 
@@ -1371,12 +1398,15 @@ class TestFigures:
 
     def test_figures_match_bench_reference(self, tmp_path):
         for fid in figures.FIGURE_IDS:
-            figures.reproduce_figure(fid, tmp_path, points=121)
-            csv = (tmp_path / f"fig{fid}.csv").read_bytes()
+            csv_path, plot_path = figures.reproduce_figure(fid, tmp_path,
+                                                           points=121)
+            assert (csv_path, plot_path) == (
+                tmp_path / f"fig{fid}.csv", tmp_path / f"fig{fid}.plot.json")
+            csv = csv_path.read_bytes()
             assert csv == (self.REFERENCE / f"fig{fid}.csv").read_bytes(), fid
             header = next(line for line in csv.decode().splitlines()
                           if not line.startswith("#")).split(",")
-            plot = json.loads((tmp_path / f"fig{fid}.plot.json").read_text())
+            plot = json.loads(plot_path.read_text())
             assert [s["column"] for s in plot["series"]] == \
                 [c for c in header[1:] if not c.startswith("status[")], fid
 
@@ -1397,6 +1427,27 @@ class TestFigures:
         with pytest.raises(ValueError, match="unknown figure id '99'"):
             figures.reproduce_figure("99", tmp_path / "new")
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("taken, out_dir, path", [
+        ("fig9.plot.json/", "", "fig9.plot.json"),
+        ("file", "file/new", "file/new/fig9.csv")], ids=["plot", "out-dir"])
+    def test_file_in_the_way_writes_nothing(self, tmp_path, monkeypatch,
+                                            taken, out_dir, path):
+        # a library call checks both files before its first cell, as the
+        # command does: a directory where the plot goes, or a file where
+        # the directory goes, leaves fig9.csv unwritten too
+        if taken.endswith("/"):
+            (tmp_path / taken).mkdir()
+        else:
+            (tmp_path / taken).write_text("keep\n")
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before the output was checked")
+
+        monkeypatch.setattr(figures, "run_sweep", no_cells)
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / path))):
+            figures.reproduce_figure("9", tmp_path / out_dir, points=3)
+        assert [p.name for p in tmp_path.rglob("*")] == [taken.rstrip("/")]
 
 
 class TestOperatingPoint:
