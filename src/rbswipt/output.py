@@ -8,11 +8,16 @@ scenario id, the resolved-configuration digest, the full configuration, and
 per-column units.  Floats are written with repr so the file parses back to
 the exact values; missing values (unstable grid points) are empty cells
 alongside a status column, never NaN.  Each distinct nonzero value is
-formatted once per file, and nothing is kept from one call to the next.
+formatted once per half, and nothing is kept from one call to the next.
+A file of at least _FORK_CELLS data cells is formatted on two processes
+where that can pay: a forked child formats the second half of the rows
+while this process formats the first.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from pathlib import Path
@@ -21,10 +26,17 @@ from .config import Config, ConfigError, config_digest, serialize_config
 from .model import FIELD_UNITS, OperatingPoint
 
 
-Column = namedtuple("Column", "name unit values")
-Column.__doc__ = """One curve-file column: its name, its unit and its values,
-float, None or str only: cells are memoised by value, so an int or bool
-prints as the text of the first equal value in the file."""
+class Column(namedtuple("Column", "name unit values")):
+    """One curve-file column: its name, its unit and its values, float,
+    None or str only: cells are memoised by value, so an int or bool prints
+    as the text of the first equal value in the file."""
+    __slots__ = ()
+
+
+# the data cells from which a forked half pays: fork costs about 5 ms in a
+# 90 MB process, and the serial and forked write times cross between 30k
+# and 70k cells on a 2-vCPU VM (timings in CHANGES.md)
+_FORK_CELLS = 50_000
 
 
 def _cells(values: Sequence, memo: dict) -> list[str]:
@@ -38,6 +50,46 @@ def _cells(values: Sequence, memo: dict) -> list[str]:
                 memo[v] = text
         cells.append(text)
     return cells
+
+
+def _rows(columns: list[Column], lo: int, hi: int) -> list[str]:
+    """Rows lo..hi-1 as CSV lines, each distinct nonzero value formatted
+    once."""
+    memo = {}
+    return list(map(",".join, zip(*(_cells(c.values[lo:hi], memo)
+                                    for c in columns))))
+
+
+def _halves(columns: list[Column], n: int) -> list[str]:
+    """The n data rows' lines.  A forked child formats the second half of
+    a file of at least _FORK_CELLS cells where os.fork exists, the process
+    may run on two CPUs by os.sched_getaffinity (a platform without it
+    stays serial) and it runs one thread: a child forked beside another
+    thread may find a lock held for good.  Otherwise, or when the child
+    fails, this process formats every row."""
+    if (n * len(columns) < _FORK_CELLS or len(sys._current_frames()) > 1
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return _rows(columns, 0, n)
+    half = n // 2
+    read_end, write_end = os.pipe()
+    if (pid := os.fork()) == 0:
+        # the child leaves only through os._exit: it never returns to the
+        # caller, runs no atexit hook and flushes no inherited stdio buffer
+        try:
+            with open(write_end, "wb") as pipe:
+                pipe.write("\n".join(_rows(columns, half, n)).encode())
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            lines, sent = _rows(columns, 0, half), pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    # the child exits 0 only after its last write, so its text is whole
+    return lines + ([sent.decode()] if not status else _rows(columns, half, n))
 
 
 def out_file(out_dir: Path | str, name: str) -> Path:
@@ -73,8 +125,7 @@ def write_curve_file(path: Path, scenario: str, config: Config,
     lines.append("# columns: " + ", ".join(
         f"{c.name} [{c.unit}]" for c in columns))
     lines.append(",".join(c.name for c in columns))
-    memo = {}
-    lines += map(",".join, zip(*(_cells(c.values, memo) for c in columns)))
+    lines += _halves(columns, n)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 

@@ -37,6 +37,7 @@ TABLE = ("tests/test_sweep.py::"
 PINS = "tests/test_cli.py::test_traced_pins_hold"
 UNWRITABLE = "tests/test_cli.py::test_unwritable_output_exit_code["
 FIGURES = "tests/test_sweep.py::TestFigures::"
+OUTPUT = "tests/test_output.py::"
 
 # (name, file under src/rbswipt, exact old text, new text, test ids that
 # must each fail; a parametrized test fails when any of its cases does)
@@ -469,7 +470,7 @@ MUTANTS = [
     ("stop width rounds to 0", "sweep.py",
      "tol = max(0.5 * _TOL * max(abs(a), abs(b), start_width), _TINY)",
      "tol = 0.5 * _TOL * max(abs(a), abs(b), start_width)",
-     (FIND + "test_refines_axis_near_zero[subnormal-narrow]",)),
+     (FIND + "test_flat_objective_on_a_subnormal_axis_stops",)),
     ("ties keep the best probe", "sweep.py",
      "if fu >= fx:",
      "if fu > fx:",
@@ -502,6 +503,33 @@ MUTANTS = [
     ("write_curve_file makes no directory", "output.py",
      "    path.parent.mkdir(parents=True, exist_ok=True)\n", "",
      ("tests/test_cli.py::test_sweep_creates_missing_out_dir",)),
+    # a large curve file formatted on two processes: the bytes stay those
+    # of the serial path, only a large file forks, a failed child is
+    # covered, and the choice reads the CPUs and the threads
+    ("split point off by one", "output.py",
+     "half = n // 2", "half = n // 2 + 1",
+     (OUTPUT + "test_small_files_fork_and_match",)),
+    ("the two halves swapped", "output.py",
+     "return lines + ([sent.decode()] if not status else "
+     "_rows(columns, half, n))",
+     "return ([sent.decode()] if not status else "
+     "_rows(columns, half, n)) + lines",
+     (OUTPUT + "test_small_files_fork_and_match",
+      OUTPUT + "test_pinned_all_fields_sweep_forks_to_its_bytes")),
+    ("a failed child's half not formatted", "output.py",
+     "[sent.decode()] if not status else", "[sent.decode()] if True else",
+     (OUTPUT + "test_failed_child_leaves_the_bytes",)),
+    ("the size test inverted", "output.py",
+     "n * len(columns) < _FORK_CELLS", "n * len(columns) >= _FORK_CELLS",
+     (OUTPUT + "test_figures_never_fork",
+      OUTPUT + "test_full_sweep_forks_to_the_serial_bytes")),
+    ("the CPU count not read", "output.py",
+     "len(os.sched_getaffinity(0)) < 2", "len(os.sched_getaffinity(0)) < 1",
+     (OUTPUT + "test_serial_path_when_a_fork_cannot_pay[one CPU]",
+      OUTPUT + "test_full_sweep_forks_to_the_serial_bytes")),
+    ("a fork beside another thread", "output.py",
+     "len(sys._current_frames()) > 1", "len(sys._current_frames()) > 2",
+     (OUTPUT + "test_serial_path_when_a_fork_cannot_pay[a second thread]",)),
     ("reproduce_figure checks no file", "figures.py",
      'out_file(out_dir, f"fig{figure_id}{ext}")',
      'Path(out_dir, f"fig{figure_id}{ext}")',

@@ -370,11 +370,14 @@ class TestReduceMax:
             reduce_max(run_sweep(mu_spec(2)), "p_beam")
 
 
-def quadratic_stub(vertex, path="receiver.mu"):
+def quadratic_stub(vertex, path="receiver.mu", width=1.0):
+    """Scores -((x - vertex) / width)**2: a width near the axis span keeps
+    the square of a subnormal distance from underflowing to -0.0, which
+    would flatten the objective."""
     def evaluate(cfg, *rest):
         x = get_path(cfg, path)
         return OperatingPoint(status="ok", p_in=0.0, power=model._NO_POWER
-                              ._replace(p_beam=-(x - vertex) ** 2))
+                              ._replace(p_beam=-((x - vertex) / width) ** 2))
     return evaluate
 
 
@@ -487,9 +490,10 @@ class TestFindOptimum:
         # would round to 0: either search would not stop (a zero width
         # stops the wider subnormal search by chance, at a probe equal to
         # the sum of its halved ends).  Golden-section steps alone take 29
-        # probes from a bracket of width 1 to 1e-6
+        # probes from a bracket of width 1 to 1e-6.  Scores are scaled by
+        # the axis span, so the vertex decides the optimum on every case
         probes = []
-        stub = quadratic_stub(vertex, path=path)
+        stub = quadratic_stub(vertex, path=path, width=hi - lo)
 
         def capped(cfg, *rest):
             probes.append(get_path(cfg, path))
@@ -501,9 +505,32 @@ class TestFindOptimum:
         patch_evaluate(monkeypatch, capped)
         params, _ = find_optimum(spec, "p_beam")
         assert lo <= params[path] <= hi
+        assert abs(params[path] - vertex) <= max(1e-6 * (hi - lo),
+                                                 4 * math.ulp(vertex))
         if vertex == 0.0:
             # within the stop width, 1e-6 of the starting bracket [-0.5, 0.5]
             assert abs(params[path]) <= 1e-6
+
+    def test_flat_objective_on_a_subnormal_axis_stops(self, monkeypatch):
+        # every probe ties, and a tie replaces the best probe, so only the
+        # stop width ends the search; on an axis of a few hundred subnormal
+        # spacings, a width under the smallest float rounds to 0 and the
+        # search would not stop
+        probes = []
+
+        def flat(cfg, *rest):
+            probes.append(get_path(cfg, "gain.l"))
+            if len(probes) > 100:
+                raise RuntimeError("search does not stop")
+            return OperatingPoint(status="ok", p_in=0.0,
+                                  power=model._NO_POWER._replace(p_beam=0.0))
+
+        spec = SweepSpec(preset_with(),
+                         axis1=Axis("gain.l", 1e-321, 5e-321, 5))
+        patch_evaluate(monkeypatch, flat)
+        params, value = find_optimum(spec, "p_beam")
+        assert 1e-321 <= params["gain.l"] <= 5e-321
+        assert value == 0.0
 
     def test_parabola_never_meets_a_non_finite_score(self, monkeypatch):
         # scores read as Watched floats, so a parabola fitted through an
